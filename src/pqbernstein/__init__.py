@@ -42,13 +42,16 @@ from .moments_closed import (
 )
 from .operator_eval import (
     BasisVariant,
+    NumericalRangeError,
     SchurerConfig,
     apply,
     apply_central_moment,
     apply_on_grid,
     argument,
     basis,
+    basis_matrix,
     basis_row,
+    central_moments_on_grid,
     required_domain,
 )
 from .pq_core import (
@@ -74,6 +77,7 @@ __all__ = [
     "ModulusGrid",
     "MomentReport",
     "NotLipschitzError",
+    "NumericalRangeError",
     "PQPair",
     "QuadratureRule",
     "RealFunction",
@@ -85,9 +89,11 @@ __all__ = [
     "apply_on_grid",
     "argument",
     "basis",
+    "basis_matrix",
     "basis_row",
     "build_moment_report",
     "build_rule",
+    "central_moments_on_grid",
     "check_t32",
     "check_t33",
     "check_t34",

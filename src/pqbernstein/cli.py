@@ -2,7 +2,8 @@
 
 Subcommands: selftest, korovkin, moments, bounds, figure.  Exit codes:
 0 all checks passed, 1 a bound/convergence check failed, 2 configuration
-error, 3 numerical infeasibility (quadrature truncation cap).
+error, 3 numerical infeasibility (quadrature truncation cap, or basis
+coefficients outside the double range).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .experiments import (
     schedule,
 )
 from .functions import FUNCTION_NAMES, DomainError
-from .operator_eval import BasisVariant, SchurerConfig
+from .operator_eval import BasisVariant, NumericalRangeError, SchurerConfig
 from .pq_core import PQPair
 from .pq_quadrature import TruncationError
 from .reportio import write_text
@@ -239,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TruncationError, NumericalRangeError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

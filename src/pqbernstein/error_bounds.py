@@ -32,8 +32,8 @@ from .functions import RealFunction
 from .moments_closed import closed_first_moment
 from .operator_eval import (
     SchurerConfig,
-    apply_central_moment,
     apply_on_grid,
+    central_moments_on_grid,
 )
 from .pq_core import PQPair
 from .reportio import fmt_float, json_text, write_text
@@ -114,12 +114,17 @@ def modulus2(f: RealFunction, delta: float, grid_step: float | None = None) -> f
     return ModulusGrid(f, grid_step).omega2(delta)
 
 
-def delta_n(config: SchurerConfig, pq: PQPair, x: float) -> float:
-    """Oracle second central moment, clamped at 0 for use under square roots."""
-    return max(apply_central_moment(config, pq, x, 2), 0.0)
+def delta_n(
+    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
+) -> float | np.ndarray:
+    """Oracle second central moment at x (a point or a grid), clamped at 0 for
+    use under square roots."""
+    return np.maximum(central_moments_on_grid(config, pq, x)[1], 0.0)
 
 
-def alpha_n(config: SchurerConfig, pq: PQPair, x: float) -> float:
+def alpha_n(
+    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
+) -> float | np.ndarray:
     """Transcribed closed-form first moment (the smoothness bound is stated with it)."""
     return closed_first_moment(config, pq, x)
 
@@ -251,9 +256,10 @@ def check_t32(
     # slack: quadrature truncation plus the sup the modulus grid can hide
     slack = 10.0 * (_quad_budget(config) + mg.omega(2.0 * mg.step))
     errors = _errors_on_grid(config, pq, f, xs)
+    deltas = delta_n(config, pq, xs)
     rows = []
     for i, x in enumerate(float(v) for v in xs):
-        d = delta_n(config, pq, x)
+        d = float(deltas[i])
         bound = 2.0 * mg.omega(float(np.sqrt(d)))
         rows.append(
             BoundRow(
@@ -295,9 +301,10 @@ def check_t33(
     # delta_n enters through a concave power: (d - eps)^(a/2) >= d^(a/2) - eps^(a/2)
     slack = 10.0 * budget + m_const * budget ** (alpha / 2.0)
     errors = _errors_on_grid(config, pq, f, xs)
+    deltas = delta_n(config, pq, xs)
     rows = []
     for i, x in enumerate(float(v) for v in xs):
-        d = delta_n(config, pq, x)
+        d = float(deltas[i])
         bound = m_const * d ** (alpha / 2.0)
         rows.append(
             BoundRow(
@@ -342,12 +349,14 @@ def check_t34(
     oracle_m1 = apply_on_grid(
         config, pq, RealFunction(lambda t: t, f.lo, f.hi, name="id"), xs
     )
+    deltas = delta_n(config, pq, xs)
+    alphas = alpha_n(config, pq, xs)
     rows = []
     degenerate = 0
     max_drift = 0.0
     for i, x in enumerate(float(v) for v in xs):
-        d = delta_n(config, pq, x)
-        a_val = alpha_n(config, pq, x)
+        d = float(deltas[i])
+        a_val = float(alphas[i])
         max_drift = max(max_drift, abs(a_val - float(oracle_m1[i])))
         a_n_val = d + (a_val - x) ** 2
         c_n_val = abs(a_val - x)

@@ -21,7 +21,7 @@ from .operator_eval import (
     SchurerConfig,
     apply,
     apply_on_grid,
-    basis,
+    basis_matrix,
     required_domain,
 )
 from .pq_core import PQPair, pq_integer
@@ -403,11 +403,8 @@ def run_selftest(
     for pq in pairs:
         for big_n in (1, 2, 4, 8, 16, 32, 64):
             config = SchurerConfig(n=big_n, ell=0, basis_variant=basis_variant)
-            for x in xs:
-                total = sum(
-                    basis(config, pq, k, float(x)) for k in range(big_n + 1)
-                )
-                worst = max(worst, abs(total - 1.0))
+            totals = basis_matrix(config, pq, xs).sum(axis=-1)
+            worst = max(worst, float(np.abs(totals - 1.0).max()))
     checks.append(
         SelftestCheck(
             f"partition-of-unity[{basis_variant.value}]",

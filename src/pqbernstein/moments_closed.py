@@ -11,6 +11,10 @@ uses (p^2 x + 1 - x)^N where linearity applied to the raw first moment gives
 (p x + 1 - x)^N and drops a factor [N]; the second central moment carries an
 extra q on its x^2 bracket.  Measured behaviour: the raw-moment forms are
 exact for N = n + ell = 1 and drift for larger N.
+
+Each closed form takes one x or a whole x-grid (a NumPy array) and returns
+the same shape; on a grid its (p,q)-integer constants are computed once, and
+the values are identical to those of the pointwise calls.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .functions import make_function
 from .operator_eval import (
     BasisVariant,
     SchurerConfig,
-    apply_central_moment,
     apply_on_grid,
+    central_moments_on_grid,
     required_domain,
 )
 from .pq_core import PQPair, pq_integer, pq_rising_two_term
@@ -54,7 +58,9 @@ CSV_COLUMNS = (
 )
 
 
-def closed_first_moment(config: SchurerConfig, pq: PQPair, x: float) -> float:
+def closed_first_moment(
+    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
+) -> float | np.ndarray:
     """(px+1-x)^N / ([2][n+1]) + (p+2q-1) [N] x / ([2][n+1]), N = n + ell."""
     p, q = pq.p, pq.q
     big_n = config.degree
@@ -63,7 +69,9 @@ def closed_first_moment(config: SchurerConfig, pq: PQPair, x: float) -> float:
     return head / denom + (p + 2.0 * q - 1.0) * pq_integer(big_n, pq) * x / denom
 
 
-def closed_second_moment(config: SchurerConfig, pq: PQPair, x: float) -> float:
+def closed_second_moment(
+    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
+) -> float | np.ndarray:
     """Second raw moment as transcribed, leading term (p^2 x + 1 - x)^N / ([3][n+1]^2)."""
     p, q = pq.p, pq.q
     big_n = config.degree
@@ -83,7 +91,9 @@ def closed_second_moment(config: SchurerConfig, pq: PQPair, x: float) -> float:
     return head + mid + tail
 
 
-def closed_central_moments(config: SchurerConfig, pq: PQPair, x: float) -> tuple[float, float]:
+def closed_central_moments(
+    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """First and second central moments as transcribed (discrepancies preserved)."""
     p, q = pq.p, pq.q
     big_n = config.degree
@@ -240,28 +250,30 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
         name: apply_on_grid(config, pq, make_function(name, lo, hi), xs)
         for name in ("e0", "e1", "e2")
     }
-    rows = []
-    for i, x in enumerate(float(v) for v in xs):
-        c1, c2 = closed_central_moments(config, pq, x)
-        rows.append(
-            MomentRow(
-                x=x,
-                oracle_m0=float(oracle["e0"][i]),
-                oracle_m1=float(oracle["e1"][i]),
-                oracle_m2=float(oracle["e2"][i]),
-                oracle_c1=apply_central_moment(config, pq, x, 1),
-                oracle_c2=apply_central_moment(config, pq, x, 2),
-                closed_m1=closed_first_moment(config, pq, x),
-                closed_m2=closed_second_moment(config, pq, x),
-                closed_c1=c1,
-                closed_c2=c2,
-            )
+    oracle_c1, oracle_c2 = central_moments_on_grid(config, pq, xs)
+    closed_c1, closed_c2 = closed_central_moments(config, pq, xs)
+    closed_m1 = closed_first_moment(config, pq, xs)
+    closed_m2 = closed_second_moment(config, pq, xs)
+    rows = [
+        MomentRow(
+            x=x,
+            oracle_m0=float(oracle["e0"][i]),
+            oracle_m1=float(oracle["e1"][i]),
+            oracle_m2=float(oracle["e2"][i]),
+            oracle_c1=float(oracle_c1[i]),
+            oracle_c2=float(oracle_c2[i]),
+            closed_m1=float(closed_m1[i]),
+            closed_m2=float(closed_m2[i]),
+            closed_c1=float(closed_c1[i]),
+            closed_c2=float(closed_c2[i]),
         )
+        for i, x in enumerate(float(v) for v in xs)
+    ]
 
     max_abs_diff = {
         key: max(r.diffs[key] for r in rows) for key in ("m1", "m2", "c1", "c2")
     }
-    flagged = max(max_abs_diff.values()) > 100.0 * config.quad_tol
+    flagged = bool(max(max_abs_diff.values()) > 100.0 * config.quad_tol)
     m0_target = 1.0 if config.basis_variant is BasisVariant.NORMALIZED else None
     max_m0_dev = (
         max(abs(r.oracle_m0 - m0_target) for r in rows) if m0_target is not None else 0.0

@@ -13,7 +13,15 @@ Two basis conventions are supported.  The plain product basis
 is *not* a partition of unity when p < 1 (its sum at degree 2 is
 p + (1-p) x^2).  The normalized variant multiplies term k by
 p^{(k(k-1) - N(N-1))/2} with N = n+ell, restoring sum_k basis = 1 and with it
-constant reproduction; it is the default.
+constant reproduction; it is the default.  It equals the Phillips q-Bernstein
+basis in r = q/p, [N k]_r x^k prod_{s<N-k} (1 - r^s x).
+
+The integral means do not depend on x, so a whole grid is evaluated at once:
+one (G, N+1) basis matrix times one mean vector.  Central moments expand from
+the raw moment means of t^0, t^1, t^2, cached per (config, pq).  Basis
+coefficients that leave the double range (measured from N = 142 to 235 for
+the (p, q) in use, see pq_core) raise NumericalRangeError instead of
+returning NaN.
 """
 
 from __future__ import annotations
@@ -56,60 +64,112 @@ class SchurerConfig:
         return self.n + self.ell
 
 
+class NumericalRangeError(ArithmeticError):
+    """The basis coefficients of this (config, pq) overflow double precision."""
+
+
 @dataclass(frozen=True, eq=False)
 class _Tables:
     """Per-(config, pq) precomputation shared by every evaluation."""
 
     degree: int
     rule: QuadratureRule
-    binom: np.ndarray        # [N k]_{p,q}, k = 0..N
-    norm_scale: np.ndarray   # p^{-k(N-k)}, the normalized-variant rescaling
-    rpow: np.ndarray         # (q/p)^s, s = 0..N-1
-    ppow: np.ndarray         # p^s
-    qpow: np.ndarray         # q^s
+    coef: np.ndarray         # [N k]_{p,q}, times p^{-k(N-k)} for the normalized variant
+    powers: np.ndarray       # exponents k = 0..N of x^k
+    fall_a: np.ndarray       # falling-product factors a_s - b_s x, s = 0..N-1:
+    fall_b: np.ndarray       # (1, (q/p)^s) normalized, (p^s, q^s) printed
     c0: np.ndarray           # [k]/[n+1]
     c1: np.ndarray           # ([k+1]-[k])/[n+1], computed as ((q-1)[k]+p^k)/[n+1]
     arg: np.ndarray          # argument values, shape (N+1, nodes)
+    domain: tuple[float, float]  # hull of arg, see required_domain
 
 
-@lru_cache(maxsize=16)
+# Each entry pins an (N+1) x K argument table (3 MB at classic N = 130).
+# Callers finish with one (config, pq) before they move to the next; the
+# longest walk, a default Korovkin run, visits five.  Eight entries keep a
+# whole run cached without pinning many more tables than it uses.
+@lru_cache(maxsize=8)
 def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
     p, q = pq.p, pq.q
     big_n = config.degree
     ints = np.array([pq_integer(k, pq) for k in range(big_n + 2)])
-    fact = np.concatenate([[1.0], np.cumprod(ints[1 : big_n + 1])])
-    binom = fact[big_n] / (fact * fact[::-1])
     k = np.arange(big_n + 1)
     s = np.arange(big_n)
+    normalized = config.basis_variant is BasisVariant.NORMALIZED
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fact = np.concatenate([[1.0], np.cumprod(ints[1 : big_n + 1])])
+        coef = fact[big_n] / (fact * fact[::-1])
+        if normalized:
+            coef *= np.power(p, -(k * (big_n - k)).astype(float))
+    if not np.isfinite(coef).all():
+        raise NumericalRangeError(
+            f"basis coefficients are not finite in double precision at N = n + ell = "
+            f"{big_n}, p={p!r}, q={q!r} ({config.basis_variant.value} basis)"
+        )
+    if normalized:
+        fall_a, fall_b = np.ones(big_n), np.power(q / p, s)
+    else:
+        fall_a, fall_b = np.power(p, s), np.power(q, s)
     rule = build_rule(pq, a=1.0, tol=config.quad_tol)
     denom = pq_integer(config.n + 1, pq)
     c0 = ints[: big_n + 1] / denom
     c1 = ((q - 1.0) * ints[: big_n + 1] + np.power(p, k)) / denom
+    # arguments are affine in t over (0, a/p], so their values at t = 0 and at
+    # the top node bound the hull
+    at_top = c0 + c1 * rule.top_node
+    domain = (min(0.0, float(at_top.min())), max(float(c0.max()), float(at_top.max())))
     return _Tables(
         degree=big_n,
         rule=rule,
-        binom=binom,
-        norm_scale=np.power(p, -(k * (big_n - k)).astype(float)),
-        rpow=np.power(q / p, s),
-        ppow=np.power(p, s),
-        qpow=np.power(q, s),
+        coef=coef,
+        powers=k.astype(float),
+        fall_a=fall_a,
+        fall_b=fall_b,
         c0=c0,
         c1=c1,
         arg=c0[:, None] + c1[:, None] * rule.nodes[None, :],
+        domain=domain,
     )
 
 
-def basis_row(config: SchurerConfig, pq: PQPair, x: float) -> np.ndarray:
-    """All N+1 basis values at x, nonnegative on [0, 1]."""
+@lru_cache(maxsize=16)
+def _raw_means(config: SchurerConfig, pq: PQPair) -> np.ndarray:
+    """Integral means M_j[k] = sum_t w_t arg_{k,t}^j for j = 0, 1, 2, shape (3, N+1).
+
+    The argument is c0 + c1 t, so the means expand over the node moments
+    S_j = sum_t w_t t^j and never touch the (N+1) x K argument table.
+    """
     tb = _tables(config, pq)
-    big_n = tb.degree
-    xpow = np.power(x, np.arange(big_n + 1))
-    if config.basis_variant is BasisVariant.NORMALIZED:
-        # fused form: binom * x^k * p^{-k(N-k)} * prod_{s<N-k} (1 - (q/p)^s x)
-        prods = np.concatenate([[1.0], np.cumprod(1.0 - tb.rpow * x)])
-        return tb.binom * xpow * tb.norm_scale * prods[::-1]
-    prods = np.concatenate([[1.0], np.cumprod(tb.ppow - tb.qpow * x)])
-    return tb.binom * xpow * prods[::-1]
+    nodes, weights = tb.rule.nodes, tb.rule.weights
+    s0, s1, s2 = weights.sum(), weights @ nodes, (weights * nodes) @ nodes
+    c0, c1 = tb.c0, tb.c1
+    return np.stack(
+        [
+            np.full_like(c0, s0),
+            c0 * s0 + c1 * s1,
+            c0 * c0 * s0 + 2.0 * c0 * c1 * s1 + c1 * c1 * s2,
+        ]
+    )
+
+
+def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
+    """Basis values at every x, shape xs.shape + (N+1,); nonnegative on [0, 1].
+
+    Term k is coef_k x^k prod_{s<N-k} (a_s - b_s x).  A scalar x gives one
+    row, which equals the matching row of any grid that contains x.
+    """
+    tb = _tables(config, pq)
+    x = np.asarray(xs, dtype=float)[..., None]
+    falling = (tb.fall_a - tb.fall_b * x).cumprod(axis=-1)
+    out = x**tb.powers
+    out *= tb.coef
+    out[..., :-1] *= falling[..., ::-1]
+    return out
+
+
+def basis_row(config: SchurerConfig, pq: PQPair, x: float) -> np.ndarray:
+    """All N+1 basis values at one x, nonnegative on [0, 1]."""
+    return basis_matrix(config, pq, float(x))
 
 
 def basis(config: SchurerConfig, pq: PQPair, k: int, x: float) -> float:
@@ -137,16 +197,18 @@ def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
     Arguments are affine in t over (0, a/p], so the hull of their values at
     t = 0 and at the top quadrature node covers everything.
     """
-    tb = _tables(config, pq)
-    at_top = tb.c0 + tb.c1 * tb.rule.top_node
-    hi = max(float(tb.c0.max()), float(at_top.max()))
-    lo = min(0.0, float(at_top.min()))
-    return lo, hi
+    return _tables(config, pq).domain
 
 
-def _check_point(x: float) -> None:
-    if not -DOMAIN_EDGE_TOL <= x <= 1.0 + DOMAIN_EDGE_TOL:
-        raise ValueError(f"operator is evaluated on [0, 1], got x={x!r}")
+def _check_points(xs) -> None:
+    x = np.asarray(xs, dtype=float)
+    if x.size == 0:
+        return
+    lo, hi = (float(x), float(x)) if x.ndim == 0 else (float(x.min()), float(x.max()))
+    # written so that a NaN fails too
+    if not (-DOMAIN_EDGE_TOL <= lo and hi <= 1.0 + DOMAIN_EDGE_TOL):
+        worst = lo if not -DOMAIN_EDGE_TOL <= lo else hi
+        raise ValueError(f"operator is evaluated on [0, 1], got x={worst!r}")
 
 
 def _check_covers(config: SchurerConfig, pq: PQPair, f: RealFunction) -> None:
@@ -165,7 +227,7 @@ def _integral_means(config: SchurerConfig, pq: PQPair, f: RealFunction) -> np.nd
 
 def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float:
     """Operator value at x; linear and positive in f up to quadrature truncation."""
-    _check_point(x)
+    _check_points(x)
     _check_covers(config, pq, f)
     return float(basis_row(config, pq, x) @ _integral_means(config, pq, f))
 
@@ -174,12 +236,24 @@ def apply_on_grid(
     config: SchurerConfig, pq: PQPair, f: RealFunction, xs: np.ndarray
 ) -> np.ndarray:
     """Operator values on a grid of x; the integral means are shared across x."""
-    xs = np.asarray(xs, dtype=float)
-    for x in xs:
-        _check_point(float(x))
+    _check_points(xs)
     _check_covers(config, pq, f)
-    means = _integral_means(config, pq, f)
-    return np.array([float(basis_row(config, pq, float(x)) @ means) for x in xs])
+    return basis_matrix(config, pq, xs) @ _integral_means(config, pq, f)
+
+
+def central_moments_on_grid(
+    config: SchurerConfig, pq: PQPair, xs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Operator applied to (t - x) and (t - x)^2 at every x, each of xs.shape.
+
+    Expanded from the raw moments K(t^j; x) = B(x) @ M_j:
+    first = K(t) - x K(1), second = K(t^2) - 2x K(t) + x^2 K(1).
+    """
+    _check_points(xs)
+    x = np.asarray(xs, dtype=float)[()]  # a NumPy scalar for one point: cheaper arithmetic
+    b = basis_matrix(config, pq, x)
+    m0, m1, m2 = (b @ means for means in _raw_means(config, pq))
+    return m1 - x * m0, m2 - 2.0 * x * m1 + x * x * m0
 
 
 def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int) -> float:
@@ -190,7 +264,4 @@ def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    _check_point(x)
-    tb = _tables(config, pq)
-    means = ((tb.arg - x) ** order) @ tb.rule.weights
-    return float(basis_row(config, pq, x) @ means)
+    return float(central_moments_on_grid(config, pq, float(x))[order - 1])

@@ -248,3 +248,12 @@ class TestBoundReportSerialization:
         assert doc["extras"]["ratio_cap"] == 50.0
         assert len(doc["rows"]) == 6
         assert open(csv_path).read().startswith(",".join(CSV_COLUMNS))
+
+    def test_numpy_parameters_serialize(self):
+        pq = PQPair(np.float64(0.95), np.float64(0.9))
+        config = SchurerConfig(n=10, ell=1)
+        f = hull_function("f_fig", config, pq)
+        doc = json.loads(check_t34(config, pq, f, np.linspace(0.0, 1.0, 6)).to_json_text())
+        assert doc["all_passed"] is True
+        assert doc["pq"] == {"p": 0.95, "q": 0.9}
+        assert all(isinstance(row["passed"], bool) for row in doc["rows"])

@@ -218,6 +218,21 @@ class TestCLI:
         assert code == 3
         assert "truncation" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["korovkin", "--n", "64,128,256"],
+            ["bounds", "--theorem", "t32", "--n", "200", "--p", "0.9", "--q", "0.8"],
+        ],
+    )
+    def test_numerical_range_exit_three(self, argv, tmp_path, capsys):
+        # the basis coefficients leave the double range at N = 256 (classic) and
+        # N = 200 (p = 0.9, q = 0.8); nothing is written
+        out = tmp_path / "report"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "NumericalRangeError" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["korovkin", "--frobnicate"])

@@ -1,0 +1,155 @@
+"""The grid-wide evaluation path against the per-x formulas it replaced.
+
+The oracles below restate the earlier pointwise implementation: the basis row
+from the factorial ratio with separate power tables, the operator as a Python
+loop of basis rows, and the central moments as ((arg - x)^order) @ weights
+per x.
+"""
+
+import numpy as np
+import pytest
+
+from pqbernstein.functions import make_function
+from pqbernstein.operator_eval import (
+    BasisVariant,
+    NumericalRangeError,
+    SchurerConfig,
+    apply_central_moment,
+    apply_on_grid,
+    basis_matrix,
+    basis_row,
+    central_moments_on_grid,
+    required_domain,
+)
+from pqbernstein.pq_core import PQPair, pq_integer
+from pqbernstein.pq_quadrature import build_rule
+
+# (n, ell, p, q); the last two reach N = 130 along the classic schedule
+CASES = [
+    (1, 0, 0.9, 0.8),
+    (6, 2, 0.9, 0.8),
+    (20, 1, 0.95, 0.9),
+    (40, 3, 1.0, 0.7),
+    (100, 2, 1.0, 1.0 - 1.0 / 101),
+    (128, 2, 1.0 - 1.0 / 129**2, 1.0 - 1.0 / 129),
+]
+XS = np.linspace(0.0, 1.0, 21)
+AGREEMENT = 1e-12
+
+
+def old_basis_row(config, pq, x):
+    p, q = pq.p, pq.q
+    big_n = config.degree
+    ints = np.array([pq_integer(k, pq) for k in range(big_n + 1)])
+    fact = np.concatenate([[1.0], np.cumprod(ints[1:])])
+    binom = fact[big_n] / (fact * fact[::-1])
+    k = np.arange(big_n + 1)
+    s = np.arange(big_n)
+    xpow = np.power(x, k)
+    if config.basis_variant is BasisVariant.NORMALIZED:
+        norm_scale = np.power(p, -(k * (big_n - k)).astype(float))
+        prods = np.concatenate([[1.0], np.cumprod(1.0 - np.power(q / p, s) * x)])
+        return binom * xpow * norm_scale * prods[::-1]
+    prods = np.concatenate([[1.0], np.cumprod(np.power(p, s) - np.power(q, s) * x)])
+    return binom * xpow * prods[::-1]
+
+
+def old_arguments(config, pq):
+    rule = build_rule(pq, a=1.0, tol=config.quad_tol)
+    k = np.arange(config.degree + 1)
+    ints = np.array([pq_integer(int(j), pq) for j in k])
+    denom = pq_integer(config.n + 1, pq)
+    c0 = ints / denom
+    c1 = ((pq.q - 1.0) * ints + np.power(pq.p, k)) / denom
+    return c0[:, None] + c1[:, None] * rule.nodes[None, :], rule.weights
+
+
+def old_apply_loop(config, pq, f, xs):
+    arg, weights = old_arguments(config, pq)
+    means = f(arg) @ weights
+    return np.array([old_basis_row(config, pq, float(x)) @ means for x in xs])
+
+
+def old_central_moment(config, pq, x, order):
+    arg, weights = old_arguments(config, pq)
+    return float(old_basis_row(config, pq, x) @ (((arg - x) ** order) @ weights))
+
+
+def operators():
+    for n, ell, p, q in CASES:
+        for variant in BasisVariant:
+            yield SchurerConfig(n=n, ell=ell, basis_variant=variant), PQPair(p, q)
+
+
+OPERATORS = list(operators())
+IDS = [f"N{c.degree}-{c.basis_variant.value}-p{pq.p:.6g}-q{pq.q:.6g}" for c, pq in OPERATORS]
+
+
+@pytest.mark.parametrize("config, pq", OPERATORS, ids=IDS)
+def test_apply_on_grid_matches_basis_row_loop(config, pq):
+    lo, hi = required_domain(config, pq)
+    for name in ("e2", "f_fig"):
+        f = make_function(name, lo, hi)
+        got = apply_on_grid(config, pq, f, XS)
+        want = old_apply_loop(config, pq, f, XS)
+        assert np.abs(got - want).max() <= AGREEMENT
+
+
+@pytest.mark.parametrize("config, pq", OPERATORS, ids=IDS)
+def test_grid_central_moments_match_per_x_reduction(config, pq):
+    first, second = central_moments_on_grid(config, pq, XS)
+    for order, got in ((1, first), (2, second)):
+        want = np.array([old_central_moment(config, pq, float(x), order) for x in XS])
+        assert np.abs(got - want).max() <= AGREEMENT
+
+
+@pytest.mark.parametrize("config, pq", OPERATORS, ids=IDS)
+def test_basis_row_is_exactly_a_grid_row(config, pq):
+    grid = basis_matrix(config, pq, XS)
+    assert grid.shape == (XS.size, config.degree + 1)
+    for i, x in enumerate(XS):
+        np.testing.assert_array_equal(basis_row(config, pq, float(x)), grid[i])
+
+
+@pytest.mark.parametrize("config, pq", OPERATORS[:4], ids=IDS[:4])
+def test_pointwise_central_moment_is_the_grid_value(config, pq):
+    # same basis rows and means; only the dot product's summation order differs
+    first, second = central_moments_on_grid(config, pq, XS)
+    for i, x in enumerate(XS):
+        for order, grid_value in ((1, first[i]), (2, second[i])):
+            value = apply_central_moment(config, pq, float(x), order)
+            assert value == pytest.approx(grid_value, abs=1e-15)
+
+
+def test_grid_shape_follows_xs():
+    config, pq = SchurerConfig(n=5, ell=1), PQPair(0.9, 0.8)
+    xs = XS[:20].reshape(4, 5)
+    assert basis_matrix(config, pq, xs).shape == (4, 5, config.degree + 1)
+    first, second = central_moments_on_grid(config, pq, xs)
+    flat_first, flat_second = central_moments_on_grid(config, pq, xs.ravel())
+    np.testing.assert_array_equal(first.ravel(), flat_first)
+    np.testing.assert_array_equal(second.ravel(), flat_second)
+
+
+def test_grid_rejects_points_outside_unit_interval():
+    config, pq = SchurerConfig(n=5), PQPair(0.9, 0.8)
+    f = make_function("e1", *required_domain(config, pq))
+    for bad in (np.array([0.0, 0.5, 1.5]), np.array([-0.1, 0.5]), np.array([0.2, np.nan])):
+        with pytest.raises(ValueError):
+            apply_on_grid(config, pq, f, bad)
+        with pytest.raises(ValueError):
+            central_moments_on_grid(config, pq, bad)
+    assert apply_on_grid(config, pq, f, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "config, pq",
+    [
+        (SchurerConfig(n=256), PQPair(1.0 - 1.0 / 257**2, 1.0 - 1.0 / 257)),
+        (SchurerConfig(n=200), PQPair(0.9, 0.8)),
+        (SchurerConfig(n=200, basis_variant=BasisVariant.AS_PRINTED), PQPair(0.9, 0.8)),
+    ],
+)
+def test_non_finite_coefficients_raise_typed_error(config, pq):
+    with pytest.raises(NumericalRangeError, match="not finite"):
+        required_domain(config, pq)

@@ -153,3 +153,12 @@ class TestMomentReport:
     def test_rejects_grid_outside_unit_interval(self):
         with pytest.raises(ValueError):
             build_moment_report(SchurerConfig(n=2), PQ, [0.0, 1.5])
+
+    def test_numpy_parameters_serialize(self):
+        # NumPy floats for p and q once turned the discrepancy flag into np.bool_
+        pq = PQPair(np.float64(0.9), np.float64(0.8))
+        assert type(pq.p) is float and type(pq.q) is float
+        report = build_moment_report(SchurerConfig(n=4, ell=1), pq, np.linspace(0.0, 1.0, 5))
+        doc = json.loads(report.to_json_text())
+        assert doc["closed_form_discrepancy_flag"] is True
+        assert doc["pq"] == {"p": 0.9, "q": 0.8}

@@ -39,8 +39,7 @@ def main() -> int:
     for name in ("classic", "q-only"):
         print(f"== korovkin [{name}] ==")
         result = run_korovkin(schedule(name), [8, 16, 32, 64, 128], ell=0, grid_size=101)
-        write_text(f"{out}/korovkin_{name}.csv", result.to_csv_text())
-        write_text(f"{out}/korovkin_{name}.json", result.to_json_text())
+        result.write(f"{out}/korovkin_{name}")
         last = result.rows[-1].sup_errors
         print(f"   converged={result.converged}, sup errors at n=128: "
               f"e1={last['e1']:.3e}, e2={last['e2']:.3e}, f_fig={last['f_fig']:.3e}")
@@ -66,9 +65,7 @@ def main() -> int:
 
     print("== figure ==")
     for ell in (0, 2):
-        table = run_figure(ell=ell, grid_size=101)
-        write_text(f"{out}/figure_ell{ell}.csv", table.to_csv_text())
-        write_text(f"{out}/figure_ell{ell}.json", table.to_json_text())
+        run_figure(ell=ell, grid_size=101).write(f"{out}/figure_ell{ell}")
     print("   wrote figure data for ell in (0, 2)")
 
     print(f"done: reports in {out}/ ({failures} failing checks)")

@@ -15,8 +15,6 @@ from .error_bounds import (
     check_t33,
     check_t34,
     delta_n,
-    modulus,
-    modulus2,
     verify_lipschitz,
 )
 from .experiments import (
@@ -47,8 +45,6 @@ from .operator_eval import (
     apply,
     apply_central_moment,
     apply_on_grid,
-    argument,
-    basis,
     basis_matrix,
     basis_row,
     central_moments_on_grid,
@@ -56,10 +52,7 @@ from .operator_eval import (
 )
 from .pq_core import (
     PQPair,
-    pq_binomial,
-    pq_factorial,
     pq_integer,
-    pq_power_falling,
     pq_rising_two_term,
 )
 from .pq_quadrature import QuadratureRule, TruncationError, build_rule, integrate
@@ -87,8 +80,6 @@ __all__ = [
     "apply",
     "apply_central_moment",
     "apply_on_grid",
-    "argument",
-    "basis",
     "basis_matrix",
     "basis_row",
     "build_moment_report",
@@ -104,12 +95,7 @@ __all__ = [
     "delta_n",
     "integrate",
     "make_function",
-    "modulus",
-    "modulus2",
-    "pq_binomial",
-    "pq_factorial",
     "pq_integer",
-    "pq_power_falling",
     "pq_rising_two_term",
     "required_domain",
     "run_bounds",

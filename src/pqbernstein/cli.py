@@ -28,7 +28,6 @@ from .functions import FUNCTION_NAMES, DomainError
 from .operator_eval import BasisVariant, NumericalRangeError, SchurerConfig
 from .pq_core import PQPair
 from .pq_quadrature import TruncationError
-from .reportio import write_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,18 +35,16 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind: type):
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            )
 
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+    return parse
 
 
 def _param_triples(text: str) -> list[tuple[float, float, int]]:
@@ -81,14 +78,13 @@ def _pq(args) -> PQPair:
     return PQPair(args.p, args.q)
 
 
-def _emit(args, csv_text: str, json_text_value: str | None = None) -> None:
+def _emit(args, report) -> None:
+    """CSV to stdout, or BASE.csv and BASE.json with --out BASE."""
     if args.out is None:
-        sys.stdout.write(csv_text)
-        return
-    if args.format == "json" and json_text_value is not None:
-        write_text(args.out, json_text_value)
+        sys.stdout.write(report.to_csv_text())
     else:
-        write_text(args.out, csv_text)
+        csv_path, json_path = report.write(args.out)
+        print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
 
 
 def _cmd_selftest(args) -> int:
@@ -113,7 +109,7 @@ def _cmd_korovkin(args) -> int:
         basis_variant=_basis(args),
         guard=args.guard,
     )
-    _emit(args, result.to_csv_text(), result.to_json_text())
+    _emit(args, result)
     if not result.converged:
         print("korovkin: sup errors are not strictly decreasing", file=sys.stderr)
     if not result.e0_within_budget:
@@ -123,11 +119,7 @@ def _cmd_korovkin(args) -> int:
 
 def _cmd_moments(args) -> int:
     report = run_moments(_config(args), _pq(args), grid_size=args.grid)
-    if args.out is None:
-        sys.stdout.write(report.to_csv_text())
-    else:
-        csv_path, json_path = report.write(args.out)
-        print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
+    _emit(args, report)
     if report.flagged:
         print(
             "moments: closed forms deviate from the operator oracle "
@@ -139,7 +131,11 @@ def _cmd_moments(args) -> int:
 
 def _cmd_bounds(args) -> int:
     lipschitz = None
-    if args.lip_m is not None and args.lip_alpha is not None:
+    if args.lip_m is not None or args.lip_alpha is not None:
+        if args.theorem != "t33":
+            raise ConfigError("--lip-m and --lip-alpha apply to --theorem t33 only")
+        if args.lip_m is None or args.lip_alpha is None:
+            raise ConfigError("give both --lip-m and --lip-alpha, or neither for the built-in data")
         lipschitz = (args.lip_m, args.lip_alpha)
     report = run_bounds(
         args.theorem,
@@ -150,11 +146,7 @@ def _cmd_bounds(args) -> int:
         ratio_cap=args.ratio_cap,
         lipschitz=lipschitz,
     )
-    if args.out is None:
-        sys.stdout.write(report.to_csv_text())
-    else:
-        csv_path, json_path = report.write(args.out)
-        print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
+    _emit(args, report)
     if not report.all_passed:
         print(f"bounds[{args.theorem}]: check failed on the grid", file=sys.stderr)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
@@ -168,7 +160,7 @@ def _cmd_figure(args) -> int:
         quad_tol=args.tol,
         basis_variant=_basis(args),
     )
-    _emit(args, table.to_csv_text(), table.to_json_text())
+    _emit(args, table)
     return EXIT_OK
 
 
@@ -180,29 +172,34 @@ def build_parser() -> argparse.ArgumentParser:
             "convergence runs, moment and bound reports, figure data."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ell", type=int, default=0, help="Schurer shift (default 0)")
-    common.add_argument("--grid", type=int, default=101, help="x-grid size on [0,1]")
-    common.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-    common.add_argument(
+    basis = argparse.ArgumentParser(add_help=False)
+    basis.add_argument(
         "--basis",
         choices=("printed", "normalized"),
         default="normalized",
         help="basis convention (printed is not a partition of unity for p<1)",
     )
-    common.add_argument("--out", default=None, help="output path (stdout CSV if omitted)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common = argparse.ArgumentParser(add_help=False, parents=[basis])
+    common.add_argument("--ell", type=int, default=0, help="Schurer shift (default 0)")
+    common.add_argument("--grid", type=int, default=101, help="x-grid size on [0,1]")
+    common.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    common.add_argument(
+        "--out",
+        default=None,
+        metavar="BASE",
+        help="write BASE.csv and BASE.json (CSV to stdout if omitted)",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_self = sub.add_parser("selftest", parents=[common], help="run the built-in check matrix")
+    p_self = sub.add_parser("selftest", parents=[basis], help="run the built-in check matrix")
     p_self.set_defaults(handler=_cmd_selftest)
 
     p_kor = sub.add_parser("korovkin", parents=[common], help="convergence run along a schedule")
-    p_kor.add_argument("--n", dest="n_list", type=_int_list, default=[8, 16, 32, 64, 128])
+    p_kor.add_argument("--n", dest="n_list", type=_list_of(int), default=[8, 16, 32, 64, 128])
     p_kor.add_argument("--schedule", choices=("classic", "q-only", "custom"), default="classic")
-    p_kor.add_argument("--p-list", type=_float_list, default=None, help="custom p per n")
-    p_kor.add_argument("--q-list", type=_float_list, default=None, help="custom q per n")
+    p_kor.add_argument("--p-list", type=_list_of(float), default=None, help="custom p per n")
+    p_kor.add_argument("--q-list", type=_list_of(float), default=None, help="custom q per n")
     p_kor.add_argument("--guard", type=float, default=DEFAULT_SCHEDULE_GUARD)
     p_kor.set_defaults(handler=_cmd_korovkin)
 

@@ -25,6 +25,7 @@ budget covers the error side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,9 +37,7 @@ from .operator_eval import (
     central_moments_on_grid,
 )
 from .pq_core import PQPair
-from .reportio import fmt_float, json_text, write_text
-
-SCHEMA_VERSION = "1"
+from .reportio import Report, config_block
 
 # outer sampling: domain_length / MODULUS_GRID_DIV points
 MODULUS_GRID_DIV = 2000
@@ -91,27 +90,24 @@ class ModulusGrid:
         self._w1 = np.maximum.accumulate(lag1)
         self._w2 = np.maximum.accumulate(lag2)
 
-    def omega(self, delta: float) -> float:
-        """sup over grid pairs |x - y| <= delta of |f(x) - f(y)|; omega(0) = 0."""
-        if delta < 0.0:
+    def _lookup(self, table: np.ndarray, delta):
+        d = np.asarray(delta, dtype=float)
+        # written so that a NaN is rejected too
+        if not (d >= 0.0).all():
             raise ValueError(f"delta must be non-negative, got {delta!r}")
-        lag = min(int(delta / self.step + 1e-9), len(self._w1) - 1)
-        return float(self._w1[lag])
+        lag = np.minimum(d / self.step + 1e-9, len(table) - 1).astype(int)
+        return float(table[lag]) if d.ndim == 0 else table[lag]
 
-    def omega2(self, delta: float) -> float:
+    def omega(self, delta: float | np.ndarray) -> float | np.ndarray:
+        """sup over grid pairs |x - y| <= delta of |f(x) - f(y)|; omega(0) = 0.
+
+        delta is one value (giving a float) or an array of values.
+        """
+        return self._lookup(self._w1, delta)
+
+    def omega2(self, delta: float | np.ndarray) -> float | np.ndarray:
         """sup over shifts 0 < h <= delta of the second difference |f(x+2h)-2f(x+h)+f(x)|."""
-        if delta < 0.0:
-            raise ValueError(f"delta must be non-negative, got {delta!r}")
-        lag = min(int(delta / self.step + 1e-9), len(self._w2) - 1)
-        return float(self._w2[lag])
-
-
-def modulus(f: RealFunction, delta: float, grid_step: float | None = None) -> float:
-    return ModulusGrid(f, grid_step).omega(delta)
-
-
-def modulus2(f: RealFunction, delta: float, grid_step: float | None = None) -> float:
-    return ModulusGrid(f, grid_step).omega2(delta)
+        return self._lookup(self._w2, delta)
 
 
 def delta_n(
@@ -163,8 +159,11 @@ class BoundRow:
     ratio_t34: float | None = None
 
 
+_ROW_CELLS = attrgetter(*CSV_COLUMNS)
+
+
 @dataclass(frozen=True, eq=False)
-class BoundReport:
+class BoundReport(Report):
     theorem: str
     config: SchurerConfig
     pq: PQPair
@@ -174,42 +173,16 @@ class BoundReport:
     all_passed: bool
     extras: dict
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    fmt_float(v)
-                    for v in (
-                        r.x,
-                        r.error,
-                        r.delta_n,
-                        r.bound_t32,
-                        r.bound_t33,
-                        r.alpha_n,
-                        r.a_n,
-                        r.c_n,
-                        r.omega2_term,
-                        r.omega_term,
-                        r.ratio_t34,
-                        r.passed,
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+    kind = "bound_report"
+    csv_columns = CSV_COLUMNS
 
-    def to_json_text(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "bound_report",
+    def csv_rows(self):
+        return map(_ROW_CELLS, self.rows)
+
+    def json_fields(self) -> dict:
+        return {
             "theorem": self.theorem,
-            "config": {
-                "n": self.config.n,
-                "ell": self.config.ell,
-                "basis_variant": self.config.basis_variant.value,
-                "quad_tol": self.config.quad_tol,
-            },
-            "pq": {"p": self.pq.p, "q": self.pq.q},
+            **config_block(self.config, self.pq),
             "function": self.function_name,
             "slack": self.slack,
             "all_passed": self.all_passed,
@@ -219,24 +192,55 @@ class BoundReport:
                 for r in self.rows
             ],
         }
-        return json_text(doc)
-
-    def write(self, base_path: str) -> tuple[str, str]:
-        csv_path = base_path + ".csv"
-        json_path = base_path + ".json"
-        write_text(csv_path, self.to_csv_text())
-        write_text(json_path, self.to_json_text())
-        return csv_path, json_path
 
 
-def _errors_on_grid(
-    config: SchurerConfig, pq: PQPair, f: RealFunction, xs: np.ndarray
-) -> np.ndarray:
-    return np.abs(apply_on_grid(config, pq, f, xs) - f(xs))
+def _bound_report(
+    theorem: str,
+    config: SchurerConfig,
+    pq: PQPair,
+    f: RealFunction,
+    xs: np.ndarray,
+    slack: float,
+    extras: dict,
+    **columns: np.ndarray,
+) -> BoundReport:
+    """One BoundRow per grid point from named columns over xs; None cells stay unset."""
+    names = ("x", *columns)
+    cells = zip(xs.tolist(), *(col.tolist() for col in columns.values()))
+    return BoundReport(
+        theorem=theorem,
+        config=config,
+        pq=pq,
+        function_name=f.name,
+        rows=tuple(BoundRow(**dict(zip(names, row))) for row in cells),
+        slack=slack,
+        all_passed=bool(columns["passed"].all()),
+        extras=extras,
+    )
+
+
+def _errors_and_deltas(
+    config: SchurerConfig, pq: PQPair, f: RealFunction, grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid, |K(f;x) - f(x)| and delta_n(x) on it."""
+    xs = np.asarray(grid, dtype=float)
+    errors = np.abs(apply_on_grid(config, pq, f, xs) - f(xs))
+    return xs, errors, delta_n(config, pq, xs)
+
+
+def _scalar_pow(values: np.ndarray, exponent: float) -> np.ndarray:
+    # Python's float power point by point: NumPy's vectorized power differs
+    # from it in the last bit on some inputs, which would change the reports
+    return np.array([v**exponent for v in values.tolist()])
 
 
 def _quad_budget(config: SchurerConfig) -> float:
     return (config.degree + 1) * config.quad_tol
+
+
+def _modulus_slack(config: SchurerConfig, mg: ModulusGrid) -> float:
+    # quadrature truncation plus the sup the modulus grid can hide
+    return 10.0 * (_quad_budget(config) + mg.omega(2.0 * mg.step))
 
 
 def check_t32(
@@ -244,41 +248,19 @@ def check_t32(
     pq: PQPair,
     f: RealFunction,
     grid,
-    grid_step: float | None = None,
 ) -> BoundReport:
     """Per grid point: error <= 2 omega(f, sqrt(delta_n)) + slack.
 
     Violations are reported in the row flags, never raised; the inequality is
     a theorem, so a violation beyond slack indicates an implementation bug.
     """
-    xs = np.asarray(grid, dtype=float)
-    mg = ModulusGrid(f, grid_step)
-    # slack: quadrature truncation plus the sup the modulus grid can hide
-    slack = 10.0 * (_quad_budget(config) + mg.omega(2.0 * mg.step))
-    errors = _errors_on_grid(config, pq, f, xs)
-    deltas = delta_n(config, pq, xs)
-    rows = []
-    for i, x in enumerate(float(v) for v in xs):
-        d = float(deltas[i])
-        bound = 2.0 * mg.omega(float(np.sqrt(d)))
-        rows.append(
-            BoundRow(
-                x=x,
-                error=float(errors[i]),
-                delta_n=d,
-                bound_t32=bound,
-                passed=bool(errors[i] <= bound + slack),
-            )
-        )
-    return BoundReport(
-        theorem="t32",
-        config=config,
-        pq=pq,
-        function_name=f.name,
-        rows=tuple(rows),
-        slack=slack,
-        all_passed=all(r.passed for r in rows),
-        extras={"modulus_grid_step": mg.step},
+    mg = ModulusGrid(f)
+    slack = _modulus_slack(config, mg)
+    xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)
+    bounds = 2.0 * mg.omega(np.sqrt(deltas))
+    return _bound_report(
+        "t32", config, pq, f, xs, slack, {"modulus_grid_step": mg.step},
+        error=errors, delta_n=deltas, bound_t32=bounds, passed=errors <= bounds + slack,
     )
 
 
@@ -296,34 +278,14 @@ def check_t33(
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     verify_lipschitz(f, m_const, alpha)
-    xs = np.asarray(grid, dtype=float)
     budget = _quad_budget(config)
     # delta_n enters through a concave power: (d - eps)^(a/2) >= d^(a/2) - eps^(a/2)
     slack = 10.0 * budget + m_const * budget ** (alpha / 2.0)
-    errors = _errors_on_grid(config, pq, f, xs)
-    deltas = delta_n(config, pq, xs)
-    rows = []
-    for i, x in enumerate(float(v) for v in xs):
-        d = float(deltas[i])
-        bound = m_const * d ** (alpha / 2.0)
-        rows.append(
-            BoundRow(
-                x=x,
-                error=float(errors[i]),
-                delta_n=d,
-                bound_t33=bound,
-                passed=bool(errors[i] <= bound + slack),
-            )
-        )
-    return BoundReport(
-        theorem="t33",
-        config=config,
-        pq=pq,
-        function_name=f.name,
-        rows=tuple(rows),
-        slack=slack,
-        all_passed=all(r.passed for r in rows),
-        extras={"lipschitz_m": m_const, "lipschitz_alpha": alpha},
+    xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)
+    bounds = m_const * _scalar_pow(deltas, alpha / 2.0)
+    return _bound_report(
+        "t33", config, pq, f, xs, slack, {"lipschitz_m": m_const, "lipschitz_alpha": alpha},
+        error=errors, delta_n=deltas, bound_t33=bounds, passed=errors <= bounds + slack,
     )
 
 
@@ -332,7 +294,6 @@ def check_t34(
     pq: PQPair,
     f: RealFunction,
     grid,
-    grid_step: float | None = None,
     ratio_cap: float = DEFAULT_RATIO_CAP,
 ) -> BoundReport:
     """Bounded-ratio form of the smoothness bound.
@@ -340,68 +301,35 @@ def check_t34(
     ratio = error / (omega2(f, sqrt(a_n)) + omega(f, c_n)) must be finite and
     below ratio_cap; rows with a zero denominator pass only if the error is
     within slack (then the ratio is defined as 0), otherwise they are flagged
-    as degenerate.
+    as degenerate and their ratio is left undefined (None).
     """
-    xs = np.asarray(grid, dtype=float)
-    mg = ModulusGrid(f, grid_step)
-    slack = 10.0 * (_quad_budget(config) + mg.omega(2.0 * mg.step))
-    errors = _errors_on_grid(config, pq, f, xs)
+    mg = ModulusGrid(f)
+    slack = _modulus_slack(config, mg)
+    xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)
     oracle_m1 = apply_on_grid(
         config, pq, RealFunction(lambda t: t, f.lo, f.hi, name="id"), xs
     )
-    deltas = delta_n(config, pq, xs)
     alphas = alpha_n(config, pq, xs)
-    rows = []
-    degenerate = 0
-    max_drift = 0.0
-    for i, x in enumerate(float(v) for v in xs):
-        d = float(deltas[i])
-        a_val = float(alphas[i])
-        max_drift = max(max_drift, abs(a_val - float(oracle_m1[i])))
-        a_n_val = d + (a_val - x) ** 2
-        c_n_val = abs(a_val - x)
-        om2 = mg.omega2(float(np.sqrt(a_n_val)))
-        om1 = mg.omega(c_n_val)
-        denom = om2 + om1
-        err = float(errors[i])
-        if denom > DENOMINATOR_FLOOR:
-            ratio = err / denom
-            ok = np.isfinite(ratio) and ratio <= ratio_cap
-        elif err <= slack:
-            ratio = 0.0
-            ok = True
-        else:
-            ratio = float("inf")
-            ok = False
-            degenerate += 1
-        rows.append(
-            BoundRow(
-                x=x,
-                error=err,
-                delta_n=d,
-                alpha_n=a_val,
-                a_n=a_n_val,
-                c_n=c_n_val,
-                omega2_term=om2,
-                omega_term=om1,
-                ratio_t34=ratio,
-                passed=bool(ok),
-            )
-        )
-    finite_ratios = [r.ratio_t34 for r in rows if np.isfinite(r.ratio_t34)]
-    return BoundReport(
-        theorem="t34",
-        config=config,
-        pq=pq,
-        function_name=f.name,
-        rows=tuple(rows),
-        slack=slack,
-        all_passed=all(r.passed for r in rows),
-        extras={
+    a_n = deltas + _scalar_pow(alphas - xs, 2)
+    c_n = np.abs(alphas - xs)
+    omega2_term = mg.omega2(np.sqrt(a_n))
+    omega_term = mg.omega(c_n)
+    denom = omega2_term + omega_term
+    regular = denom > DENOMINATOR_FLOOR
+    within = errors <= slack
+    degenerate = ~regular & ~within
+    ratio = np.divide(errors, denom, out=np.zeros_like(errors), where=regular)
+    passed = np.where(regular, np.isfinite(ratio) & (ratio <= ratio_cap), within)
+    return _bound_report(
+        "t34", config, pq, f, xs, slack,
+        {
             "ratio_cap": ratio_cap,
-            "max_ratio": max(finite_ratios) if finite_ratios else 0.0,
-            "degenerate_rows": degenerate,
-            "max_alpha_oracle_drift": max_drift,
+            "max_ratio": float(ratio[np.isfinite(ratio)].max(initial=0.0)),
+            "degenerate_rows": int(degenerate.sum()),
+            "max_alpha_oracle_drift": float(np.abs(alphas - oracle_m1).max(initial=0.0)),
             "modulus_grid_step": mg.step,
         },
+        error=errors, delta_n=deltas, alpha_n=alphas, a_n=a_n, c_n=c_n,
+        omega2_term=omega2_term, omega_term=omega_term,
+        ratio_t34=np.where(degenerate, None, ratio), passed=passed,
     )

@@ -26,9 +26,7 @@ from .operator_eval import (
 )
 from .pq_core import PQPair, pq_integer
 from .pq_quadrature import build_rule, integrate
-from .reportio import fmt_float, json_text
-
-SCHEMA_VERSION = "1"
+from .reportio import Report
 
 KOROVKIN_FUNCTIONS = ("e0", "e1", "e2", "f_fig")
 CONVERGENCE_FLAGGED = ("e1", "e2", "f_fig")
@@ -134,7 +132,7 @@ class KorovkinRow:
 
 
 @dataclass(frozen=True, eq=False)
-class KorovkinResult:
+class KorovkinResult(Report):
     schedule_name: str
     ell: int
     grid_size: int
@@ -144,46 +142,38 @@ class KorovkinResult:
     converged: bool
     e0_within_budget: bool
 
+    kind = "korovkin_run"
+    csv_columns = (
+        "n",
+        "p",
+        "q",
+        *(f"sup_err_{name}" for name in KOROVKIN_FUNCTIONS),
+        *(f"decreasing_{name}" for name in CONVERGENCE_FLAGGED),
+    )
+
     @property
     def all_passed(self) -> bool:
         return self.converged and self.e0_within_budget
 
-    def to_csv_text(self) -> str:
-        header = ["n", "p", "q"]
-        header += [f"sup_err_{name}" for name in KOROVKIN_FUNCTIONS]
-        header += [f"decreasing_{name}" for name in CONVERGENCE_FLAGGED]
-        lines = [",".join(header)]
+    def csv_rows(self):
         for r in self.rows:
-            cells = [str(r.n), fmt_float(r.p), fmt_float(r.q)]
-            cells += [fmt_float(r.sup_errors[name]) for name in KOROVKIN_FUNCTIONS]
-            cells += [fmt_float(r.decreasing[name]) for name in CONVERGENCE_FLAGGED]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            yield (
+                r.n, r.p, r.q,
+                *(r.sup_errors[name] for name in KOROVKIN_FUNCTIONS),
+                *(r.decreasing[name] for name in CONVERGENCE_FLAGGED),
+            )
 
-    def to_json_text(self) -> str:
-        return json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "korovkin_run",
-                "schedule": self.schedule_name,
-                "ell": self.ell,
-                "grid_size": self.grid_size,
-                "quad_tol": self.quad_tol,
-                "basis_variant": self.basis_variant.value,
-                "converged": self.converged,
-                "e0_within_budget": self.e0_within_budget,
-                "rows": [
-                    {
-                        "n": r.n,
-                        "p": r.p,
-                        "q": r.q,
-                        "sup_errors": r.sup_errors,
-                        "decreasing": r.decreasing,
-                    }
-                    for r in self.rows
-                ],
-            }
-        )
+    def json_fields(self) -> dict:
+        return {
+            "schedule": self.schedule_name,
+            "ell": self.ell,
+            "grid_size": self.grid_size,
+            "quad_tol": self.quad_tol,
+            "basis_variant": self.basis_variant.value,
+            "converged": self.converged,
+            "e0_within_budget": self.e0_within_budget,
+            "rows": [vars(r) for r in self.rows],
+        }
 
 
 def run_korovkin(
@@ -236,7 +226,7 @@ def run_korovkin(
 
 
 @dataclass(frozen=True, eq=False)
-class FigureTable:
+class FigureTable(Report):
     ell: int
     grid_size: int
     quad_tol: float
@@ -246,31 +236,28 @@ class FigureTable:
     f_values: np.ndarray
     columns: tuple[tuple[str, np.ndarray], ...]
 
-    def to_csv_text(self) -> str:
-        header = ["x", "f"] + [label for label, _ in self.columns]
-        lines = [",".join(header)]
-        for i in range(len(self.xs)):
-            cells = [fmt_float(float(self.xs[i])), fmt_float(float(self.f_values[i]))]
-            cells += [fmt_float(float(col[i])) for _, col in self.columns]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+    kind = "figure_data"
 
-    def to_json_text(self) -> str:
-        return json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "figure_data",
-                "function": "f_fig",
-                "ell": self.ell,
-                "grid_size": self.grid_size,
-                "quad_tol": self.quad_tol,
-                "basis_variant": self.basis_variant.value,
-                "params": [list(t) for t in self.params],
-                "x": [float(v) for v in self.xs],
-                "f": [float(v) for v in self.f_values],
-                "columns": {label: [float(v) for v in col] for label, col in self.columns},
-            }
-        )
+    @property
+    def csv_columns(self) -> tuple[str, ...]:
+        return ("x", "f", *(label for label, _ in self.columns))
+
+    def csv_rows(self):
+        values = (self.xs, self.f_values, *(col for _, col in self.columns))
+        return zip(*(v.tolist() for v in values))
+
+    def json_fields(self) -> dict:
+        return {
+            "function": "f_fig",
+            "ell": self.ell,
+            "grid_size": self.grid_size,
+            "quad_tol": self.quad_tol,
+            "basis_variant": self.basis_variant.value,
+            "params": [list(t) for t in self.params],
+            "x": self.xs.tolist(),
+            "f": self.f_values.tolist(),
+            "columns": {label: col.tolist() for label, col in self.columns},
+        }
 
 
 def _figure_label(p: float, q: float, n: int) -> str:

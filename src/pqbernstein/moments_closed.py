@@ -32,13 +32,11 @@ from .operator_eval import (
     required_domain,
 )
 from .pq_core import PQPair, pq_integer, pq_rising_two_term
-from .reportio import fmt_float, json_text, write_text
+from .reportio import Report, config_block
 
 INTERPRETATION_TAG = (
     "(c*x + 1 - x)^m_{p,q} read as prod_{s<m} (p^s * c * x + q^s * (1 - x))"
 )
-
-SCHEMA_VERSION = "1"
 
 CSV_COLUMNS = (
     "x",
@@ -146,7 +144,7 @@ class MomentRow:
 
 
 @dataclass(frozen=True, eq=False)
-class MomentReport:
+class MomentReport(Report):
     config: SchurerConfig
     pq: PQPair
     rows: tuple[MomentRow, ...]
@@ -157,48 +155,27 @@ class MomentReport:
     max_c1_consistency: float
     max_c2_consistency: float
 
+    kind = "moment_report"
+    csv_columns = CSV_COLUMNS
+
     @property
     def max_abs_diff_overall(self) -> float:
         return max(self.max_abs_diff.values())
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
+    def csv_rows(self):
         for r in self.rows:
             d = r.diffs
-            lines.append(
-                ",".join(
-                    fmt_float(v)
-                    for v in (
-                        r.x,
-                        r.oracle_m0,
-                        r.oracle_m1,
-                        r.closed_m1,
-                        d["m1"],
-                        r.oracle_m2,
-                        r.closed_m2,
-                        d["m2"],
-                        r.oracle_c1,
-                        r.closed_c1,
-                        d["c1"],
-                        r.oracle_c2,
-                        r.closed_c2,
-                        d["c2"],
-                    )
-                )
+            yield (
+                r.x, r.oracle_m0,
+                r.oracle_m1, r.closed_m1, d["m1"],
+                r.oracle_m2, r.closed_m2, d["m2"],
+                r.oracle_c1, r.closed_c1, d["c1"],
+                r.oracle_c2, r.closed_c2, d["c2"],
             )
-        return "\n".join(lines) + "\n"
 
-    def to_json_text(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "moment_report",
-            "config": {
-                "n": self.config.n,
-                "ell": self.config.ell,
-                "basis_variant": self.config.basis_variant.value,
-                "quad_tol": self.config.quad_tol,
-            },
-            "pq": {"p": self.pq.p, "q": self.pq.q},
+    def json_fields(self) -> dict:
+        return {
+            **config_block(self.config, self.pq),
             "interpretation": INTERPRETATION_TAG,
             "max_abs_diff": self.max_abs_diff,
             "closed_form_discrepancy_flag": self.flagged,
@@ -227,14 +204,6 @@ class MomentReport:
                 for r in self.rows
             ],
         }
-        return json_text(doc)
-
-    def write(self, base_path: str) -> tuple[str, str]:
-        csv_path = base_path + ".csv"
-        json_path = base_path + ".json"
-        write_text(csv_path, self.to_csv_text())
-        write_text(json_path, self.to_json_text())
-        return csv_path, json_path
 
 
 def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport:
@@ -254,21 +223,11 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
     closed_c1, closed_c2 = closed_central_moments(config, pq, xs)
     closed_m1 = closed_first_moment(config, pq, xs)
     closed_m2 = closed_second_moment(config, pq, xs)
-    rows = [
-        MomentRow(
-            x=x,
-            oracle_m0=float(oracle["e0"][i]),
-            oracle_m1=float(oracle["e1"][i]),
-            oracle_m2=float(oracle["e2"][i]),
-            oracle_c1=float(oracle_c1[i]),
-            oracle_c2=float(oracle_c2[i]),
-            closed_m1=float(closed_m1[i]),
-            closed_m2=float(closed_m2[i]),
-            closed_c1=float(closed_c1[i]),
-            closed_c2=float(closed_c2[i]),
-        )
-        for i, x in enumerate(float(v) for v in xs)
-    ]
+    columns = (
+        xs, oracle["e0"], oracle["e1"], oracle["e2"], oracle_c1, oracle_c2,
+        closed_m1, closed_m2, closed_c1, closed_c2,
+    )
+    rows = [MomentRow(*cells) for cells in zip(*(col.tolist() for col in columns))]
 
     max_abs_diff = {
         key: max(r.diffs[key] for r in rows) for key in ("m1", "m2", "c1", "c2")

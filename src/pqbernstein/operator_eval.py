@@ -72,7 +72,6 @@ class NumericalRangeError(ArithmeticError):
 class _Tables:
     """Per-(config, pq) precomputation shared by every evaluation."""
 
-    degree: int
     rule: QuadratureRule
     coef: np.ndarray         # [N k]_{p,q}, times p^{-k(N-k)} for the normalized variant
     powers: np.ndarray       # exponents k = 0..N of x^k
@@ -119,7 +118,6 @@ def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
     at_top = c0 + c1 * rule.top_node
     domain = (min(0.0, float(at_top.min())), max(float(c0.max()), float(at_top.max())))
     return _Tables(
-        degree=big_n,
         rule=rule,
         coef=coef,
         powers=k.astype(float),
@@ -172,25 +170,6 @@ def basis_row(config: SchurerConfig, pq: PQPair, x: float) -> np.ndarray:
     return basis_matrix(config, pq, float(x))
 
 
-def basis(config: SchurerConfig, pq: PQPair, k: int, x: float) -> float:
-    """Single basis value; k outside [0, n+ell] gives 0."""
-    if k < 0 or k > config.degree:
-        return 0.0
-    return float(basis_row(config, pq, x)[k])
-
-
-def argument(k: int, t: float, config: SchurerConfig, pq: PQPair) -> float:
-    """Kantorovich argument [k]/[n+1] + ([k+1]-[k]) t/[n+1] (both read as [.]_{p,q}).
-
-    The slope is evaluated as ((q-1)[k] + p^k)/[n+1], exact by the recurrence
-    [k+1] = q[k] + p^k; it is negative for large k when p < 1, so the argument
-    is affine but not always increasing in t.
-    """
-    denom = pq_integer(config.n + 1, pq)
-    ik = pq_integer(k, pq)
-    return ik / denom + ((pq.q - 1.0) * ik + pq.p**k) / denom * t
-
-
 def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
     """Interval every integrand argument lands in; f passed to apply must cover it.
 
@@ -221,8 +200,10 @@ def _check_covers(config: SchurerConfig, pq: PQPair, f: RealFunction) -> None:
 
 
 def _integral_means(config: SchurerConfig, pq: PQPair, f: RealFunction) -> np.ndarray:
+    # f.fn directly: _check_covers has compared f's domain with the cached
+    # hull of the argument table, so a second scan of the table is redundant
     tb = _tables(config, pq)
-    return f(tb.arg) @ tb.rule.weights
+    return np.asarray(f.fn(tb.arg), dtype=float) @ tb.rule.weights
 
 
 def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float:

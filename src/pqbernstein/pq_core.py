@@ -45,36 +45,6 @@ def pq_integer(n: int, pq: PQPair) -> float:
     return math.fsum(p ** (n - 1 - i) * q**i for i in range(n))
 
 
-def pq_factorial(n: int, pq: PQPair) -> float:
-    """[n]_{p,q}! = prod_{k=1}^{n} [k]_{p,q}, with [0]! = 1."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= pq_integer(k, pq)
-    return out
-
-
-def pq_binomial(n: int, k: int, pq: PQPair) -> float:
-    """[n k]_{p,q} = [n]!/([k]! [n-k]!); k outside [0, n] gives 0."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if k < 0 or k > n:
-        return 0.0
-    return pq_factorial(n, pq) / (pq_factorial(k, pq) * pq_factorial(n - k, pq))
-
-
-def pq_power_falling(x: float, m: int, pq: PQPair) -> float:
-    """(1-x)^m_{p,q} = prod_{s=0}^{m-1} (p^s - q^s x); empty product for m = 0."""
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    p, q = pq.p, pq.q
-    out = 1.0
-    for s in range(m):
-        out *= p**s - q**s * x
-    return out
-
-
 def pq_rising_two_term(a: float, b: float, x: float, y: float, m: int, pq: PQPair) -> float:
     """(ax + by)^m_{p,q} = prod_{s=0}^{m-1} (p^s a x + q^s b y).
 

@@ -13,14 +13,14 @@ from pqbernstein.error_bounds import (
     check_t33,
     check_t34,
     delta_n,
-    modulus,
-    modulus2,
     verify_lipschitz,
 )
 from pqbernstein.functions import RealFunction, make_function
 from pqbernstein.moments_closed import closed_first_moment
 from pqbernstein.operator_eval import SchurerConfig, required_domain
 from pqbernstein.pq_core import PQPair
+
+from oracles import modulus, modulus2
 
 PQ = PQPair(0.95, 0.9)
 XS = np.linspace(0.0, 1.0, 51)
@@ -68,6 +68,23 @@ class TestModulus:
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             modulus(make_function("e1", 0.0, 1.0), -0.1)
+
+    def test_array_of_deltas_matches_scalar_lookups(self):
+        mg = ModulusGrid(make_function("f_fig", 0.0, 1.2))
+        deltas = np.concatenate([np.linspace(0.0, 1.5, 97), [mg.step, 2.0 * mg.step]])
+        for lookup in (mg.omega, mg.omega2):
+            values = lookup(deltas)
+            assert values.shape == deltas.shape
+            assert values.tolist() == [lookup(float(d)) for d in deltas]
+            assert type(lookup(0.3)) is float
+
+    def test_array_rejects_negative_or_nan_delta(self):
+        mg = ModulusGrid(make_function("e1", 0.0, 1.0))
+        for bad in (np.array([0.1, -0.1]), np.array([0.1, np.nan])):
+            with pytest.raises(ValueError):
+                mg.omega(bad)
+            with pytest.raises(ValueError):
+                mg.omega2(bad)
 
 
 class TestModulus2:

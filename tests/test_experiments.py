@@ -142,14 +142,13 @@ class TestCLI:
         capsys.readouterr()
 
     def test_korovkin_writes_csv(self, tmp_path, capsys):
-        out = tmp_path / "korovkin.csv"
         code = main(
             ["korovkin", "--n", "8,16", "--grid", "11", "--guard", "0.2",
-             "--out", str(out)]
+             "--out", str(tmp_path / "korovkin")]
         )
         capsys.readouterr()
         assert code == 0
-        text = out.read_text()
+        text = (tmp_path / "korovkin.csv").read_text()
         assert text.startswith("n,p,q,")
         assert text.endswith("\n")
         assert "\r" not in text
@@ -196,20 +195,75 @@ class TestCLI:
         assert code == 2
         assert "not Lipschitz" in capsys.readouterr().err
 
+    def test_bounds_degenerate_rows_give_strict_json(self, tmp_path, capsys):
+        # e1 at p = 0.9: where the transcribed alpha_n meets x, both moduli
+        # vanish while the error does not, so the ratio is undefined there
+        base = tmp_path / "B"
+        code = main(
+            ["bounds", "--theorem", "t34", "--function", "e1", "--n", "10", "--ell", "1",
+             "--p", "0.9", "--q", "0.8", "--out", str(base)]
+        )
+        capsys.readouterr()
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-finite {token} in JSON")
+
+        doc = json.loads((tmp_path / "B.json").read_text(), parse_constant=reject)
+        assert doc["extras"]["degenerate_rows"] >= 1
+        undefined = [row for row in doc["rows"] if "ratio_t34" not in row]
+        assert len(undefined) == doc["extras"]["degenerate_rows"]
+        assert all(row["passed"] is False for row in undefined)
+        lines = (tmp_path / "B.csv").read_text().splitlines()
+        ratio_at = lines[0].split(",").index("ratio_t34")
+        cells = [line.split(",")[ratio_at] for line in lines[1:]]
+        assert cells.count("") == len(undefined)
+
+    @pytest.mark.parametrize(
+        "theorem, lipschitz",
+        [
+            ("t33", ["--lip-m", "0.001"]),
+            ("t33", ["--lip-alpha", "0.5"]),
+            ("t32", ["--lip-m", "1.0", "--lip-alpha", "1.0"]),
+            ("t34", ["--lip-m", "1.0"]),
+        ],
+    )
+    def test_bounds_lipschitz_flags_need_t33_and_both(self, theorem, lipschitz, capsys):
+        code = main(
+            ["bounds", "--theorem", theorem, "--function", "e1", "--n", "10",
+             "--p", "0.95", "--q", "0.9", "--grid", "11", *lipschitz]
+        )
+        assert code == 2
+        assert "--lip-" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--out", "x"], ["--grid", "5"], ["--ell", "1"], ["--tol", "1e-8"]]
+    )
+    def test_selftest_takes_only_basis(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["selftest", *flag])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    def test_format_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "--params", "0.95:0.9:6", "--format", "json"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
     def test_figure_stdout(self, capsys):
         assert main(["figure", "--params", "0.95:0.9:6", "--grid", "5"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "x,f,K_p0.95_q0.9_n6"
 
     def test_figure_json_format(self, tmp_path, capsys):
-        out = tmp_path / "fig.json"
         code = main(
             ["figure", "--params", "0.95:0.9:6", "--grid", "5",
-             "--format", "json", "--out", str(out)]
+             "--out", str(tmp_path / "fig")]
         )
         capsys.readouterr()
         assert code == 0
-        assert json.loads(out.read_text())["kind"] == "figure_data"
+        assert json.loads((tmp_path / "fig.json").read_text())["kind"] == "figure_data"
 
     def test_truncation_infeasible_exit_three(self, capsys):
         code = main(

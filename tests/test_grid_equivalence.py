@@ -14,6 +14,7 @@ from pqbernstein.operator_eval import (
     BasisVariant,
     NumericalRangeError,
     SchurerConfig,
+    _tables,
     apply_central_moment,
     apply_on_grid,
     basis_matrix,
@@ -109,6 +110,15 @@ def test_basis_row_is_exactly_a_grid_row(config, pq):
     assert grid.shape == (XS.size, config.degree + 1)
     for i, x in enumerate(XS):
         np.testing.assert_array_equal(basis_row(config, pq, float(x)), grid[i])
+
+
+@pytest.mark.parametrize("config, pq", OPERATORS, ids=IDS)
+def test_argument_table_lies_inside_required_domain(config, pq):
+    # integral means evaluate f on this table without a domain check of
+    # their own, relying on the cached hull that _check_covers compares
+    lo, hi = required_domain(config, pq)
+    arg = _tables(config, pq).arg
+    assert lo <= arg.min() and arg.max() <= hi
 
 
 @pytest.mark.parametrize("config, pq", OPERATORS[:4], ids=IDS[:4])

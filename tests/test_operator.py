@@ -11,19 +11,14 @@ from pqbernstein.operator_eval import (
     apply,
     apply_central_moment,
     apply_on_grid,
-    argument,
-    basis,
     basis_row,
     required_domain,
 )
-from pqbernstein.pq_core import (
-    PQPair,
-    pq_binomial,
-    pq_integer,
-    pq_power_falling,
-)
+from pqbernstein.pq_core import PQPair, pq_integer
 from pqbernstein.pq_quadrature import build_rule
 from pqbernstein.qreference import q_kantorovich_schurer
+
+from oracles import argument, basis, pq_binomial, pq_power_falling
 
 PQ = PQPair(0.9, 0.8)
 

@@ -1,14 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pqbernstein.pq_core import (
-    PQPair,
-    pq_binomial,
-    pq_factorial,
-    pq_integer,
-    pq_power_falling,
-    pq_rising_two_term,
-)
+from pqbernstein.pq_core import PQPair, pq_integer, pq_rising_two_term
+
+from oracles import pq_binomial, pq_factorial, pq_power_falling
 
 PQ = PQPair(0.9, 0.8)
 

@@ -14,12 +14,14 @@ delta_n is the oracle second central moment; alpha_n is the transcribed
 closed-form first moment (the quantity the smoothness bound is stated with),
 and its drift from the oracle first moment is logged alongside.
 
-Moduli are grid approximations: the domain is sampled at a fixed outer step
-and sups are taken over every integer lag of that grid, with prefix-max
-tables so queries at any delta are O(1) and monotone in delta by
-construction.  Grid search underestimates the true sup, which only makes the
-bound checks stricter where the modulus sits on the large side; the slack
-budget covers the error side.
+Moduli are grid approximations: the domain is sampled at m points a fixed
+outer step apart and sups are taken over integer lags of that grid, through
+prefix-max tables that are monotone in delta by construction.  Each table is
+grown on demand up to the largest lag queried so far, so one function costs
+O(m * that lag) in all, at most the O(m^2) of a table over every lag, and a
+query within the lags already computed is a lookup.  Grid search
+underestimates the true sup, which only makes the bound checks stricter where
+the modulus sits on the large side; the slack budget covers the error side.
 """
 
 from __future__ import annotations
@@ -69,7 +71,11 @@ class NotLipschitzError(ValueError):
 
 
 class ModulusGrid:
-    """Prefix-max tables for the first and second moduli of one function."""
+    """Prefix-max tables for the first and second moduli of one function.
+
+    The function is sampled once; each table is grown on demand, up to the
+    largest lag queried so far, and no lag is computed twice.
+    """
 
     def __init__(self, f: RealFunction, grid_step: float | None = None):
         length = f.hi - f.lo
@@ -78,24 +84,32 @@ class ModulusGrid:
         if not 0.0 < grid_step <= length:
             raise ValueError(f"grid_step must be in (0, {length:g}], got {grid_step!r}")
         m = int(round(length / grid_step)) + 1
-        xs = np.linspace(f.lo, f.hi, m)
-        vals = f(xs)
+        self._vals = f(np.linspace(f.lo, f.hi, m))
         self.step = length / (m - 1)
-        lag1 = np.zeros(m)
-        for lag in range(1, m):
-            lag1[lag] = np.abs(vals[lag:] - vals[: m - lag]).max()
-        lag2 = np.zeros((m - 1) // 2 + 1)
-        for lag in range(1, len(lag2)):
-            lag2[lag] = np.abs(vals[2 * lag :] - 2.0 * vals[lag : m - lag] + vals[: m - 2 * lag]).max()
-        self._w1 = np.maximum.accumulate(lag1)
-        self._w2 = np.maximum.accumulate(lag2)
+        # table of order k covers lags 0..len-1 (lag 0 gives 0), up to (m-1)//k
+        self._tables = {1: np.zeros(1), 2: np.zeros(1)}
 
-    def _lookup(self, table: np.ndarray, delta):
+    def _lag_sup1(self, lag: int) -> float:
+        v = self._vals
+        return np.abs(v[lag:] - v[: len(v) - lag]).max()
+
+    def _lag_sup2(self, lag: int) -> float:
+        v = self._vals
+        return np.abs(v[2 * lag :] - 2.0 * v[lag : len(v) - lag] + v[: len(v) - 2 * lag]).max()
+
+    def _lookup(self, order: int, lag_sup, delta):
         d = np.asarray(delta, dtype=float)
         # written so that a NaN is rejected too
         if not (d >= 0.0).all():
             raise ValueError(f"delta must be non-negative, got {delta!r}")
-        lag = np.minimum(d / self.step + 1e-9, len(table) - 1).astype(int)
+        lag = np.minimum(d / self.step + 1e-9, (len(self._vals) - 1) // order).astype(int)
+        table = self._tables[order]
+        top = int(lag.max(initial=0))
+        if top >= len(table):
+            # continue the running max from the last lag computed
+            sups = np.array([lag_sup(h) for h in range(len(table), top + 1)])
+            table = np.concatenate([table, np.maximum.accumulate(np.maximum(sups, table[-1]))])
+            self._tables[order] = table
         return float(table[lag]) if d.ndim == 0 else table[lag]
 
     def omega(self, delta: float | np.ndarray) -> float | np.ndarray:
@@ -103,11 +117,11 @@ class ModulusGrid:
 
         delta is one value (giving a float) or an array of values.
         """
-        return self._lookup(self._w1, delta)
+        return self._lookup(1, self._lag_sup1, delta)
 
     def omega2(self, delta: float | np.ndarray) -> float | np.ndarray:
         """sup over shifts 0 < h <= delta of the second difference |f(x+2h)-2f(x+h)+f(x)|."""
-        return self._lookup(self._w2, delta)
+        return self._lookup(2, self._lag_sup2, delta)
 
 
 def delta_n(

@@ -27,6 +27,7 @@ returning NaN.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,8 +57,8 @@ class SchurerConfig:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (isinstance(self.ell, int) and self.ell >= 0):
             raise ValueError(f"ell must be an integer >= 0, got {self.ell!r}")
-        if not self.quad_tol > 0.0:
-            raise ValueError(f"quad_tol must be positive, got {self.quad_tol!r}")
+        if not (self.quad_tol > 0.0 and math.isfinite(self.quad_tol)):
+            raise ValueError(f"quad_tol must be positive and finite, got {self.quad_tol!r}")
 
     @property
     def degree(self) -> int:

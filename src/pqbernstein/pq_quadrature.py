@@ -47,10 +47,10 @@ def build_rule(
     pq: PQPair, a: float, tol: float, hard_cap: int = DEFAULT_HARD_CAP
 ) -> QuadratureRule:
     """Smallest-K rule with certified tail a*(q/p)^(K+1) <= tol."""
-    if not a > 0.0:
-        raise ValueError(f"upper limit a must be positive, got {a}")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"upper limit a must be positive and finite, got {a}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     p, q = pq.p, pq.q
     r = q / p
     k = max(0, math.ceil(math.log(tol / a) / math.log(r)) - 1)

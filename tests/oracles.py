@@ -2,10 +2,13 @@
 
 Each evaluates one definition term by term in plain floats: the
 (p,q)-factorial, binomial and falling power, a single basis value, one
-Kantorovich argument, and the moduli of continuity of a function.
+Kantorovich argument, the moduli of continuity of a function, and the
+modulus tables built in full over every lag.
 """
 
-from pqbernstein.error_bounds import ModulusGrid
+import numpy as np
+
+from pqbernstein.error_bounds import MODULUS_GRID_DIV, ModulusGrid
 from pqbernstein.operator_eval import SchurerConfig, basis_row
 from pqbernstein.pq_core import PQPair, pq_integer
 
@@ -65,3 +68,43 @@ def modulus(f, delta: float) -> float:
 
 def modulus2(f, delta: float) -> float:
     return ModulusGrid(f).omega2(delta)
+
+
+class FullModulusGrid:
+    """ModulusGrid with both prefix-max tables built over every lag up front.
+
+    Same sampling, per-lag expressions and lookup as ModulusGrid, so its
+    values must agree bit for bit with the on-demand tables.
+    """
+
+    def __init__(self, f, grid_step=None):
+        length = f.hi - f.lo
+        if grid_step is None:
+            grid_step = length / MODULUS_GRID_DIV
+        if not 0.0 < grid_step <= length:
+            raise ValueError(f"grid_step must be in (0, {length:g}], got {grid_step!r}")
+        m = int(round(length / grid_step)) + 1
+        xs = np.linspace(f.lo, f.hi, m)
+        vals = f(xs)
+        self.step = length / (m - 1)
+        lag1 = np.zeros(m)
+        for lag in range(1, m):
+            lag1[lag] = np.abs(vals[lag:] - vals[: m - lag]).max()
+        lag2 = np.zeros((m - 1) // 2 + 1)
+        for lag in range(1, len(lag2)):
+            lag2[lag] = np.abs(vals[2 * lag :] - 2.0 * vals[lag : m - lag] + vals[: m - 2 * lag]).max()
+        self._w1 = np.maximum.accumulate(lag1)
+        self._w2 = np.maximum.accumulate(lag2)
+
+    def _lookup(self, table, delta):
+        d = np.asarray(delta, dtype=float)
+        if not (d >= 0.0).all():
+            raise ValueError(f"delta must be non-negative, got {delta!r}")
+        lag = np.minimum(d / self.step + 1e-9, len(table) - 1).astype(int)
+        return float(table[lag]) if d.ndim == 0 else table[lag]
+
+    def omega(self, delta):
+        return self._lookup(self._w1, delta)
+
+    def omega2(self, delta):
+        return self._lookup(self._w2, delta)

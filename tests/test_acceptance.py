@@ -227,14 +227,16 @@ def test_criterion_09_smoothness_ratio():
     for n in (10, 20, 40):
         config = SchurerConfig(n=n, ell=0)
         rep = check_t34(config, pq, bound_function("f_fig", config, pq), xs)
-        values = [r.ratio_t34 for r in rep.rows]
+        # a degenerate row's undefined ratio (None) reads as NaN: not finite
+        values = np.array([r.ratio_t34 for r in rep.rows], dtype=float)
         all_finite &= bool(np.isfinite(values).all())
         cap_ok &= rep.all_passed and rep.extras["max_ratio"] <= 50.0
         max_ratios.append(rep.extras["max_ratio"])
     # the same cap/finiteness must hold at the other bound-suite configs
     for config, pq_other in BOUND_CONFIGS:
         rep = check_t34(config, pq_other, bound_function("f_fig", config, pq_other), xs)
-        values = [r.ratio_t34 for r in rep.rows]
+        # a degenerate row's undefined ratio (None) reads as NaN: not finite
+        values = np.array([r.ratio_t34 for r in rep.rows], dtype=float)
         all_finite &= bool(np.isfinite(values).all())
         cap_ok &= rep.extras["max_ratio"] <= 50.0
     non_increasing = all(b <= a + 1e-12 for a, b in zip(max_ratios, max_ratios[1:]))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqbernstein.error_bounds import (
     CSV_COLUMNS,
@@ -15,12 +16,12 @@ from pqbernstein.error_bounds import (
     delta_n,
     verify_lipschitz,
 )
-from pqbernstein.functions import RealFunction, make_function
+from pqbernstein.functions import FUNCTION_NAMES, RealFunction, make_function
 from pqbernstein.moments_closed import closed_first_moment
 from pqbernstein.operator_eval import SchurerConfig, required_domain
 from pqbernstein.pq_core import PQPair
 
-from oracles import modulus, modulus2
+from oracles import FullModulusGrid, modulus, modulus2
 
 PQ = PQPair(0.95, 0.9)
 XS = np.linspace(0.0, 1.0, 51)
@@ -104,6 +105,82 @@ class TestModulus2:
         coarse = ModulusGrid(f)
         for delta in (0.05, 0.15):
             assert coarse.omega2(delta) == pytest.approx(dense.omega2(delta), abs=0.02)
+
+
+@st.composite
+def modulus_cases(draw):
+    """A function on a random domain, a grid step, and a random query sequence."""
+    lo = draw(st.floats(-1.0, 0.5))
+    hi = lo + draw(st.floats(0.05, 2.5))
+    name = draw(st.sampled_from((*FUNCTION_NAMES, "jagged")))
+    if name == "jagged":
+        knots = np.linspace(lo, hi, draw(st.integers(2, 40)))
+        heights = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(knots), max_size=len(knots)))
+        f = RealFunction(lambda t: np.interp(t, knots, heights), lo, hi, name="jagged")
+    else:
+        f = make_function(name, lo, hi)
+    length = f.hi - f.lo
+    grid_step = draw(st.none() | st.floats(length / 2500, length))
+    delta = st.floats(0.0, 1.5 * length)  # beyond the domain length too
+    query = (
+        delta
+        | st.lists(delta, max_size=8).map(np.array)
+        | st.lists(delta, min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3)))
+        | st.just(np.empty((0, 3)))
+    )
+    queries = draw(st.lists(st.tuples(st.sampled_from(("omega", "omega2")), query), max_size=8))
+    return f, grid_step, queries
+
+
+class TestModulusTables:
+    @settings(max_examples=100)
+    @given(modulus_cases())
+    def test_on_demand_equals_full_build(self, case):
+        f, grid_step, queries = case
+        mg, ref = ModulusGrid(f, grid_step), FullModulusGrid(f, grid_step)
+        assert mg.step == ref.step
+        for name, delta in queries:
+            got, want = getattr(mg, name)(delta), getattr(ref, name)(delta)
+            if np.ndim(delta) == 0:
+                assert type(got) is float
+                assert got == want
+            else:
+                assert got.shape == np.shape(delta)
+                assert (got == want).all()
+
+    def test_tables_grow_only_to_the_largest_lag_queried(self, monkeypatch):
+        computed = {"_lag_sup1": [], "_lag_sup2": []}
+        for attr, lags in computed.items():
+            sup = getattr(ModulusGrid, attr)
+            monkeypatch.setattr(
+                ModulusGrid, attr, lambda self, lag, sup=sup, lags=lags: lags.append(lag) or sup(self, lag)
+            )
+        mg = ModulusGrid(make_function("f_fig", 0.0, 1.0))
+        assert computed == {"_lag_sup1": [], "_lag_sup2": []}
+        step = mg.step
+        for lookup, attr in ((mg.omega, "_lag_sup1"), (mg.omega2, "_lag_sup2")):
+            lookup(200 * step)
+            lookup(50 * step)
+            lookup(np.array([[10 * step, 200 * step]]))
+            assert computed[attr] == list(range(1, 201))
+            lookup(np.array([300 * step, 120 * step]))
+            assert computed[attr] == list(range(1, 301))
+        # a delta past the domain length completes each table once, as a full build does
+        mg.omega(5.0)
+        mg.omega2(5.0)
+        mg.omega(5.0)
+        assert computed["_lag_sup1"] == list(range(1, 2001))
+        assert computed["_lag_sup2"] == list(range(1, 1001))
+
+    def test_growth_continues_the_running_max(self):
+        # both per-lag sups of a period-0.25 sine fall back to ~0 at a shift of
+        # 0.25, so a table grown from 0.12 to 0.25 must carry its earlier maximum forward
+        f = RealFunction(lambda t: np.sin(8.0 * np.pi * t), 0.0, 1.0, name="sine")
+        mg, ref = ModulusGrid(f), FullModulusGrid(f)
+        for name in ("omega", "omega2"):
+            for delta in (0.12, 0.25, 0.5):
+                assert getattr(mg, name)(delta) == getattr(ref, name)(delta)
+            assert getattr(mg, name)(0.25) > 1.0
 
 
 class TestDeltaAlpha:
@@ -229,7 +306,8 @@ class TestTheorem34:
         assert report.all_passed
         assert report.extras["degenerate_rows"] == 0
         assert report.extras["max_ratio"] <= 50.0
-        assert np.isfinite([r.ratio_t34 for r in report.rows]).all()
+        # a degenerate row's undefined ratio (None) reads as NaN: not finite
+        assert np.isfinite(np.array([r.ratio_t34 for r in report.rows], dtype=float)).all()
 
     def test_alpha_drift_is_logged(self):
         config = SchurerConfig(n=15, ell=1)

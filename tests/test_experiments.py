@@ -287,6 +287,21 @@ class TestCLI:
         assert "NumericalRangeError" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "5", "--p", "0.9", "--q", "0.8"],
+            ["bounds", "--theorem", "t32", "--n", "5", "--p", "0.9", "--q", "0.8"],
+            ["figure", "--params", "0.95:0.9:6"],
+            ["korovkin", "--n", "8,16", "--guard", "0.2"],
+        ],
+    )
+    def test_infinite_tol_exits_two(self, argv, tol, capsys):
+        # "1e400" parses to inf; no traceback, a configuration error
+        assert main([*argv, "--grid", "5", "--tol", tol]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["korovkin", "--frobnicate"])

@@ -56,7 +56,13 @@ class TestBuildRule:
         with pytest.raises(TruncationError):
             build_rule(PQPair(1.0, 0.99), a=1.0, tol=1e-12, hard_cap=100)
 
-    @pytest.mark.parametrize("a,tol", [(0.0, 1e-10), (-1.0, 1e-10), (1.0, 0.0), (1.0, -1e-3)])
+    @pytest.mark.parametrize(
+        "a,tol",
+        [
+            (0.0, 1e-10), (-1.0, 1e-10), (1.0, 0.0), (1.0, -1e-3),
+            (math.inf, 1e-10), (math.nan, 1e-10), (1.0, math.inf), (1.0, math.nan),
+        ],
+    )
     def test_rejects_bad_inputs(self, a, tol):
         with pytest.raises(ValueError):
             build_rule(PQPair(0.9, 0.8), a=a, tol=tol)

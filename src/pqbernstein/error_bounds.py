@@ -317,6 +317,8 @@ def check_t34(
     within slack (then the ratio is defined as 0), otherwise they are flagged
     as degenerate and their ratio is left undefined (None).
     """
+    if not ratio_cap > 0.0:
+        raise ValueError(f"ratio_cap must be positive, got {ratio_cap!r}")
     mg = ModulusGrid(f)
     slack = _modulus_slack(config, mg)
     xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)

@@ -7,6 +7,7 @@ identical inputs give byte-identical CSV/JSON (no timestamps in data files).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,6 +58,9 @@ class KorovkinSchedule:
             raise ConfigError(f"schedule {self.name!r} invalid at n={n}: {exc}") from exc
 
     def validate(self, n_list: Sequence[int], guard: float = DEFAULT_SCHEDULE_GUARD) -> None:
+        # a NaN or +inf guard would let every schedule pass the test below
+        if not math.isfinite(guard):
+            raise ConfigError(f"schedule guard must be finite, got {guard!r}")
         for n in n_list:
             self.pair(n)
         top = self.pair(max(n_list))

@@ -6,22 +6,22 @@ Everything is computed straight from that definition, which makes this module
 the numerical ground truth against which the closed-form moment expressions
 and the error-bound theorems are checked.
 
-Two basis conventions are supported.  The plain product basis
+Both basis conventions come from the Phillips q-Bernstein basis in r = q/p,
 
-    [n+ell k]_{p,q} x^k prod_{s=0}^{n+ell-k-1} (p^s - q^s x)
+    [N k]_r x^k prod_{s<N-k} (1 - r^s x),   N = n + ell,
 
-is *not* a partition of unity when p < 1 (its sum at degree 2 is
-p + (1-p) x^2).  The normalized variant multiplies term k by
-p^{(k(k-1) - N(N-1))/2} with N = n+ell, restoring sum_k basis = 1 and with it
-constant reproduction; it is the default.  It equals the Phillips q-Bernstein
-basis in r = q/p, [N k]_r x^k prod_{s<N-k} (1 - r^s x).
+which is the default, normalized variant: a partition of unity, so constants
+are reproduced.  The product basis as printed, [N k]_{p,q} x^k
+prod_{s<N-k} (p^s - q^s x), is the same basis times p^{(N(N-1) - k(k-1))/2};
+it is *not* a partition of unity when p < 1 (its sum at degree 2 is
+p + (1-p) x^2).
 
 The integral means do not depend on x, so a whole grid is evaluated at once:
 one (G, N+1) basis matrix times one mean vector.  Central moments expand from
-the raw moment means of t^0, t^1, t^2, cached per (config, pq).  Basis
-coefficients that leave the double range (measured from N = 142 to 235 for
-the (p, q) in use, see pq_core) raise NumericalRangeError instead of
-returning NaN.
+the raw moment means of t^0, t^1, t^2, kept with the tables.  Where [N k]_r
+overflows (from N = 1234 along the classic and q-only schedules, never for
+q/p below about 0.997) or the argument means do (small p at large N),
+NumericalRangeError is raised instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -74,13 +74,13 @@ class _Tables:
     """Per-(config, pq) precomputation shared by every evaluation."""
 
     rule: QuadratureRule
-    coef: np.ndarray         # [N k]_{p,q}, times p^{-k(N-k)} for the normalized variant
+    coef: np.ndarray         # [N k]_r, times p^{(N(N-1) - k(k-1))/2} for the printed variant
     powers: np.ndarray       # exponents k = 0..N of x^k
-    fall_a: np.ndarray       # falling-product factors a_s - b_s x, s = 0..N-1:
-    fall_b: np.ndarray       # (1, (q/p)^s) normalized, (p^s, q^s) printed
+    fall: np.ndarray         # r^s, s = 0..N-1, of the falling product prod_{s<N-k} (1 - r^s x)
     c0: np.ndarray           # [k]/[n+1]
     c1: np.ndarray           # ([k+1]-[k])/[n+1], computed as ((q-1)[k]+p^k)/[n+1]
     arg: np.ndarray          # argument values, shape (N+1, nodes)
+    raw_means: np.ndarray    # sum_t w_t arg_{k,t}^j for j = 0, 1, 2, shape (3, N+1)
     domain: tuple[float, float]  # hull of arg, see required_domain
 
 
@@ -92,74 +92,70 @@ class _Tables:
 def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
     p, q = pq.p, pq.q
     big_n = config.degree
-    ints = np.array([pq_integer(k, pq) for k in range(big_n + 2)])
     k = np.arange(big_n + 1)
-    s = np.arange(big_n)
-    normalized = config.basis_variant is BasisVariant.NORMALIZED
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fact = np.concatenate([[1.0], np.cumprod(ints[1 : big_n + 1])])
-        coef = fact[big_n] / (fact * fact[::-1])
-        if normalized:
-            coef *= np.power(p, -(k * (big_n - k)).astype(float))
+    # log r from log1p: rounding r = q/p itself would cost eps/(1-r) relative
+    log_r = math.log1p(q - 1.0) - math.log1p(p - 1.0)
+    one_minus = -np.expm1(log_r * np.arange(1, big_n + 1))  # 1 - r^j, j = 1..N
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.concatenate([[1.0], np.cumprod(one_minus[::-1] / one_minus)])
+        if config.basis_variant is BasisVariant.AS_PRINTED:
+            # an entry that underflows to 0 is the correctly rounded value
+            coef *= p ** ((big_n * (big_n - 1) - k * (k - 1)) / 2)
     if not np.isfinite(coef).all():
         raise NumericalRangeError(
             f"basis coefficients are not finite in double precision at N = n + ell = "
             f"{big_n}, p={p!r}, q={q!r} ({config.basis_variant.value} basis)"
         )
-    if normalized:
-        fall_a, fall_b = np.ones(big_n), np.power(q / p, s)
-    else:
-        fall_a, fall_b = np.power(p, s), np.power(q, s)
+    ints = np.array([pq_integer(j, pq) for j in range(big_n + 1)])
     rule = build_rule(pq, a=1.0, tol=config.quad_tol)
     denom = pq_integer(config.n + 1, pq)
-    c0 = ints[: big_n + 1] / denom
-    c1 = ((q - 1.0) * ints[: big_n + 1] + np.power(p, k)) / denom
+    c0 = ints / denom
+    c1 = ((q - 1.0) * ints + np.power(p, k)) / denom
     # arguments are affine in t over (0, a/p], so their values at t = 0 and at
     # the top node bound the hull
     at_top = c0 + c1 * rule.top_node
     domain = (min(0.0, float(at_top.min())), max(float(c0.max()), float(at_top.max())))
+    # the raw means expand over the node moments S_j = sum_t w_t t^j, so they
+    # never touch the argument table
+    nodes, weights = rule.nodes, rule.weights
+    s0, s1, s2 = weights.sum(), weights @ nodes, (weights * nodes) @ nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_means = np.stack(
+            [
+                np.full_like(c0, s0),
+                c0 * s0 + c1 * s1,
+                c0 * c0 * s0 + 2.0 * c0 * c1 * s1 + c1 * c1 * s2,
+            ]
+        )
+    # [n+1]_{p,q} is about p^n / (1 - q/p), so at small p the arguments
+    # [k]/[n+1] grow like p^-n while the basis stays finite
+    if not np.isfinite(raw_means).all():
+        raise NumericalRangeError(
+            f"integral means of t^2 are not finite in double precision at N = n + ell = "
+            f"{big_n}, p={p!r}, q={q!r} (arguments reach {max(-domain[0], domain[1]):.3g})"
+        )
     return _Tables(
         rule=rule,
         coef=coef,
         powers=k.astype(float),
-        fall_a=fall_a,
-        fall_b=fall_b,
+        fall=np.exp(log_r * k[:-1]),
         c0=c0,
         c1=c1,
         arg=c0[:, None] + c1[:, None] * rule.nodes[None, :],
+        raw_means=raw_means,
         domain=domain,
-    )
-
-
-@lru_cache(maxsize=16)
-def _raw_means(config: SchurerConfig, pq: PQPair) -> np.ndarray:
-    """Integral means M_j[k] = sum_t w_t arg_{k,t}^j for j = 0, 1, 2, shape (3, N+1).
-
-    The argument is c0 + c1 t, so the means expand over the node moments
-    S_j = sum_t w_t t^j and never touch the (N+1) x K argument table.
-    """
-    tb = _tables(config, pq)
-    nodes, weights = tb.rule.nodes, tb.rule.weights
-    s0, s1, s2 = weights.sum(), weights @ nodes, (weights * nodes) @ nodes
-    c0, c1 = tb.c0, tb.c1
-    return np.stack(
-        [
-            np.full_like(c0, s0),
-            c0 * s0 + c1 * s1,
-            c0 * c0 * s0 + 2.0 * c0 * c1 * s1 + c1 * c1 * s2,
-        ]
     )
 
 
 def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     """Basis values at every x, shape xs.shape + (N+1,); nonnegative on [0, 1].
 
-    Term k is coef_k x^k prod_{s<N-k} (a_s - b_s x).  A scalar x gives one
+    Term k is coef_k x^k prod_{s<N-k} (1 - r^s x).  A scalar x gives one
     row, which equals the matching row of any grid that contains x.
     """
     tb = _tables(config, pq)
     x = np.asarray(xs, dtype=float)[..., None]
-    falling = (tb.fall_a - tb.fall_b * x).cumprod(axis=-1)
+    falling = (1.0 - tb.fall * x).cumprod(axis=-1)
     out = x**tb.powers
     out *= tb.coef
     out[..., :-1] *= falling[..., ::-1]
@@ -234,7 +230,7 @@ def central_moments_on_grid(
     _check_points(xs)
     x = np.asarray(xs, dtype=float)[()]  # a NumPy scalar for one point: cheaper arithmetic
     b = basis_matrix(config, pq, x)
-    m0, m1, m2 = (b @ means for means in _raw_means(config, pq))
+    m0, m1, m2 = (b @ means for means in _tables(config, pq).raw_means)
     return m1 - x * m0, m2 - 2.0 * x * m1 + x * x * m0
 
 

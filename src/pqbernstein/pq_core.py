@@ -1,12 +1,9 @@
 """Arithmetic primitives of the two-parameter (p,q)-deformation of the integers.
 
 Everything here is a pure function over an immutable :class:`PQPair` and runs
-in ordinary double precision.  With 0 < q < p <= 1 each [k]_{p,q} <= k, but
-the factorials and binomials built from them leave the double range at large
-degree.  The operator's basis coefficients stop being finite from N = 142 at
-(p, q) = (0.9, 0.8), N = 179 along the classic schedule and N = 235 at
-(0.95, 0.9) (measured), and the operator raises ``NumericalRangeError``
-there (exit code 3 on the command line).  No log-space path exists yet.
+in ordinary double precision.  With 0 < q < p <= 1 each [k]_{p,q} <= k.  The
+operator's basis is evaluated in r = q/p (see operator_eval), not from
+(p,q)-factorials, which leave the double range from degree 142 to 235.
 """
 
 from __future__ import annotations

@@ -3,8 +3,12 @@
 Each evaluates one definition term by term in plain floats: the
 (p,q)-factorial, binomial and falling power, a single basis value, one
 Kantorovich argument, the moduli of continuity of a function, and the
-modulus tables built in full over every lag.
+modulus tables built in full over every lag.  ``exact_basis_rows`` is the
+exception: it evaluates the basis exactly in rational arithmetic.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,6 +52,51 @@ def basis(config: SchurerConfig, pq: PQPair, k: int, x: float) -> float:
     if k < 0 or k > config.degree:
         return 0.0
     return float(basis_row(config, pq, x)[k])
+
+
+def exact_basis_rows(
+    big_n: int, p: Fraction, q: Fraction, xs, normalized: bool
+) -> list[list[float]]:
+    """Basis rows of degree N at rational p, q and each rational x, correctly rounded.
+
+    Term k of the printed basis is [N k]_{p,q} x^k prod_{s<N-k} (p^s - q^s x);
+    the normalized basis multiplies it by p^{(k(k-1) - N(N-1))/2}.  With
+    p = a/d, q = b/d and x = u/w in integers, [j]_{p,q} = I_j / d^(j-1) with
+    I_{j+1} = b I_j + a^j, and [N k]_{p,q} = B_k / d^(k(N-k)) with the integer
+    B_k = B_{k-1} I_{N-k+1} / I_k, a division that is exact.  Term k is then
+
+        B_k u^k P_{N-k} / (w^N d^E_k)   printed,
+        B_k u^k P_{N-k} / (w^N a^E_k)   normalized,
+
+    where P_m = prod_{s<m} (a^s w - b^s u) and E_k = (N(N-1) - k(k-1))/2, so
+    every value is one quotient of integers, rounded once to a float.
+    """
+    d = math.lcm(p.denominator, q.denominator)
+    a, b = int(p * d), int(q * d)
+    ints = [0]
+    for j in range(big_n):
+        ints.append(b * ints[-1] + a**j)
+    binom = [1]
+    for k in range(1, big_n + 1):
+        binom.append(binom[-1] * ints[big_n - k + 1] // ints[k])
+    base = a if normalized else d
+    scale = [1]  # base^E_k for k = N down to 0; E_{k-1} - E_k = k - 1
+    for k in range(big_n, 0, -1):
+        scale.append(scale[-1] * base ** (k - 1))
+    scale.reverse()
+    rows = []
+    for x in xs:
+        u, w = x.numerator, x.denominator
+        falling = [1]
+        for s in range(big_n):
+            falling.append(falling[-1] * (a**s * w - b**s * u))
+        rows.append(
+            [
+                binom[k] * u**k * falling[big_n - k] / (w**big_n * scale[k])
+                for k in range(big_n + 1)
+            ]
+        )
+    return rows
 
 
 def argument(k: int, t: float, config: SchurerConfig, pq: PQPair) -> float:

@@ -321,6 +321,12 @@ class TestTheorem34:
         )
         assert not report.all_passed
 
+    @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
+    def test_rejects_nan_or_non_positive_cap(self, cap):
+        config = SchurerConfig(n=5)
+        with pytest.raises(ValueError, match="ratio_cap"):
+            check_t34(config, PQ, hull_function("f_fig", config, PQ), XS, ratio_cap=cap)
+
 
 class TestBoundReportSerialization:
     def test_csv_shape_and_blanks(self):

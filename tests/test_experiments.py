@@ -41,6 +41,12 @@ class TestSchedules:
     def test_guard_is_configurable(self):
         schedule("classic").validate([4, 8], guard=0.2)
 
+    @pytest.mark.parametrize("guard", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_guard_rejected(self, guard):
+        # NaN and +inf would let every schedule through; no non-finite guard is a bound
+        with pytest.raises(ConfigError, match="finite"):
+            schedule("classic").validate([4, 8], guard=guard)
+
     def test_custom_schedule(self):
         sched = custom_schedule([4, 8], [0.97, 0.99], [0.9, 0.95])
         assert sched.pair(8) == PQPair(0.99, 0.95)
@@ -275,17 +281,43 @@ class TestCLI:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["korovkin", "--n", "64,128,256"],
-            ["bounds", "--theorem", "t32", "--n", "200", "--p", "0.9", "--q", "0.8"],
+            ["korovkin", "--n", "64,1234"],
+            ["bounds", "--theorem", "t32", "--n", "1234", "--p", "1.0", "--q", "0.99919"],
         ],
     )
     def test_numerical_range_exit_three(self, argv, tmp_path, capsys):
-        # the basis coefficients leave the double range at N = 256 (classic) and
-        # N = 200 (p = 0.9, q = 0.8); nothing is written
+        # the basis coefficients leave the double range at N = 1234 (classic,
+        # and p = 1 with q = 1 - 1/1235 rounded); nothing is written
         out = tmp_path / "report"
         assert main(argv + ["--out", str(out)]) == 3
         assert "NumericalRangeError" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["korovkin", "--n", "64,128,256"],
+            ["bounds", "--theorem", "t32", "--n", "200", "--p", "0.9", "--q", "0.8"],
+        ],
+    )
+    def test_former_overflow_inputs_succeed(self, argv, capsys):
+        # both exited 3 while the coefficients came from a (p,q)-factorial ratio
+        assert main(argv + ["--grid", "21"]) == 0
+        assert "nan" not in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("cap", ["nan", "-1", "0"])
+    def test_bad_ratio_cap_exits_two(self, cap, capsys):
+        code = main(
+            ["bounds", "--theorem", "t34", "--n", "5", "--p", "0.9", "--q", "0.8",
+             "--ratio-cap", cap]
+        )
+        assert code == 2
+        assert "ratio_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("guard", ["nan", "inf"])
+    def test_non_finite_guard_exits_two(self, guard, capsys):
+        assert main(["korovkin", "--n", "8,16", "--guard", guard]) == 2
+        assert "guard must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["inf", "1e400"])
     @pytest.mark.parametrize(

@@ -152,14 +152,27 @@ def test_grid_rejects_points_outside_unit_interval():
     assert apply_on_grid(config, pq, f, np.array([])).shape == (0,)
 
 
+# the Gaussian binomials in r = q/p first overflow at N = 1234 along the
+# classic and q-only schedules
 @pytest.mark.parametrize(
     "config, pq",
     [
-        (SchurerConfig(n=256), PQPair(1.0 - 1.0 / 257**2, 1.0 - 1.0 / 257)),
-        (SchurerConfig(n=200), PQPair(0.9, 0.8)),
-        (SchurerConfig(n=200, basis_variant=BasisVariant.AS_PRINTED), PQPair(0.9, 0.8)),
+        (SchurerConfig(n=1234), PQPair(1.0 - 1.0 / 1235**2, 1.0 - 1.0 / 1235)),
+        (SchurerConfig(n=1234), PQPair(1.0, 1.0 - 1.0 / 1235)),
+        (
+            SchurerConfig(n=1234, basis_variant=BasisVariant.AS_PRINTED),
+            PQPair(1.0 - 1.0 / 1235**2, 1.0 - 1.0 / 1235),
+        ),
     ],
 )
 def test_non_finite_coefficients_raise_typed_error(config, pq):
     with pytest.raises(NumericalRangeError, match="not finite"):
+        required_domain(config, pq)
+
+
+def test_non_finite_argument_means_raise_typed_error():
+    # the basis is finite here, but [n+1]_{p,q} ~ 1e-215 drives the arguments
+    # [k]/[n+1] past 1e214, so their squares overflow
+    config, pq = SchurerConfig(n=439), PQPair(0.3235, 0.2337)
+    with pytest.raises(NumericalRangeError, match="integral means"):
         required_domain(config, pq)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pqbernstein.operator_eval import (
     apply,
     apply_central_moment,
     apply_on_grid,
+    basis_matrix,
     basis_row,
     required_domain,
 )
@@ -18,7 +20,7 @@ from pqbernstein.pq_core import PQPair, pq_integer
 from pqbernstein.pq_quadrature import build_rule
 from pqbernstein.qreference import q_kantorovich_schurer
 
-from oracles import argument, basis, pq_binomial, pq_power_falling
+from oracles import argument, basis, exact_basis_rows, pq_binomial, pq_power_falling
 
 PQ = PQPair(0.9, 0.8)
 
@@ -74,6 +76,90 @@ class TestBasis:
         config = SchurerConfig(n=3)
         assert basis(config, PQ, -1, 0.5) == 0.0
         assert basis(config, PQ, 4, 0.5) == 0.0
+
+
+# |sum_k b_k(x) - 1| <= PARTITION_ULPS * 1e-16 * (N + 1): one rounding per
+# factor of the coefficient and falling products; the largest measured
+# constant over 400 random (p, q/p <= 0.99, N <= 512) draws and the classic
+# schedule to N = 1233 was 0.74
+PARTITION_ULPS = 4.0
+XS_WIDE = np.linspace(0.0, 1.0, 41)
+EXACT_XS = (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(1))
+
+
+def assert_basis_sound(config, pq, xs):
+    """Finite, nonnegative, and for the normalized variant a partition of unity."""
+    b = basis_matrix(config, pq, xs)
+    assert np.isfinite(b).all() and (b >= 0.0).all()
+    if config.basis_variant is BasisVariant.NORMALIZED:
+        bound = PARTITION_ULPS * 1e-16 * (config.degree + 1)
+        assert np.abs(b.sum(axis=-1) - 1.0).max() <= bound
+
+
+class TestWideRange:
+    @pytest.mark.parametrize("p, q, big_n", [(0.9, 0.8, 141), (0.95, 0.9, 234), (0.9, 0.8, 200)])
+    def test_partition_where_the_factorial_ratio_failed(self, p, q, big_n):
+        # the first two drifted silently (3.0e-2 and 2.9e-5) from subnormal
+        # factorials; the third overflowed
+        b = basis_matrix(SchurerConfig(n=big_n), PQPair(p, q), XS_WIDE)
+        assert np.abs(b.sum(axis=-1) - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_classic_schedule(self, n):
+        # the basis does not depend on the quadrature tolerance; a loose one
+        # keeps the cached (N+1) x K argument table near 60 MB instead of 194
+        pq = PQPair(1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1))
+        for variant in BasisVariant:
+            config = SchurerConfig(n=n, basis_variant=variant, quad_tol=1e-3)
+            assert_basis_sound(config, pq, XS_WIDE)
+
+    # from about p = 0.5 down, the squared arguments ([k]/[n+1])^2 ~ p^-2n
+    # overflow by N = 512 and the operator raises NumericalRangeError (see
+    # test_grid_equivalence); p >= 0.6 keeps every draw on the basis
+    @given(
+        st.floats(min_value=0.6, max_value=1.0),
+        st.floats(min_value=0.01, max_value=0.99),
+        st.integers(min_value=1, max_value=512),
+    )
+    def test_finite_nonnegative_partition(self, p, ratio, big_n):
+        for variant in BasisVariant:
+            config = SchurerConfig(n=big_n, basis_variant=variant)
+            assert_basis_sound(config, PQPair(p, ratio * p), XS_WIDE)
+
+    @pytest.mark.parametrize("big_n", [6, 141, 200])
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (Fraction(9, 10), Fraction(4, 5)),
+            (Fraction(19, 20), Fraction(9, 10)),
+            (Fraction(1), Fraction(99, 100)),
+        ],
+    )
+    def test_matches_exact_rational_basis(self, p, q, big_n):
+        # the float p, q differ from the rationals by half an ulp, which moves
+        # the basis by less than 1e-14 here
+        xs = [float(x) for x in EXACT_XS]
+        for variant in BasisVariant:
+            exact = exact_basis_rows(big_n, p, q, EXACT_XS, variant is BasisVariant.NORMALIZED)
+            config = SchurerConfig(n=big_n, basis_variant=variant)
+            got = basis_matrix(config, PQPair(float(p), float(q)), xs)
+            assert np.abs(got - np.array(exact)).max() <= 1e-13
+
+    @pytest.mark.parametrize("big_n", [1, 2, 5, 9])
+    def test_exact_oracle_is_the_definition(self, big_n):
+        # dyadic p, q and x are floats exactly, so the term-by-term float
+        # definition differs from the exact rows only by its own rounding
+        p, q = Fraction(15, 16), Fraction(5, 8)
+        pq = PQPair(float(p), float(q))
+        xs = (Fraction(0), Fraction(3, 8), Fraction(1))
+        for normalized in (False, True):
+            for x, row in zip(xs, exact_basis_rows(big_n, p, q, xs, normalized)):
+                for k, value in enumerate(row):
+                    want = pq_binomial(big_n, k, pq) * float(x) ** k
+                    want *= pq_power_falling(float(x), big_n - k, pq)
+                    if normalized:
+                        want *= pq.p ** ((k * (k - 1) - big_n * (big_n - 1)) / 2.0)
+                    assert value == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 class TestArgument:

@@ -44,10 +44,12 @@ from .operator_eval import (
     SchurerConfig,
     apply,
     apply_central_moment,
+    apply_many_on_grid,
     apply_on_grid,
     basis_matrix,
     basis_row,
     central_moments_on_grid,
+    raw_moments_on_grid,
     required_domain,
 )
 from .pq_core import (
@@ -79,6 +81,7 @@ __all__ = [
     "alpha_n",
     "apply",
     "apply_central_moment",
+    "apply_many_on_grid",
     "apply_on_grid",
     "basis_matrix",
     "basis_row",
@@ -97,6 +100,7 @@ __all__ = [
     "make_function",
     "pq_integer",
     "pq_rising_two_term",
+    "raw_moments_on_grid",
     "required_domain",
     "run_bounds",
     "run_figure",

@@ -37,6 +37,7 @@ from .operator_eval import (
     SchurerConfig,
     apply_on_grid,
     central_moments_on_grid,
+    raw_moments_on_grid,
 )
 from .pq_core import PQPair
 from .reportio import Report, config_block
@@ -242,12 +243,6 @@ def _errors_and_deltas(
     return xs, errors, delta_n(config, pq, xs)
 
 
-def _scalar_pow(values: np.ndarray, exponent: float) -> np.ndarray:
-    # Python's float power point by point: NumPy's vectorized power differs
-    # from it in the last bit on some inputs, which would change the reports
-    return np.array([v**exponent for v in values.tolist()])
-
-
 def _quad_budget(config: SchurerConfig) -> float:
     return (config.degree + 1) * config.quad_tol
 
@@ -296,7 +291,7 @@ def check_t33(
     # delta_n enters through a concave power: (d - eps)^(a/2) >= d^(a/2) - eps^(a/2)
     slack = 10.0 * budget + m_const * budget ** (alpha / 2.0)
     xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)
-    bounds = m_const * _scalar_pow(deltas, alpha / 2.0)
+    bounds = m_const * deltas ** (alpha / 2.0)
     return _bound_report(
         "t33", config, pq, f, xs, slack, {"lipschitz_m": m_const, "lipschitz_alpha": alpha},
         error=errors, delta_n=deltas, bound_t33=bounds, passed=errors <= bounds + slack,
@@ -322,11 +317,9 @@ def check_t34(
     mg = ModulusGrid(f)
     slack = _modulus_slack(config, mg)
     xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)
-    oracle_m1 = apply_on_grid(
-        config, pq, RealFunction(lambda t: t, f.lo, f.hi, name="id"), xs
-    )
+    oracle_m1 = raw_moments_on_grid(config, pq, xs)[1]
     alphas = alpha_n(config, pq, xs)
-    a_n = deltas + _scalar_pow(alphas - xs, 2)
+    a_n = deltas + (alphas - xs) ** 2
     c_n = np.abs(alphas - xs)
     omega2_term = mg.omega2(np.sqrt(a_n))
     omega_term = mg.omega(c_n)

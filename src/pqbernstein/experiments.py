@@ -23,6 +23,7 @@ from .operator_eval import (
     apply,
     apply_on_grid,
     basis_matrix,
+    raw_moments_on_grid,
     required_domain,
 )
 from .pq_core import PQPair, pq_integer
@@ -199,10 +200,16 @@ def run_korovkin(
     for n in ns:
         pq = sched.pair(n)
         config = SchurerConfig(n=n, ell=ell, basis_variant=basis_variant, quad_tol=quad_tol)
-        errors = {}
-        for name in KOROVKIN_FUNCTIONS:
-            f = _hull_function(name, config, pq)
-            errors[name] = float(np.abs(apply_on_grid(config, pq, f, xs) - f(xs)).max())
+        # e0, e1, e2 from the raw moment means, which are the same truncated rule
+        m0, m1, m2 = raw_moments_on_grid(config, pq, xs)
+        fig = _hull_function("f_fig", config, pq)
+        residuals = {
+            "e0": m0 - 1.0,
+            "e1": m1 - xs,
+            "e2": m2 - xs**2,
+            "f_fig": apply_on_grid(config, pq, fig, xs) - fig(xs),
+        }
+        errors = {name: float(np.abs(residuals[name]).max()) for name in KOROVKIN_FUNCTIONS}
         flags = {
             name: (None if prev is None else bool(errors[name] < prev[name]))
             for name in CONVERGENCE_FLAGGED

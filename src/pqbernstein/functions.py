@@ -21,7 +21,9 @@ class RealFunction:
     """A real-valued map restricted to the closed interval [lo, hi].
 
     ``fn`` must accept numpy arrays (all built-ins do); scalar input returns a
-    float, array input an array of the same shape.
+    float, array input an array of the same shape.  The operator caches its
+    integral means per ``fn`` object, so ``fn`` must be hashable and a pure
+    function of its argument.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)

@@ -27,7 +27,7 @@ from .functions import make_function
 from .operator_eval import (
     BasisVariant,
     SchurerConfig,
-    apply_on_grid,
+    apply_many_on_grid,
     central_moments_on_grid,
     required_domain,
 )
@@ -214,17 +214,19 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
     if xs.min() < 0.0 or xs.max() > 1.0:
         raise ValueError("moment grid must lie inside [0, 1]")
 
+    # the raw moments by direct quadrature of t^j, independent of the raw
+    # means the central moments expand from, so the consistency fields below
+    # compare two evaluations
     lo, hi = required_domain(config, pq)
-    oracle = {
-        name: apply_on_grid(config, pq, make_function(name, lo, hi), xs)
-        for name in ("e0", "e1", "e2")
-    }
+    oracle_m0, oracle_m1, oracle_m2 = apply_many_on_grid(
+        config, pq, [make_function(name, lo, hi) for name in ("e0", "e1", "e2")], xs
+    )
     oracle_c1, oracle_c2 = central_moments_on_grid(config, pq, xs)
     closed_c1, closed_c2 = closed_central_moments(config, pq, xs)
     closed_m1 = closed_first_moment(config, pq, xs)
     closed_m2 = closed_second_moment(config, pq, xs)
     columns = (
-        xs, oracle["e0"], oracle["e1"], oracle["e2"], oracle_c1, oracle_c2,
+        xs, oracle_m0, oracle_m1, oracle_m2, oracle_c1, oracle_c2,
         closed_m1, closed_m2, closed_c1, closed_c2,
     )
     rows = [MomentRow(*cells) for cells in zip(*(col.tolist() for col in columns))]

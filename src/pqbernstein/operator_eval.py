@@ -17,11 +17,17 @@ it is *not* a partition of unity when p < 1 (its sum at degree 2 is
 p + (1-p) x^2).
 
 The integral means do not depend on x, so a whole grid is evaluated at once:
-one (G, N+1) basis matrix times one mean vector.  Central moments expand from
-the raw moment means of t^0, t^1, t^2, kept with the tables.  Where [N k]_r
-overflows (from N = 1234 along the classic and q-only schedules, never for
-q/p below about 0.997) or the argument means do (small p at large N),
-NumericalRangeError is raised instead of returning NaN.
+one (G, N+1) basis matrix times one mean vector.  The basis needs only O(N)
+coefficients and no quadrature rule.  The means need the rule's K nodes and
+the argument coefficients, O(N + K): the arguments c0_k + c1_k t are formed
+one row block at a time and reduced against the weights at once, so the
+(N+1) x K argument table never exists, and the means of each function are
+cached.  The raw moments of t^0, t^1, t^2 expand over the node moments and
+give the central moments.
+
+Where [N k]_r overflows (from N = 1234 along the classic and q-only
+schedules, never for q/p below about 0.997) or the argument means do (small
+p at large N), NumericalRangeError is raised instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
-from .pq_core import PQPair, pq_integer
+from .pq_core import PQPair
 from .pq_quadrature import QuadratureRule, build_rule
 
 
@@ -69,35 +75,43 @@ class NumericalRangeError(ArithmeticError):
     """The basis coefficients of this (config, pq) overflow double precision."""
 
 
-@dataclass(frozen=True, eq=False)
-class _Tables:
-    """Per-(config, pq) precomputation shared by every evaluation."""
+# float64 elements per row block of the integral means (1 MB): the argument
+# values c0_k + c1_k t and f of them exist one block of rows at a time
+MEANS_BLOCK = 2**17
 
-    rule: QuadratureRule
+
+@dataclass(frozen=True, eq=False)
+class _Basis:
+    """Per-(config, pq) basis coefficients; O(N), no quadrature rule."""
+
     coef: np.ndarray         # [N k]_r, times p^{(N(N-1) - k(k-1))/2} for the printed variant
     powers: np.ndarray       # exponents k = 0..N of x^k
     fall: np.ndarray         # r^s, s = 0..N-1, of the falling product prod_{s<N-k} (1 - r^s x)
+    one_minus: np.ndarray    # 1 - r^j, j = 1..N+1
+
+
+@dataclass(frozen=True, eq=False)
+class _Tables:
+    """Per-(config, pq) argument coefficients and rule; O(N + K), no (N+1) x K table."""
+
+    rule: QuadratureRule
     c0: np.ndarray           # [k]/[n+1]
     c1: np.ndarray           # ([k+1]-[k])/[n+1], computed as ((q-1)[k]+p^k)/[n+1]
-    arg: np.ndarray          # argument values, shape (N+1, nodes)
-    raw_means: np.ndarray    # sum_t w_t arg_{k,t}^j for j = 0, 1, 2, shape (3, N+1)
-    domain: tuple[float, float]  # hull of arg, see required_domain
+    raw_means: np.ndarray    # sum_t w_t (c0_k + c1_k t)^j for j = 0, 1, 2, shape (3, N+1)
+    domain: tuple[float, float]  # hull of the arguments, see required_domain
 
 
-# Each entry pins an (N+1) x K argument table (3 MB at classic N = 130).
-# Callers finish with one (config, pq) before they move to the next; the
-# longest walk, a default Korovkin run, visits five.  Eight entries keep a
-# whole run cached without pinning many more tables than it uses.
-@lru_cache(maxsize=8)
-def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
+@lru_cache(maxsize=32)
+def _basis(config: SchurerConfig, pq: PQPair) -> _Basis:
     p, q = pq.p, pq.q
     big_n = config.degree
     k = np.arange(big_n + 1)
     # log r from log1p: rounding r = q/p itself would cost eps/(1-r) relative
     log_r = math.log1p(q - 1.0) - math.log1p(p - 1.0)
-    one_minus = -np.expm1(log_r * np.arange(1, big_n + 1))  # 1 - r^j, j = 1..N
+    one_minus = -np.expm1(log_r * np.arange(1, big_n + 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = np.concatenate([[1.0], np.cumprod(one_minus[::-1] / one_minus)])
+        ratios = one_minus[big_n - 1 :: -1] / one_minus[:big_n]
+        coef = np.concatenate([[1.0], np.cumprod(ratios)])
         if config.basis_variant is BasisVariant.AS_PRINTED:
             # an entry that underflows to 0 is the correctly rounded value
             coef *= p ** ((big_n * (big_n - 1) - k * (k - 1)) / 2)
@@ -106,20 +120,42 @@ def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
             f"basis coefficients are not finite in double precision at N = n + ell = "
             f"{big_n}, p={p!r}, q={q!r} ({config.basis_variant.value} basis)"
         )
-    ints = np.array([pq_integer(j, pq) for j in range(big_n + 1)])
+    return _Basis(
+        coef=coef, powers=k.astype(float), fall=np.exp(log_r * k[:-1]), one_minus=one_minus
+    )
+
+
+def _pq_integers(p: float, one_minus: np.ndarray) -> np.ndarray:
+    """[j]_{p,q} = p^{j-1} (1 - r^j) / (1 - r) for j = 0..len(one_minus), from 1 - r^j."""
+    powers = np.power(p, np.arange(one_minus.size))
+    return np.concatenate([[0.0], powers * (one_minus / one_minus[0])])
+
+
+# Each entry pins the rule's K nodes and weights and a few O(N) vectors
+# (about 50 KB at classic N = 130, 400 KB at N = 1024).  Callers finish with
+# one (config, pq) before they move to the next; the longest walk, a default
+# Korovkin run, visits five.
+@lru_cache(maxsize=8)
+def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
+    # the basis first, so a degree whose coefficients overflow raises here too
+    basis = _basis(config, pq)
+    p, q = pq.p, pq.q
+    big_n = config.degree
+    k = np.arange(big_n + 1)
+    ints = _pq_integers(p, basis.one_minus)  # j = 0..N+1, which covers [n+1]
     rule = build_rule(pq, a=1.0, tol=config.quad_tol)
-    denom = pq_integer(config.n + 1, pq)
-    c0 = ints / denom
-    c1 = ((q - 1.0) * ints + np.power(p, k)) / denom
-    # arguments are affine in t over (0, a/p], so their values at t = 0 and at
-    # the top node bound the hull
-    at_top = c0 + c1 * rule.top_node
-    domain = (min(0.0, float(at_top.min())), max(float(c0.max()), float(at_top.max())))
-    # the raw means expand over the node moments S_j = sum_t w_t t^j, so they
-    # never touch the argument table
-    nodes, weights = rule.nodes, rule.weights
-    s0, s1, s2 = weights.sum(), weights @ nodes, (weights * nodes) @ nodes
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        denom = ints[config.n + 1]
+        c0 = ints[:-1] / denom
+        c1 = ((q - 1.0) * ints[:-1] + np.power(p, k)) / denom
+        # arguments are affine in t over (0, a/p], so their values at t = 0 and
+        # at the top node bound the hull
+        at_top = c0 + c1 * rule.top_node
+        domain = (min(0.0, float(at_top.min())), max(float(c0.max()), float(at_top.max())))
+        # the raw means expand over the node moments S_j = sum_t w_t t^j, so f
+        # is never evaluated for them
+        nodes, weights = rule.nodes, rule.weights
+        s0, s1, s2 = weights.sum(), weights @ nodes, (weights * nodes) @ nodes
         raw_means = np.stack(
             [
                 np.full_like(c0, s0),
@@ -134,17 +170,29 @@ def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
             f"integral means of t^2 are not finite in double precision at N = n + ell = "
             f"{big_n}, p={p!r}, q={q!r} (arguments reach {max(-domain[0], domain[1]):.3g})"
         )
-    return _Tables(
-        rule=rule,
-        coef=coef,
-        powers=k.astype(float),
-        fall=np.exp(log_r * k[:-1]),
-        c0=c0,
-        c1=c1,
-        arg=c0[:, None] + c1[:, None] * rule.nodes[None, :],
-        raw_means=raw_means,
-        domain=domain,
-    )
+    return _Tables(rule=rule, c0=c0, c1=c1, raw_means=raw_means, domain=domain)
+
+
+@lru_cache(maxsize=32)
+def _integral_means(config: SchurerConfig, pq: PQPair, fns: tuple) -> np.ndarray:
+    """sum_t w_t fn(c0_k + c1_k t) per fn and k, shape (len(fns), N+1), read-only.
+
+    The arguments are built and reduced one row block of about MEANS_BLOCK
+    values at a time, shared by every fn, so no (N+1) x K array exists.  The
+    cache keys on the callables themselves: two closures never share an entry,
+    and a fn must be a pure function of its argument.
+    """
+    tb = _tables(config, pq)
+    nodes, weights = tb.rule.nodes, tb.rule.weights
+    out = np.empty((len(fns), tb.c0.size))
+    rows = max(1, MEANS_BLOCK // nodes.size)
+    for start in range(0, tb.c0.size, rows):
+        block = slice(start, start + rows)
+        arg = tb.c0[block, None] + tb.c1[block, None] * nodes
+        for i, fn in enumerate(fns):
+            out[i, block] = np.asarray(fn(arg), dtype=float) @ weights
+    out.flags.writeable = False
+    return out
 
 
 def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
@@ -153,7 +201,7 @@ def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     Term k is coef_k x^k prod_{s<N-k} (1 - r^s x).  A scalar x gives one
     row, which equals the matching row of any grid that contains x.
     """
-    tb = _tables(config, pq)
+    tb = _basis(config, pq)
     x = np.asarray(xs, dtype=float)[..., None]
     falling = (1.0 - tb.fall * x).cumprod(axis=-1)
     out = x**tb.powers
@@ -196,27 +244,49 @@ def _check_covers(config: SchurerConfig, pq: PQPair, f: RealFunction) -> None:
         )
 
 
-def _integral_means(config: SchurerConfig, pq: PQPair, f: RealFunction) -> np.ndarray:
-    # f.fn directly: _check_covers has compared f's domain with the cached
-    # hull of the argument table, so a second scan of the table is redundant
-    tb = _tables(config, pq)
-    return np.asarray(f.fn(tb.arg), dtype=float) @ tb.rule.weights
-
-
 def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float:
     """Operator value at x; linear and positive in f up to quadrature truncation."""
     _check_points(x)
     _check_covers(config, pq, f)
-    return float(basis_row(config, pq, x) @ _integral_means(config, pq, f))
+    return float(basis_row(config, pq, x) @ _integral_means(config, pq, (f.fn,))[0])
+
+
+def apply_many_on_grid(
+    config: SchurerConfig, pq: PQPair, fs, xs: np.ndarray
+) -> list[np.ndarray]:
+    """Operator values of each f in fs on a grid of x, one array per f.
+
+    One pass over the arguments evaluates every f, and one basis matrix
+    serves them all.
+    """
+    _check_points(xs)
+    for f in fs:
+        _check_covers(config, pq, f)
+    # f.fn directly: _check_covers has compared f's domain with the cached
+    # hull of the arguments, so a second scan of them is redundant
+    means = _integral_means(config, pq, tuple(f.fn for f in fs))
+    b = basis_matrix(config, pq, xs)
+    return [b @ m for m in means]
 
 
 def apply_on_grid(
     config: SchurerConfig, pq: PQPair, f: RealFunction, xs: np.ndarray
 ) -> np.ndarray:
     """Operator values on a grid of x; the integral means are shared across x."""
+    return apply_many_on_grid(config, pq, (f,), xs)[0]
+
+
+def raw_moments_on_grid(
+    config: SchurerConfig, pq: PQPair, xs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K(t^j; x) = B(x) @ M_j for j = 0, 1, 2, each of xs.shape.
+
+    M_j are the raw means kept with the tables, expanded over the node
+    moments, so the power functions are never evaluated on the arguments.
+    """
     _check_points(xs)
-    _check_covers(config, pq, f)
-    return basis_matrix(config, pq, xs) @ _integral_means(config, pq, f)
+    b = basis_matrix(config, pq, xs)
+    return tuple(b @ means for means in _tables(config, pq).raw_means)
 
 
 def central_moments_on_grid(
@@ -224,13 +294,11 @@ def central_moments_on_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Operator applied to (t - x) and (t - x)^2 at every x, each of xs.shape.
 
-    Expanded from the raw moments K(t^j; x) = B(x) @ M_j:
-    first = K(t) - x K(1), second = K(t^2) - 2x K(t) + x^2 K(1).
+    Expanded from the raw moments: first = K(t) - x K(1),
+    second = K(t^2) - 2x K(t) + x^2 K(1).
     """
-    _check_points(xs)
     x = np.asarray(xs, dtype=float)[()]  # a NumPy scalar for one point: cheaper arithmetic
-    b = basis_matrix(config, pq, x)
-    m0, m1, m2 = (b @ means for means in _tables(config, pq).raw_means)
+    m0, m1, m2 = raw_moments_on_grid(config, pq, x)
     return m1 - x * m0, m2 - 2.0 * x * m1 + x * x * m0
 
 

@@ -3,19 +3,29 @@
 The oracles below restate the earlier pointwise implementation: the basis row
 from the factorial ratio with separate power tables, the operator as a Python
 loop of basis rows, and the central moments as ((arg - x)^order) @ weights
-per x.
+per x.  The tests at the end cover the O(N + K) means: (p,q)-integers from
+1 - r^j, one pass over the argument blocks per function, the read-only means
+cache, and the memory of a large operator.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pqbernstein.functions import make_function
+from pqbernstein import functions
+from pqbernstein.experiments import KOROVKIN_FUNCTIONS, run_bounds, run_korovkin, schedule
+from pqbernstein.functions import RealFunction, make_function
 from pqbernstein.operator_eval import (
     BasisVariant,
     NumericalRangeError,
     SchurerConfig,
+    _basis,
+    _integral_means,
+    _pq_integers,
     _tables,
     apply_central_moment,
+    apply_many_on_grid,
     apply_on_grid,
     basis_matrix,
     basis_row,
@@ -114,11 +124,19 @@ def test_basis_row_is_exactly_a_grid_row(config, pq):
 
 @pytest.mark.parametrize("config, pq", OPERATORS, ids=IDS)
 def test_argument_table_lies_inside_required_domain(config, pq):
-    # integral means evaluate f on this table without a domain check of
-    # their own, relying on the cached hull that _check_covers compares
+    # integral means evaluate f on the argument blocks without a domain check
+    # of their own, relying on the cached hull that _check_covers compares
     lo, hi = required_domain(config, pq)
-    arg = _tables(config, pq).arg
-    assert lo <= arg.min() and arg.max() <= hi
+    blocks = []
+
+    def recording(t):
+        blocks.append((t.min(), t.max(), t.size))
+        return np.ones_like(t)
+
+    apply_on_grid(config, pq, RealFunction(recording, lo, hi, name="recording"), XS)
+    arguments = (config.degree + 1) * _tables(config, pq).rule.nodes.size
+    assert sum(size for _, _, size in blocks) == arguments
+    assert lo <= min(b[0] for b in blocks) and max(b[1] for b in blocks) <= hi
 
 
 @pytest.mark.parametrize("config, pq", OPERATORS[:4], ids=IDS[:4])
@@ -176,3 +194,89 @@ def test_non_finite_argument_means_raise_typed_error():
     config, pq = SchurerConfig(n=439), PQPair(0.3235, 0.2337)
     with pytest.raises(NumericalRangeError, match="integral means"):
         required_domain(config, pq)
+
+
+def classic(n):
+    return PQPair(1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1))
+
+
+@pytest.mark.parametrize(
+    "n, pq", [(1024, PQPair(1.0, 1.0 - 1.0 / 1025)), (1024, classic(1024)), (200, PQPair(0.9, 0.8))]
+)
+def test_pq_integers_match_the_summation_form(n, pq):
+    ints = _pq_integers(pq.p, _basis(SchurerConfig(n=n), pq).one_minus)
+    want = np.array([pq_integer(j, pq) for j in range(n + 2)])
+    assert ints[0] == 0.0
+    assert np.abs(ints[1:] / want[1:] - 1.0).max() <= 4e-15
+
+
+def test_many_functions_match_single_calls():
+    config, pq = SchurerConfig(n=12, ell=1), PQPair(0.95, 0.9)
+    lo, hi = required_domain(config, pq)
+    fs = [make_function(name, lo, hi) for name in ("e0", "e2", "f_fig")]
+    for f, got in zip(fs, apply_many_on_grid(config, pq, fs, XS)):
+        np.testing.assert_array_equal(got, apply_on_grid(config, pq, f, XS))
+
+
+def test_cached_means_are_read_only():
+    config, pq = SchurerConfig(n=7), PQPair(0.9, 0.8)
+    means = _integral_means(config, pq, (functions._BUILTINS["f_fig"],))
+    assert not means.flags.writeable
+    with pytest.raises(ValueError):
+        means[0, 0] = 0.0
+
+
+def test_distinct_closures_never_share_means():
+    config, pq = SchurerConfig(n=9, ell=1), PQPair(0.9, 0.8)
+    lo, hi = required_domain(config, pq)
+
+    def scaled(c):
+        return lambda t: c * t
+
+    one, two = (apply_on_grid(config, pq, RealFunction(scaled(c), lo, hi), XS) for c in (1.0, 2.0))
+    np.testing.assert_array_equal(two, 2.0 * one)
+    assert one.max() > 0.5
+
+
+def test_t32_and_t34_evaluate_f_fig_over_the_arguments_once(monkeypatch):
+    config, pq = SchurerConfig(n=40, ell=1), classic(40)
+    fig = functions._BUILTINS["f_fig"]
+    block_sizes = []
+
+    def counting(t):
+        if np.ndim(t) == 2:  # argument blocks; modulus and error samples are 1-D
+            block_sizes.append(t.size)
+        return fig(t)
+
+    monkeypatch.setitem(functions._BUILTINS, "f_fig", counting)
+    for theorem in ("t32", "t34"):
+        run_bounds(theorem, config, pq, "f_fig")
+    assert sum(block_sizes) == (config.degree + 1) * _tables(config, pq).rule.nodes.size
+
+
+def test_korovkin_power_columns_match_direct_quadrature():
+    result = run_korovkin(schedule("q-only"), (8, 128), ell=1, grid_size=51)
+    xs = np.linspace(0.0, 1.0, 51)
+    for row in result.rows:
+        config, pq = SchurerConfig(n=row.n, ell=1), PQPair(row.p, row.q)
+        lo, hi = required_domain(config, pq)
+        for name in KOROVKIN_FUNCTIONS:
+            f = make_function(name, min(lo, 0.0), max(hi, 1.0))
+            direct = float(np.abs(apply_on_grid(config, pq, f, xs) - f(xs)).max())
+            assert row.sup_errors[name] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+
+def test_fresh_classic_n1024_apply_stays_small():
+    # the (N+1) x K argument table alone would be 194 MB here (K = 23,614)
+    config, pq = SchurerConfig(n=1024), classic(1024)
+    for cache in (_basis, _tables, _integral_means):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        f = make_function("f_fig", *required_domain(config, pq))
+        values = apply_on_grid(config, pq, f, np.linspace(0.0, 1.0, 101))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(values).all()
+    assert peak < 50 * 2**20

@@ -133,15 +133,6 @@ class MomentRow:
     closed_c1: float
     closed_c2: float
 
-    @property
-    def diffs(self) -> dict[str, float]:
-        return {
-            "m1": abs(self.closed_m1 - self.oracle_m1),
-            "m2": abs(self.closed_m2 - self.oracle_m2),
-            "c1": abs(self.closed_c1 - self.oracle_c1),
-            "c2": abs(self.closed_c2 - self.oracle_c2),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class MomentReport(Report):
@@ -164,13 +155,12 @@ class MomentReport(Report):
 
     def csv_rows(self):
         for r in self.rows:
-            d = r.diffs
             yield (
                 r.x, r.oracle_m0,
-                r.oracle_m1, r.closed_m1, d["m1"],
-                r.oracle_m2, r.closed_m2, d["m2"],
-                r.oracle_c1, r.closed_c1, d["c1"],
-                r.oracle_c2, r.closed_c2, d["c2"],
+                r.oracle_m1, r.closed_m1, abs(r.closed_m1 - r.oracle_m1),
+                r.oracle_m2, r.closed_m2, abs(r.closed_m2 - r.oracle_m2),
+                r.oracle_c1, r.closed_c1, abs(r.closed_c1 - r.oracle_c1),
+                r.oracle_c2, r.closed_c2, abs(r.closed_c2 - r.oracle_c2),
             )
 
     def json_fields(self) -> dict:
@@ -232,7 +222,13 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
     rows = [MomentRow(*cells) for cells in zip(*(col.tolist() for col in columns))]
 
     max_abs_diff = {
-        key: max(r.diffs[key] for r in rows) for key in ("m1", "m2", "c1", "c2")
+        key: float(np.abs(closed - oracle).max())
+        for key, closed, oracle in (
+            ("m1", closed_m1, oracle_m1),
+            ("m2", closed_m2, oracle_m2),
+            ("c1", closed_c1, oracle_c1),
+            ("c2", closed_c2, oracle_c2),
+        )
     }
     flagged = bool(max(max_abs_diff.values()) > 100.0 * config.quad_tol)
     m0_target = 1.0 if config.basis_variant is BasisVariant.NORMALIZED else None

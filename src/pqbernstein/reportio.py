@@ -1,19 +1,31 @@
 """The one serializer behind every report type.
 
 CSV dialect: comma separator, '.' decimal, up to 17 significant digits,
-LF line endings, mandatory header row; None is an empty cell.  JSON
-documents start with ``schema_version`` and ``kind``, carry no timestamps
-and admit no NaN or infinity, so identical inputs give byte-identical,
-strictly valid files.
+LF line endings, mandatory header row; None is an empty cell.  Each column
+is formatted with one format: a column of plain floats goes through
+``%.17g`` as a whole, any other column cell by cell through ``fmt_float``.
+
+JSON documents start with ``schema_version`` and ``kind`` and carry no
+timestamps.  Their fields are indented by two spaces.  A list that holds
+dicts or lists, such as a report's ``rows``, is written one compact element
+per line; any other list, such as the figure's number arrays ``x``, ``f``
+and each entry of ``columns``, on one compact line.  The compact parts come
+from one reused C encoder, one call per list.
+
+Both formats reject NaN and infinity with ValueError, so identical inputs
+give byte-identical, strictly valid files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Iterable, Sequence
 
 SCHEMA_VERSION = "1"
+
+_encode = json.JSONEncoder(allow_nan=False).encode
 
 
 def fmt_float(v) -> str:
@@ -23,17 +35,58 @@ def fmt_float(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {v!r} in CSV output")
     return f"{v:.17g}"
+
+
+def _column_format(cells: tuple) -> tuple[str, Sequence]:
+    """The %-format of one CSV column and the values it substitutes."""
+    if set(map(type, cells)) == {float}:
+        if not all(map(math.isfinite, cells)):
+            raise ValueError("non-finite value in CSV output")
+        return "%.17g", cells
+    return "%s", list(map(fmt_float, cells))
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(columns)]
-    lines += [",".join(map(fmt_float, row)) for row in rows]
+    cells = list(zip(*rows))
+    if cells:
+        formats, values = zip(*map(_column_format, cells))
+        lines += map(",".join(formats).__mod__, zip(*values))
     return "\n".join(lines) + "\n"
 
 
+def _element_lines(items: list, kinds: set, pad: str) -> str:
+    """The elements of items as compact JSON, joined by a comma, newline and pad."""
+    text = _encode(items)[1:-1]
+    for kind, boundary in ((dict, "}, {"), (list, "], [")):
+        # one boundary between each pair of elements and none inside one
+        if kinds == {kind} and text.count(boundary) == len(items) - 1:
+            return text.replace(boundary, boundary[0] + ",\n" + pad + boundary[-1])
+    return (",\n" + pad).join(map(_encode, items))
+
+
+def _json_value(value, pad: str) -> str:
+    """value as JSON text whose continuation lines start with pad."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        fields = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, got {key!r}")
+            fields.append(f"{inner}{_encode(key)}: {_json_value(item, inner)}")
+        return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+    if isinstance(value, list):
+        kinds = set(map(type, value))
+        if kinds & {dict, list}:
+            return "[\n" + inner + _element_lines(value, kinds, inner) + "\n" + pad + "]"
+    return _encode(value)
+
+
 def json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _json_value(doc, "") + "\n"
 
 
 def config_block(config, pq) -> dict:
@@ -77,8 +130,13 @@ class Report:
         )
 
     def write(self, base_path: str) -> tuple[str, str]:
-        """Write base_path.csv and base_path.json; returns both paths."""
+        """Write base_path.csv and base_path.json; returns both paths.
+
+        Both texts are built first, so a value either format rejects leaves
+        no file behind.
+        """
         csv_path, json_path = base_path + ".csv", base_path + ".json"
-        write_text(csv_path, self.to_csv_text())
-        write_text(json_path, self.to_json_text())
+        csv_out, json_out = self.to_csv_text(), self.to_json_text()
+        write_text(csv_path, csv_out)
+        write_text(json_path, json_out)
         return csv_path, json_path

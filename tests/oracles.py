@@ -2,9 +2,10 @@
 
 Each evaluates one definition term by term in plain floats: the
 (p,q)-factorial, binomial and falling power, a single basis value, one
-Kantorovich argument, the moduli of continuity of a function, and the
-modulus tables built in full over every lag.  ``exact_basis_rows`` is the
-exception: it evaluates the basis exactly in rational arithmetic.
+Kantorovich argument, the moduli of continuity of a function, the
+modulus tables built in full over every lag, and the CSV writer that
+formats cell by cell.  ``exact_basis_rows`` is the exception: it evaluates
+the basis exactly in rational arithmetic.
 """
 
 import math
@@ -157,3 +158,24 @@ class FullModulusGrid:
 
     def omega2(self, delta):
         return self._lookup(self._w2, delta)
+
+
+def csv_text_per_cell(columns, rows) -> str:
+    """The CSV writer that formats each cell through the full type test.
+
+    None is an empty cell, a bool true/false, an int its digits and any
+    other value ``.17g``; it checks no finiteness.
+    """
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        return f"{v:.17g}"
+
+    lines = [",".join(columns)]
+    lines += [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"

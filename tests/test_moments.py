@@ -143,6 +143,16 @@ class TestMomentReport:
         assert isinstance(doc["closed_form_discrepancy_flag"], bool)
         assert len(doc["rows"]) == 2
 
+    def test_max_abs_diff_is_the_row_maximum(self):
+        report = build_moment_report(SchurerConfig(n=12, ell=1), PQ, np.linspace(0, 1, 41))
+        for key in ("m1", "m2", "c1", "c2"):
+            per_row = max(
+                abs(getattr(r, f"closed_{key}") - getattr(r, f"oracle_{key}"))
+                for r in report.rows
+            )
+            assert report.max_abs_diff[key] == per_row
+            assert type(report.max_abs_diff[key]) is float
+
     def test_write_both_files(self, tmp_path):
         config = SchurerConfig(n=2, ell=0)
         report = build_moment_report(config, PQ, [0.0, 0.5])

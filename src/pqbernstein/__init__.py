@@ -49,6 +49,7 @@ from .operator_eval import (
     basis_matrix,
     basis_row,
     central_moments_on_grid,
+    evaluate_on_grid,
     raw_moments_on_grid,
     required_domain,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "closed_second_moment",
     "custom_schedule",
     "delta_n",
+    "evaluate_on_grid",
     "integrate",
     "make_function",
     "pq_integer",

@@ -33,12 +33,7 @@ import numpy as np
 
 from .functions import RealFunction
 from .moments_closed import closed_first_moment
-from .operator_eval import (
-    SchurerConfig,
-    apply_on_grid,
-    central_moments_on_grid,
-    raw_moments_on_grid,
-)
+from .operator_eval import SchurerConfig, central_moments_on_grid, evaluate_on_grid
 from .pq_core import PQPair
 from .reportio import Report, config_block
 
@@ -236,11 +231,12 @@ def _bound_report(
 
 def _errors_and_deltas(
     config: SchurerConfig, pq: PQPair, f: RealFunction, grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid, |K(f;x) - f(x)| and delta_n(x) on it."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid, |K(f;x) - f(x)|, delta_n(x) and K(t;x) on it, from one basis matrix."""
     xs = np.asarray(grid, dtype=float)
-    errors = np.abs(apply_on_grid(config, pq, f, xs) - f(xs))
-    return xs, errors, delta_n(config, pq, xs)
+    op = evaluate_on_grid(config, pq, (f,), xs)
+    errors = np.abs(op.values[0] - f(xs))
+    return xs, errors, np.maximum(op.central[1], 0.0), op.raw[1]
 
 
 def _quad_budget(config: SchurerConfig) -> float:
@@ -265,7 +261,7 @@ def check_t32(
     """
     mg = ModulusGrid(f)
     slack = _modulus_slack(config, mg)
-    xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)
+    xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
     bounds = 2.0 * mg.omega(np.sqrt(deltas))
     return _bound_report(
         "t32", config, pq, f, xs, slack, {"modulus_grid_step": mg.step},
@@ -290,7 +286,7 @@ def check_t33(
     budget = _quad_budget(config)
     # delta_n enters through a concave power: (d - eps)^(a/2) >= d^(a/2) - eps^(a/2)
     slack = 10.0 * budget + m_const * budget ** (alpha / 2.0)
-    xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)
+    xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
     bounds = m_const * deltas ** (alpha / 2.0)
     return _bound_report(
         "t33", config, pq, f, xs, slack, {"lipschitz_m": m_const, "lipschitz_alpha": alpha},
@@ -316,8 +312,7 @@ def check_t34(
         raise ValueError(f"ratio_cap must be positive, got {ratio_cap!r}")
     mg = ModulusGrid(f)
     slack = _modulus_slack(config, mg)
-    xs, errors, deltas = _errors_and_deltas(config, pq, f, grid)
-    oracle_m1 = raw_moments_on_grid(config, pq, xs)[1]
+    xs, errors, deltas, oracle_m1 = _errors_and_deltas(config, pq, f, grid)
     alphas = alpha_n(config, pq, xs)
     a_n = deltas + (alphas - xs) ** 2
     c_n = np.abs(alphas - xs)

@@ -23,7 +23,7 @@ from .operator_eval import (
     apply,
     apply_on_grid,
     basis_matrix,
-    raw_moments_on_grid,
+    evaluate_on_grid,
     required_domain,
 )
 from .pq_core import PQPair, pq_integer
@@ -200,14 +200,15 @@ def run_korovkin(
     for n in ns:
         pq = sched.pair(n)
         config = SchurerConfig(n=n, ell=ell, basis_variant=basis_variant, quad_tol=quad_tol)
-        # e0, e1, e2 from the raw moment means, which are the same truncated rule
-        m0, m1, m2 = raw_moments_on_grid(config, pq, xs)
         fig = _hull_function("f_fig", config, pq)
+        # e0, e1, e2 from the raw moment means, which are the same truncated rule
+        op = evaluate_on_grid(config, pq, (fig,), xs)
+        m0, m1, m2 = op.raw
         residuals = {
             "e0": m0 - 1.0,
             "e1": m1 - xs,
             "e2": m2 - xs**2,
-            "f_fig": apply_on_grid(config, pq, fig, xs) - fig(xs),
+            "f_fig": op.values[0] - fig(xs),
         }
         errors = {name: float(np.abs(residuals[name]).max()) for name in KOROVKIN_FUNCTIONS}
         flags = {
@@ -271,8 +272,14 @@ class FigureTable(Report):
         }
 
 
+def _label_number(v: float) -> str:
+    # :g keeps 6 significant digits, so it names v only if it reads back as v
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 def _figure_label(p: float, q: float, n: int) -> str:
-    return f"K_p{p:g}_q{q:g}_n{n}"
+    return f"K_p{_label_number(p)}_q{_label_number(q)}_n{n}"
 
 
 def run_figure(
@@ -285,14 +292,15 @@ def run_figure(
     """Columns of K(f_fig) for each (p, q, n) triple next to f_fig itself."""
     if not params:
         raise ConfigError("figure needs at least one (p, q, n) triple")
+    triples = tuple((float(p), float(q), int(n)) for p, q, n in params)
+    if len(set(triples)) < len(triples):
+        raise ConfigError("figure (p, q, n) triples must be distinct")
     xs = _validate_run_grid(grid_size)
     columns = []
     f_vals = None
-    for p, q, n in params:
-        pq = PQPair(float(p), float(q))
-        config = SchurerConfig(
-            n=int(n), ell=ell, basis_variant=basis_variant, quad_tol=quad_tol
-        )
+    for p, q, n in triples:
+        pq = PQPair(p, q)
+        config = SchurerConfig(n=n, ell=ell, basis_variant=basis_variant, quad_tol=quad_tol)
         f = _hull_function("f_fig", config, pq)
         if f_vals is None:
             f_vals = f(xs)
@@ -302,7 +310,7 @@ def run_figure(
         grid_size=grid_size,
         quad_tol=quad_tol,
         basis_variant=basis_variant,
-        params=tuple((float(p), float(q), int(n)) for p, q, n in params),
+        params=triples,
         xs=xs,
         f_values=f_vals,
         columns=tuple(columns),

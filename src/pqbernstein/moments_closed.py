@@ -27,8 +27,7 @@ from .functions import make_function
 from .operator_eval import (
     BasisVariant,
     SchurerConfig,
-    apply_many_on_grid,
-    central_moments_on_grid,
+    evaluate_on_grid,
     required_domain,
 )
 from .pq_core import PQPair, pq_integer, pq_rising_two_term
@@ -208,10 +207,11 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
     # means the central moments expand from, so the consistency fields below
     # compare two evaluations
     lo, hi = required_domain(config, pq)
-    oracle_m0, oracle_m1, oracle_m2 = apply_many_on_grid(
+    oracle = evaluate_on_grid(
         config, pq, [make_function(name, lo, hi) for name in ("e0", "e1", "e2")], xs
     )
-    oracle_c1, oracle_c2 = central_moments_on_grid(config, pq, xs)
+    oracle_m0, oracle_m1, oracle_m2 = oracle.values
+    oracle_c1, oracle_c2 = oracle.central
     closed_c1, closed_c2 = closed_central_moments(config, pq, xs)
     closed_m1 = closed_first_moment(config, pq, xs)
     closed_m2 = closed_second_moment(config, pq, xs)

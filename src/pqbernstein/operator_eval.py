@@ -17,13 +17,16 @@ it is *not* a partition of unity when p < 1 (its sum at degree 2 is
 p + (1-p) x^2).
 
 The integral means do not depend on x, so a whole grid is evaluated at once:
-one (G, N+1) basis matrix times one mean vector.  The basis needs only O(N)
-coefficients and no quadrature rule.  The means need the rule's K nodes and
-the argument coefficients, O(N + K): the arguments c0_k + c1_k t are formed
-one row block at a time and reduced against the weights at once, so the
-(N+1) x K argument table never exists, and the means of each function are
-cached.  The raw moments of t^0, t^1, t^2 expand over the node moments and
-give the central moments.
+one (G, N+1) basis matrix times one mean vector.  evaluate_on_grid builds
+that matrix once per call and applies it to the raw moment means and to the
+means of every function asked for; the other grid functions are cases of it.
+The basis needs only O(N) coefficients and no quadrature rule.  The means
+need the rule's K nodes and the argument coefficients, O(N + K): the
+arguments c0_k + c1_k t are formed one row block of MEANS_BLOCK values at a
+time, sized to stay in a core's L2 cache, and reduced against the weights at
+once, so the (N+1) x K argument table never exists, and the means of each
+function are cached.  The raw moments of t^0, t^1, t^2 expand over the node
+moments and give the central moments.
 
 Where [N k]_r overflows (from N = 1234 along the classic and q-only
 schedules, never for q/p below about 0.997) or the argument means do (small
@@ -36,6 +39,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +69,13 @@ class SchurerConfig:
             raise ValueError(f"ell must be an integer >= 0, got {self.ell!r}")
         if not (self.quad_tol > 0.0 and math.isfinite(self.quad_tol)):
             raise ValueError(f"quad_tol must be positive and finite, got {self.quad_tol!r}")
+        # every cache lookup hashes the config: hash once, from numbers only,
+        # so the value is the same in every process and survives pickling
+        variant = self.basis_variant is BasisVariant.AS_PRINTED
+        object.__setattr__(self, "_hash", hash((self.n, self.ell, variant, self.quad_tol)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -75,9 +86,13 @@ class NumericalRangeError(ArithmeticError):
     """The basis coefficients of this (config, pq) overflow double precision."""
 
 
-# float64 elements per row block of the integral means (1 MB): the argument
-# values c0_k + c1_k t and f of them exist one block of rows at a time
-MEANS_BLOCK = 2**17
+# float64 elements per row block of the integral means (256 KB): the argument
+# values c0_k + c1_k t and f of them exist one block of rows at a time.  A
+# block and the four or so temporaries of f_fig (1 + cos(5 t^2)) fit in a
+# 2 MB per-core L2 cache; at 2**17 (1 MB) they spill to L3.  Timed on a
+# 2-vCPU Xeon on sweep-shaped means (n = 8..128, K up to about 3,000),
+# relative to 2**17: 2**14 0.84, 2**15 0.82, 2**16 0.86, 2**18 1.26.
+MEANS_BLOCK = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +201,8 @@ def _integral_means(config: SchurerConfig, pq: PQPair, fns: tuple) -> np.ndarray
     nodes, weights = tb.rule.nodes, tb.rule.weights
     out = np.empty((len(fns), tb.c0.size))
     rows = max(1, MEANS_BLOCK // nodes.size)
-    for start in range(0, tb.c0.size, rows):
+    # no fn: no argument block either
+    for start in range(0, tb.c0.size, rows) if fns else ():
         block = slice(start, start + rows)
         arg = tb.c0[block, None] + tb.c1[block, None] * nodes
         for i, fn in enumerate(fns):
@@ -251,22 +267,46 @@ def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float
     return float(basis_row(config, pq, x) @ _integral_means(config, pq, (f.fn,))[0])
 
 
-def apply_many_on_grid(
-    config: SchurerConfig, pq: PQPair, fs, xs: np.ndarray
-) -> list[np.ndarray]:
-    """Operator values of each f in fs on a grid of x, one array per f.
+class GridEvaluation(NamedTuple):
+    """Operator values at the points x, all from one basis matrix."""
 
-    One pass over the arguments evaluates every f, and one basis matrix
-    serves them all.
+    x: np.ndarray               # the points as evaluated; a NumPy scalar for one point
+    raw: tuple[np.ndarray, np.ndarray, np.ndarray]  # K(t^j; x) for j = 0, 1, 2
+    values: list[np.ndarray]    # K(f; x), one per f asked for
+
+    @property
+    def central(self) -> tuple[np.ndarray, np.ndarray]:
+        """K((t - x); x) = K(t) - x K(1) and K((t - x)^2; x) = K(t^2) - 2x K(t) + x^2 K(1)."""
+        x = self.x
+        m0, m1, m2 = self.raw
+        return m1 - x * m0, m2 - 2.0 * x * m1 + x * x * m0
+
+
+def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluation:
+    """K(t^j; x) for j = 0, 1, 2 and K(f; x) for each f in fs, each of xs.shape.
+
+    One basis matrix serves them all.  The raw moments come from the means
+    kept with the tables, expanded over the node moments, so the power
+    functions are never evaluated on the arguments; the fs share one pass
+    over the argument blocks.
     """
     _check_points(xs)
     for f in fs:
         _check_covers(config, pq, f)
+    x = np.asarray(xs, dtype=float)[()]  # a NumPy scalar for one point: cheaper arithmetic
     # f.fn directly: _check_covers has compared f's domain with the cached
     # hull of the arguments, so a second scan of them is redundant
     means = _integral_means(config, pq, tuple(f.fn for f in fs))
-    b = basis_matrix(config, pq, xs)
-    return [b @ m for m in means]
+    raw_means = _tables(config, pq).raw_means
+    b = basis_matrix(config, pq, x)
+    return GridEvaluation(x, tuple(b @ m for m in raw_means), [b @ m for m in means])
+
+
+def apply_many_on_grid(
+    config: SchurerConfig, pq: PQPair, fs, xs: np.ndarray
+) -> list[np.ndarray]:
+    """Operator values of each f in fs on a grid of x, one array per f."""
+    return evaluate_on_grid(config, pq, fs, xs).values
 
 
 def apply_on_grid(
@@ -279,27 +319,15 @@ def apply_on_grid(
 def raw_moments_on_grid(
     config: SchurerConfig, pq: PQPair, xs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K(t^j; x) = B(x) @ M_j for j = 0, 1, 2, each of xs.shape.
-
-    M_j are the raw means kept with the tables, expanded over the node
-    moments, so the power functions are never evaluated on the arguments.
-    """
-    _check_points(xs)
-    b = basis_matrix(config, pq, xs)
-    return tuple(b @ means for means in _tables(config, pq).raw_means)
+    """K(t^j; x) for j = 0, 1, 2, each of xs.shape."""
+    return evaluate_on_grid(config, pq, (), xs).raw
 
 
 def central_moments_on_grid(
     config: SchurerConfig, pq: PQPair, xs
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Operator applied to (t - x) and (t - x)^2 at every x, each of xs.shape.
-
-    Expanded from the raw moments: first = K(t) - x K(1),
-    second = K(t^2) - 2x K(t) + x^2 K(1).
-    """
-    x = np.asarray(xs, dtype=float)[()]  # a NumPy scalar for one point: cheaper arithmetic
-    m0, m1, m2 = raw_moments_on_grid(config, pq, x)
-    return m1 - x * m0, m2 - 2.0 * x * m1 + x * x * m0
+    """Operator applied to (t - x) and (t - x)^2 at every x, each of xs.shape."""
+    return evaluate_on_grid(config, pq, (), xs).central
 
 
 def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int) -> float:

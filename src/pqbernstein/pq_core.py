@@ -28,6 +28,11 @@ class PQPair:
         # plain floats, so NumPy scalar types never reach the reports
         object.__setattr__(self, "p", float(p))
         object.__setattr__(self, "q", float(q))
+        # every cache lookup hashes the pair: hash it once
+        object.__setattr__(self, "_hash", hash((self.p, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def pq_integer(n: int, pq: PQPair) -> float:

@@ -114,6 +114,23 @@ class TestRunFigure:
         with pytest.raises(ConfigError):
             run_figure([], grid_size=5)
 
+    def test_default_labels(self):
+        table = run_figure(grid_size=5)
+        assert [label for label, _ in table.columns] == [
+            "K_p0.95_q0.9_n10", "K_p0.98_q0.95_n30", "K_p0.999_q0.99_n100"
+        ]
+
+    def test_labels_name_parameters_beyond_six_digits(self):
+        # both p print as 0.999999 under :g
+        table = run_figure([(0.9999991, 0.99, 10), (0.9999992, 0.99, 10)], grid_size=5)
+        labels = [label for label, _ in table.columns]
+        assert labels == ["K_p0.9999991_q0.99_n10", "K_p0.9999992_q0.99_n10"]
+        assert list(json.loads(table.to_json_text())["columns"]) == labels
+
+    def test_rejects_duplicate_triples(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            run_figure([(0.95, 0.9, 6), (0.99, 0.95, 12), (0.95, 0.9, 6.0)], grid_size=5)
+
     def test_byte_identical_reruns(self):
         a = run_figure(ell=2, grid_size=31)
         b = run_figure(ell=2, grid_size=31)
@@ -261,6 +278,13 @@ class TestCLI:
         assert main(["figure", "--params", "0.95:0.9:6", "--grid", "5"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "x,f,K_p0.95_q0.9_n6"
+
+    def test_figure_duplicate_triples_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "fig"
+        argv = ["figure", "--params", "0.95:0.9:6,0.950:0.90:6", "--grid", "5", "--out", str(out)]
+        assert main(argv) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_figure_json_format(self, tmp_path, capsys):
         code = main(

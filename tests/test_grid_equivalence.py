@@ -5,7 +5,8 @@ from the factorial ratio with separate power tables, the operator as a Python
 loop of basis rows, and the central moments as ((arg - x)^order) @ weights
 per x.  The tests at the end cover the O(N + K) means: (p,q)-integers from
 1 - r^j, one pass over the argument blocks per function, the read-only means
-cache, and the memory of a large operator.
+cache, the memory of a large operator, means that do not depend on the block
+size, and one basis matrix per Korovkin degree, bound check and moment report.
 """
 
 import tracemalloc
@@ -13,9 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pqbernstein import functions
+from pqbernstein import functions, operator_eval
+from pqbernstein.error_bounds import check_t32, check_t33, check_t34
 from pqbernstein.experiments import KOROVKIN_FUNCTIONS, run_bounds, run_korovkin, schedule
 from pqbernstein.functions import RealFunction, make_function
+from pqbernstein.moments_closed import build_moment_report
 from pqbernstein.operator_eval import (
     BasisVariant,
     NumericalRangeError,
@@ -30,6 +33,8 @@ from pqbernstein.operator_eval import (
     basis_matrix,
     basis_row,
     central_moments_on_grid,
+    evaluate_on_grid,
+    raw_moments_on_grid,
     required_domain,
 )
 from pqbernstein.pq_core import PQPair, pq_integer
@@ -134,8 +139,11 @@ def test_argument_table_lies_inside_required_domain(config, pq):
         return np.ones_like(t)
 
     apply_on_grid(config, pq, RealFunction(recording, lo, hi, name="recording"), XS)
-    arguments = (config.degree + 1) * _tables(config, pq).rule.nodes.size
+    nodes = _tables(config, pq).rule.nodes.size
+    arguments = (config.degree + 1) * nodes
     assert sum(size for _, _, size in blocks) == arguments
+    rows = max(1, operator_eval.MEANS_BLOCK // nodes)
+    assert all(size == rows * nodes for _, _, size in blocks[:-1])
     assert lo <= min(b[0] for b in blocks) and max(b[1] for b in blocks) <= hi
 
 
@@ -280,3 +288,83 @@ def test_fresh_classic_n1024_apply_stays_small():
         tracemalloc.stop()
     assert np.isfinite(values).all()
     assert peak < 50 * 2**20
+
+
+@pytest.mark.parametrize("block", [2**8, 2**20])
+@pytest.mark.parametrize("config, pq", OPERATORS[::3], ids=IDS[::3])
+def test_means_do_not_depend_on_the_block_size(config, pq, block, monkeypatch):
+    fns = tuple(functions._BUILTINS[name] for name in ("e2", "f_fig", "holder_half"))
+    _integral_means.cache_clear()
+    default = _integral_means(config, pq, fns)
+    _integral_means.cache_clear()
+    monkeypatch.setattr(operator_eval, "MEANS_BLOCK", block)
+    try:
+        patched = _integral_means(config, pq, fns)
+    finally:
+        _integral_means.cache_clear()
+    assert np.abs(patched - default).max() <= 1e-14 * np.abs(default).max()
+
+
+def test_no_functions_build_no_argument_block():
+    # one block at classic n = 128 (K about 3,000) holds MEANS_BLOCK floats
+    config, pq = SchurerConfig(n=128), classic(128)
+    _tables(config, pq)
+    _integral_means.cache_clear()
+    tracemalloc.start()
+    try:
+        means = _integral_means(config, pq, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert means.shape == (0, config.degree + 1) and not means.flags.writeable
+    assert peak < 8 * operator_eval.MEANS_BLOCK / 4  # a quarter of one block's bytes
+    assert apply_many_on_grid(config, pq, [], XS) == []
+
+
+def test_evaluate_on_grid_is_each_grid_function():
+    config, pq = SchurerConfig(n=12, ell=1), PQPair(0.95, 0.9)
+    lo, hi = required_domain(config, pq)
+    fs = [make_function(name, lo, hi) for name in ("e2", "f_fig")]
+    op = evaluate_on_grid(config, pq, fs, XS)
+    for got, want in zip(op.values, apply_many_on_grid(config, pq, fs, XS)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(op.raw, raw_moments_on_grid(config, pq, XS)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(op.central, central_moments_on_grid(config, pq, XS)):
+        np.testing.assert_array_equal(got, want)
+    one = evaluate_on_grid(config, pq, fs, 0.3)
+    assert np.ndim(one.x) == 0 and np.ndim(one.central[1]) == 0
+
+
+@pytest.fixture
+def basis_builds(monkeypatch):
+    """Counts basis_matrix calls made through operator_eval."""
+    calls = []
+    real = operator_eval.basis_matrix
+
+    def counting(*args):
+        calls.append(args[0].degree)
+        return real(*args)
+
+    monkeypatch.setattr(operator_eval, "basis_matrix", counting)
+    return calls
+
+
+def test_korovkin_builds_one_basis_matrix_per_degree(basis_builds):
+    run_korovkin(schedule("classic"), (8, 16, 128), ell=1, grid_size=21)
+    assert basis_builds == [9, 17, 129]
+
+
+def test_bound_checks_and_moment_report_build_one_basis_matrix_each(basis_builds):
+    config, pq = SchurerConfig(n=16, ell=1), classic(16)
+    lo, hi = required_domain(config, pq)
+    fig, half = make_function("f_fig", lo, hi), make_function("holder_half", lo, hi)
+    for check in (
+        lambda: check_t32(config, pq, fig, XS),
+        lambda: check_t33(config, pq, half, 1.0, 0.5, XS),
+        lambda: check_t34(config, pq, fig, XS),
+        lambda: build_moment_report(config, pq, XS),
+    ):
+        basis_builds.clear()
+        check()
+        assert basis_builds == [config.degree]

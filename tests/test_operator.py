@@ -1,5 +1,11 @@
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +373,41 @@ class TestCentralMoments:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             apply_central_moment(SchurerConfig(n=4), PQ, 0.5, 3)
+
+
+class TestConfigHash:
+    def test_equal_configs_hash_equal(self):
+        one = SchurerConfig(n=6, ell=2, basis_variant=BasisVariant.AS_PRINTED, quad_tol=1e-9)
+        two = SchurerConfig(6, 2, BasisVariant.AS_PRINTED, 1e-9)
+        assert one == two and hash(one) == hash(two)
+        assert SchurerConfig(n=6, ell=2, quad_tol=1e-9) != one
+
+    def test_cached_hash_keeps_the_dataclass_surface(self):
+        config = SchurerConfig(n=6, ell=2)
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "n", "ell", "basis_variant", "quad_tol"
+        ]
+        assert "_hash" not in repr(config)
+        moved = dataclasses.replace(config, basis_variant=BasisVariant.AS_PRINTED)
+        fresh = SchurerConfig(n=6, ell=2, basis_variant=BasisVariant.AS_PRINTED)
+        assert moved == fresh and hash(moved) == hash(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.n = 7
+
+    def test_unpickled_keys_from_another_process_find_their_entry(self):
+        # the child hashes str and Enum values with another seed, so a hash
+        # built from them would be stale here
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": str(src)}
+        code = (
+            "import pickle, sys\n"
+            "from pqbernstein import BasisVariant, PQPair, SchurerConfig\n"
+            "key = (SchurerConfig(n=7, ell=1, basis_variant=BasisVariant.AS_PRINTED),"
+            " PQPair(0.9, 0.8))\n"
+            "sys.stdout.buffer.write(pickle.dumps(key))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, env=env
+        ).stdout
+        key = (SchurerConfig(n=7, ell=1, basis_variant=BasisVariant.AS_PRINTED), PQPair(0.9, 0.8))
+        assert {key: "entry"}[pickle.loads(out)] == "entry"

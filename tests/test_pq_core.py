@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +51,15 @@ class TestPQPair:
     def test_hashable_by_value(self):
         assert PQPair(0.9, 0.8) == PQPair(0.9, 0.8)
         assert hash(PQPair(0.9, 0.8)) == hash(PQPair(0.9, 0.8))
+
+    def test_cached_hash_keeps_the_dataclass_surface(self):
+        pq = PQPair(0.9, 0.8)
+        assert [f.name for f in dataclasses.fields(pq)] == ["p", "q"]
+        assert repr(pq) == "PQPair(p=0.9, q=0.8)"
+        moved = dataclasses.replace(pq, q=0.7)
+        assert moved == PQPair(0.9, 0.7) and hash(moved) == hash(PQPair(0.9, 0.7))
+        # NumPy floats become plain floats, so they hash as the equal pair
+        assert hash(PQPair(np.float64(0.9), np.float32(0.5))) == hash(PQPair(0.9, 0.5))
 
 
 class TestPQInteger:

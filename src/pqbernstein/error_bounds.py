@@ -26,7 +26,8 @@ the modulus sits on the large side; the slack budget covers the error side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -170,6 +171,7 @@ class BoundRow:
 
 
 _ROW_CELLS = attrgetter(*CSV_COLUMNS)
+_ROW_FIELDS = tuple(field.name for field in fields(BoundRow))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,14 +217,18 @@ def _bound_report(
     **columns: np.ndarray,
 ) -> BoundReport:
     """One BoundRow per grid point from named columns over xs; None cells stay unset."""
-    names = ("x", *columns)
-    cells = zip(xs.tolist(), *(col.tolist() for col in columns.values()))
+    columns = {"x": xs, **columns}
+    # positional cells in field order; a field without a column stays None
+    cells = [
+        columns[name].tolist() if name in columns else repeat(None)
+        for name in _ROW_FIELDS
+    ]
     return BoundReport(
         theorem=theorem,
         config=config,
         pq=pq,
         function_name=f.name,
-        rows=tuple(BoundRow(**dict(zip(names, row))) for row in cells),
+        rows=tuple(map(BoundRow, *cells)),
         slack=slack,
         all_passed=bool(columns["passed"].all()),
         extras=extras,

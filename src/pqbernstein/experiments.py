@@ -97,7 +97,7 @@ def custom_schedule(
             f"custom schedule lists must align: {len(n_list)} n's, "
             f"{len(p_list)} p's, {len(q_list)} q's"
         )
-    table = {int(n): (float(p), float(q)) for n, p, q in zip(n_list, p_list, q_list)}
+    table = {_degree(n): (float(p), float(q)) for n, p, q in zip(n_list, p_list, q_list)}
 
     def pair_fn(n: int) -> tuple[float, float]:
         if n not in table:
@@ -113,8 +113,19 @@ def _validate_run_grid(grid_size: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid_size)
 
 
+def _degree(n) -> int:
+    """n as an int; a value that is not an integer (6.5, NaN, "6") is rejected."""
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"degree n must be an integer, got {n!r}") from exc
+    if k != n:
+        raise ConfigError(f"degree n must be an integer, got {n!r}")
+    return k
+
+
 def _validate_n_list(n_list: Sequence[int]) -> list[int]:
-    ns = [int(n) for n in n_list]
+    ns = [_degree(n) for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"n list must be non-empty and strictly increasing, got {ns}")
     return ns
@@ -292,7 +303,7 @@ def run_figure(
     """Columns of K(f_fig) for each (p, q, n) triple next to f_fig itself."""
     if not params:
         raise ConfigError("figure needs at least one (p, q, n) triple")
-    triples = tuple((float(p), float(q), int(n)) for p, q, n in params)
+    triples = tuple((float(p), float(q), _degree(n)) for p, q, n in params)
     if len(set(triples)) < len(triples):
         raise ConfigError("figure (p, q, n) triples must be distinct")
     xs = _validate_run_grid(grid_size)

@@ -13,13 +13,17 @@ extra q on its x^2 bracket.  Measured behaviour: the raw-moment forms are
 exact for N = n + ell = 1 and drift for larger N.
 
 Each closed form takes one x or a whole x-grid (a NumPy array) and returns
-the same shape; on a grid its (p,q)-integer constants are computed once, and
-the values are identical to those of the pointwise calls.
+the same shape, with values identical to those of the pointwise calls.  Per
+call, each distinct rising product and (p,q)-integer is computed once.  A
+rising product is one blocked product over the grid (pq_rising_two_term);
+the central moments take (p x + 1 - x)^N as (p x + 1 - x)^{N-1} times its
+last factor, the order the product itself multiplies in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -55,6 +59,12 @@ CSV_COLUMNS = (
 )
 
 
+def _last_factor(c: float, x, m: int, pq: PQPair):
+    """Factor s = m - 1 of (c x + 1 - x)^m_{p,q}, rounded as the product rounds it."""
+    s = m - 1
+    return pq.p**s * c * x + pq.q**s * (1.0 - x)
+
+
 def closed_first_moment(
     config: SchurerConfig, pq: PQPair, x: float | np.ndarray
 ) -> float | np.ndarray:
@@ -74,17 +84,18 @@ def closed_second_moment(
     big_n = config.degree
     two, three = pq_integer(2, pq), pq_integer(3, pq)
     np1 = pq_integer(config.n + 1, pq)
+    int_n = pq_integer(big_n, pq)
     head = pq_rising_two_term(p * p, 1.0, x, 1.0 - x, big_n, pq) / (three * np1**2)
     mid_coef = 1.0 + 2.0 * q / two + (q * q - 1.0) / three
     mid = (
         mid_coef
-        * pq_integer(big_n, pq)
+        * int_n
         / np1**2
         * pq_rising_two_term(p, 1.0, x, 1.0 - x, big_n - 1, pq)
         * x
     )
     tail_coef = 1.0 + 2.0 * (q - 1.0) / two + (q - 1.0) ** 2 / three
-    tail = tail_coef * pq_integer(big_n, pq) * pq_integer(big_n - 1, pq) / np1**2 * x * x
+    tail = tail_coef * int_n * pq_integer(big_n - 1, pq) / np1**2 * x * x
     return head + mid + tail
 
 
@@ -96,24 +107,22 @@ def closed_central_moments(
     big_n = config.degree
     two, three = pq_integer(2, pq), pq_integer(3, pq)
     np1 = pq_integer(config.n + 1, pq)
+    int_n = pq_integer(big_n, pq)
+    rising_p2 = pq_rising_two_term(p * p, 1.0, x, 1.0 - x, big_n, pq)
+    rising_p_short = pq_rising_two_term(p, 1.0, x, 1.0 - x, big_n - 1, pq)
+    rising_p = rising_p_short * _last_factor(p, x, big_n, pq)
 
-    c1 = pq_rising_two_term(p * p, 1.0, x, 1.0 - x, big_n, pq) / (two * np1) + (
-        (p + 2.0 * q - 1.0) / (two * np1) - 1.0
-    ) * x
+    c1 = rising_p2 / (two * np1) + ((p + 2.0 * q - 1.0) / (two * np1) - 1.0) * x
 
-    head = pq_rising_two_term(p * p, 1.0, x, 1.0 - x, big_n, pq) / (three * np1**2)
+    head = rising_p2 / (three * np1**2)
     mid_coef = 1.0 + 2.0 * q / two + (q * q - 1.0) / three
     mid = (
-        mid_coef
-        * pq_integer(big_n, pq)
-        * pq_rising_two_term(p, 1.0, x, 1.0 - x, big_n - 1, pq)
-        / np1**2
-        - 2.0 * pq_rising_two_term(p, 1.0, x, 1.0 - x, big_n, pq) / (two * np1)
+        mid_coef * int_n * rising_p_short / np1**2 - 2.0 * rising_p / (two * np1)
     ) * x
     tail_coef = 1.0 + 2.0 * (q - 1.0) / two + (q - 1.0) ** 2 / three
     tail = (
-        q * tail_coef * pq_integer(big_n, pq) * pq_integer(big_n - 1, pq) / np1**2
-        - 2.0 * (p + 2.0 * q - 1.0) * pq_integer(big_n, pq) / (two * np1)
+        q * tail_coef * int_n * pq_integer(big_n - 1, pq) / np1**2
+        - 2.0 * (p + 2.0 * q - 1.0) * int_n / (two * np1)
         + 1.0
     ) * x * x
     return c1, head + mid + tail
@@ -215,11 +224,12 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
     closed_c1, closed_c2 = closed_central_moments(config, pq, xs)
     closed_m1 = closed_first_moment(config, pq, xs)
     closed_m2 = closed_second_moment(config, pq, xs)
+    x_list = xs.tolist()
     columns = (
-        xs, oracle_m0, oracle_m1, oracle_m2, oracle_c1, oracle_c2,
+        oracle_m0, oracle_m1, oracle_m2, oracle_c1, oracle_c2,
         closed_m1, closed_m2, closed_c1, closed_c2,
     )
-    rows = [MomentRow(*cells) for cells in zip(*(col.tolist() for col in columns))]
+    rows = tuple(map(MomentRow, x_list, *(col.tolist() for col in columns)))
 
     max_abs_diff = {
         key: float(np.abs(closed - oracle).max())
@@ -233,20 +243,20 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
     flagged = bool(max(max_abs_diff.values()) > 100.0 * config.quad_tol)
     m0_target = 1.0 if config.basis_variant is BasisVariant.NORMALIZED else None
     max_m0_dev = (
-        max(abs(r.oracle_m0 - m0_target) for r in rows) if m0_target is not None else 0.0
+        float(np.abs(oracle_m0 - m0_target).max()) if m0_target is not None else 0.0
     )
+    # x**2 by Python's float power (libm pow), as the per-row form computed
+    # it: NumPy squares by x*x, which differs in the last bit at some points
+    # of some grids linspace(0, 1, G) (the first is G = 42)
+    x_squared = np.array(list(map(pow, x_list, repeat(2))))
+    c2_expected = oracle_m2 - 2.0 * xs * oracle_m1 + x_squared
     return MomentReport(
         config=config,
         pq=pq,
-        rows=tuple(rows),
+        rows=rows,
         max_abs_diff=max_abs_diff,
         flagged=flagged,
         max_m0_dev=max_m0_dev,
-        max_c1_consistency=max(
-            abs(r.oracle_c1 - (r.oracle_m1 - r.x)) for r in rows
-        ),
-        max_c2_consistency=max(
-            abs(r.oracle_c2 - (r.oracle_m2 - 2.0 * r.x * r.oracle_m1 + r.x**2))
-            for r in rows
-        ),
+        max_c1_consistency=float(np.abs(oracle_c1 - (oracle_m1 - xs)).max()),
+        max_c2_consistency=float(np.abs(oracle_c2 - c2_expected).max()),
     )

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
-from .pq_core import PQPair
+from .pq_core import BLOCK_VALUES, PQPair
 from .pq_quadrature import QuadratureRule, build_rule
 
 
@@ -67,6 +67,10 @@ class SchurerConfig:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (isinstance(self.ell, int) and self.ell >= 0):
             raise ValueError(f"ell must be an integer >= 0, got {self.ell!r}")
+        if not isinstance(self.basis_variant, BasisVariant):
+            raise ValueError(
+                f"basis_variant must be a BasisVariant, got {self.basis_variant!r}"
+            )
         if not (self.quad_tol > 0.0 and math.isfinite(self.quad_tol)):
             raise ValueError(f"quad_tol must be positive and finite, got {self.quad_tol!r}")
         # every cache lookup hashes the config: hash once, from numbers only,
@@ -92,7 +96,7 @@ class NumericalRangeError(ArithmeticError):
 # 2 MB per-core L2 cache; at 2**17 (1 MB) they spill to L3.  Timed on a
 # 2-vCPU Xeon on sweep-shaped means (n = 8..128, K up to about 3,000),
 # relative to 2**17: 2**14 0.84, 2**15 0.82, 2**16 0.86, 2**18 1.26.
-MEANS_BLOCK = 2**15
+MEANS_BLOCK = BLOCK_VALUES
 
 
 @dataclass(frozen=True, eq=False)

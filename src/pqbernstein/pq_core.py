@@ -11,6 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+# float64 values per working block (256 KB): one block and a few temporaries
+# of its size stay in a 2 MB per-core L2 cache.  The integral means
+# (operator_eval.MEANS_BLOCK, where the size was timed) and the rising
+# products are computed a block at a time.
+BLOCK_VALUES = 2**15
+
 
 @dataclass(frozen=True)
 class PQPair:
@@ -47,18 +55,42 @@ def pq_integer(n: int, pq: PQPair) -> float:
     return math.fsum(p ** (n - 1 - i) * q**i for i in range(n))
 
 
-def pq_rising_two_term(a: float, b: float, x: float, y: float, m: int, pq: PQPair) -> float:
+def pq_rising_two_term(
+    a: float, b: float, x: float | np.ndarray, y: float | np.ndarray, m: int, pq: PQPair
+) -> float | np.ndarray:
     """(ax + by)^m_{p,q} = prod_{s=0}^{m-1} (p^s a x + q^s b y).
 
     This is the only product form defined for two-term bases; the closed-form
     moment module maps expressions like (px + 1 - x)^m onto it with a = p,
-    b = 1, y = 1 - x.  x and y may be NumPy arrays of one shape (a whole
-    x-grid); each element then gets exactly the scalar result.
+    b = 1, y = 1 - x.  x and y are numbers (giving a float) or NumPy arrays
+    that broadcast together (a whole x-grid).
+
+    The factors form a table, one row per s and one column per point, and
+    the product is taken down the rows, BLOCK_VALUES values of table at a
+    time.  Each block after the first starts with the running product as its
+    first row, so every element is multiplied in the order of the scalar
+    loop ``out = 1.0; for s in range(m): out *= p**s * a * x + q**s * b * y``
+    and equals its result bit for bit.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     p, q = pq.p, pq.q
-    out = 1.0
-    for s in range(m):
-        out *= p**s * a * x + q**s * b * y
-    return out
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    # the coefficients by Python's float power, as in the loop: np.power
+    # differs from it in the last bit for some exponents
+    x_coef = np.array([p**s * a for s in range(m)]).reshape((m,) + (1,) * len(shape))
+    y_coef = np.array([q**s * b for s in range(m)]).reshape((m,) + (1,) * len(shape))
+    out = np.ones(shape)
+    rows = max(1, BLOCK_VALUES // max(1, out.size))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        carry = 1 if start else 0
+        table = np.empty((carry + stop - start,) + shape)
+        np.multiply(x_coef[start:stop], x, out=table[carry:])
+        table[carry:] += y_coef[start:stop] * y
+        if carry:
+            table[0] = out
+        out = np.multiply.reduce(table, axis=0)
+    return float(out) if out.ndim == 0 else out

@@ -1,10 +1,10 @@
 """Scalar reference formulas the tests compare the package against.
 
 Each evaluates one definition term by term in plain floats: the
-(p,q)-factorial, binomial and falling power, a single basis value, one
-Kantorovich argument, the moduli of continuity of a function, the
-modulus tables built in full over every lag, and the CSV writer that
-formats cell by cell.  ``exact_basis_rows`` is the exception: it evaluates
+(p,q)-factorial, binomial, falling power and rising two-term product, a
+single basis value, one Kantorovich argument, the moduli of continuity of
+a function, the modulus tables built in full over every lag, and the CSV
+writer that formats cell by cell.  ``exact_basis_rows`` is the exception: it evaluates
 the basis exactly in rational arithmetic.
 """
 
@@ -45,6 +45,21 @@ def pq_power_falling(x: float, m: int, pq: PQPair) -> float:
     out = 1.0
     for s in range(m):
         out *= p**s - q**s * x
+    return out
+
+
+def rising_two_term_loop(a: float, b: float, x, y, m: int, pq: PQPair):
+    """(ax + by)^m_{p,q} = prod_{s=0}^{m-1} (p^s a x + q^s b y), one factor at a time.
+
+    The scalar loop the blocked product must reproduce bit for bit; x and y
+    may be NumPy arrays, and m = 0 gives the float 1.0 for any input.
+    """
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
+    p, q = pq.p, pq.q
+    out = 1.0
+    for s in range(m):
+        out *= p**s * a * x + q**s * b * y
     return out
 
 

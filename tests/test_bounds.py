@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pqbernstein import error_bounds
 from pqbernstein.error_bounds import (
     CSV_COLUMNS,
+    BoundRow,
     ModulusGrid,
     NotLipschitzError,
     alpha_n,
@@ -358,3 +361,50 @@ class TestBoundReportSerialization:
         assert doc["all_passed"] is True
         assert doc["pq"] == {"p": 0.95, "q": 0.9}
         assert all(isinstance(row["passed"], bool) for row in doc["rows"])
+
+
+def rows_from_keywords(xs, columns):
+    """One BoundRow per grid point, each built from a dict of its named cells."""
+    names = ("x", *columns)
+    cells = zip(xs.tolist(), *(col.tolist() for col in columns.values()))
+    return tuple(BoundRow(**dict(zip(names, row))) for row in cells)
+
+
+class TestBoundRowsFromColumns:
+    @pytest.mark.parametrize(
+        "theorem, fname, n, ell, pq",
+        [
+            ("t32", "f_fig", 15, 1, PQ),
+            ("t33", "holder_half", 12, 1, PQ),
+            ("t34", "f_fig", 15, 1, PQ),
+            # e1 at p = 0.9: degenerate rows leave their ratio None
+            ("t34", "e1", 10, 1, PQPair(0.9, 0.8)),
+        ],
+    )
+    def test_rows_equal_rows_built_from_keywords(self, theorem, fname, n, ell, pq, monkeypatch):
+        captured = []
+        build = error_bounds._bound_report
+
+        def spy(*args, **columns):
+            report = build(*args, **columns)
+            captured.append((args[4], columns, report))
+            return report
+
+        monkeypatch.setattr(error_bounds, "_bound_report", spy)
+        config = SchurerConfig(n=n, ell=ell)
+        f = hull_function(fname, config, pq)
+        if theorem == "t32":
+            check_t32(config, pq, f, XS)
+        elif theorem == "t33":
+            check_t33(config, pq, f, 1.0, 0.5, XS)
+        else:
+            check_t34(config, pq, f, XS)
+        [(xs, columns, report)] = captured
+        expected = rows_from_keywords(xs, columns)
+        assert report.rows == expected
+        if fname == "e1":
+            assert any(r.ratio_t34 is None for r in report.rows)
+        # equal cells of equal types: the same bytes in both formats
+        keyword_report = dataclasses.replace(report, rows=expected)
+        assert report.to_csv_text() == keyword_report.to_csv_text()
+        assert report.to_json_text() == keyword_report.to_json_text()

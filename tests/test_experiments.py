@@ -58,6 +58,11 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             sched.pair(4)
 
+    def test_custom_rejects_non_integral_degree(self):
+        # 8.5 used to become the entry for n = 8
+        with pytest.raises(ConfigError, match="integer"):
+            custom_schedule([8.5, 16], [0.99, 0.999], [0.9, 0.99])
+
     def test_custom_rejects_misaligned_lists(self):
         with pytest.raises(ConfigError):
             custom_schedule([4, 8], [0.9], [0.8, 0.85])
@@ -81,6 +86,20 @@ class TestRunKorovkin:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ConfigError):
             run_korovkin(schedule("classic"), [8, 16], grid_size=1, guard=0.2)
+
+    @pytest.mark.parametrize(
+        "n_list", [[8.5, 128.7], [8, 16.5], [8, float("nan")], [8, float("inf")], [8, "16"]]
+    )
+    def test_rejects_non_integral_degrees(self, n_list):
+        with pytest.raises(ConfigError, match="integer"):
+            run_korovkin(schedule("classic"), n_list, grid_size=11, guard=0.2)
+
+    def test_integral_float_and_numpy_degrees_accepted(self):
+        one = run_korovkin(schedule("classic"), [8, 16], grid_size=11, guard=0.2)
+        two = run_korovkin(schedule("classic"), [8.0, np.int64(16)], grid_size=11, guard=0.2)
+        assert [r.n for r in two.rows] == [8, 16]
+        assert all(type(r.n) is int for r in two.rows)
+        assert one.to_csv_text() == two.to_csv_text()
 
     def test_csv_header(self):
         result = run_korovkin(schedule("classic"), [8, 16], grid_size=11, guard=0.2)
@@ -126,6 +145,16 @@ class TestRunFigure:
         labels = [label for label, _ in table.columns]
         assert labels == ["K_p0.9999991_q0.99_n10", "K_p0.9999992_q0.99_n10"]
         assert list(json.loads(table.to_json_text())["columns"]) == labels
+
+    @pytest.mark.parametrize("n", [6.5, 6.000001, float("nan"), "6"])
+    def test_rejects_non_integral_degree(self, n):
+        with pytest.raises(ConfigError, match="integer"):
+            run_figure([(0.95, 0.9, n)], grid_size=5)
+
+    def test_integral_float_degree_labels_as_int(self):
+        table = run_figure([(0.95, 0.9, 6.0)], grid_size=5)
+        assert table.params == ((0.95, 0.9, 6),)
+        assert [label for label, _ in table.columns] == ["K_p0.95_q0.9_n6"]
 
     def test_rejects_duplicate_triples(self):
         with pytest.raises(ConfigError, match="distinct"):

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pqbernstein import moments_closed
 from pqbernstein.moments_closed import (
     CSV_COLUMNS,
     build_moment_report,
@@ -12,6 +15,8 @@ from pqbernstein.moments_closed import (
 )
 from pqbernstein.operator_eval import BasisVariant, SchurerConfig
 from pqbernstein.pq_core import PQPair, pq_integer
+
+from oracles import rising_two_term_loop
 
 PQ = PQPair(0.9, 0.8)
 
@@ -78,6 +83,71 @@ class TestClosedForms:
         c1, _ = closed_central_moments(config, pq, 0.5)
         m1 = closed_first_moment(config, pq, 0.5)
         assert abs(c1 - (m1 - 0.5)) > 1e-3
+
+
+def classic(n):
+    return PQPair(1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1))
+
+
+def squares_disagree_grid(size=20):
+    """Points where Python's x**2 (libm pow) and NumPy's x*x differ in the last
+    bit: about one random x in a thousand with glibc, none where pow rounds
+    correctly (then the grid is [0.5])."""
+    xs = np.random.default_rng(0).random(100_000).tolist()
+    return np.sort([x for x in xs if x**2 != x * x][:size] or [0.5])
+
+
+def closed_forms(config, pq, x):
+    return (
+        closed_first_moment(config, pq, x),
+        closed_second_moment(config, pq, x),
+        *closed_central_moments(config, pq, x),
+    )
+
+
+class TestClosedFormsAgainstTheFactorLoop:
+    @pytest.mark.parametrize(
+        "config, pq",
+        [
+            (SchurerConfig(n=1), PQPair(0.9, 0.8)),
+            (SchurerConfig(n=4, ell=2), PQ),
+            (SchurerConfig(n=128, ell=2), classic(128)),
+            (SchurerConfig(n=300), PQPair(1.0, 0.99)),
+        ],
+    )
+    def test_bit_identical_to_the_loop_products(self, config, pq):
+        xs = np.linspace(0.0, 1.0, 101)
+        new = closed_forms(config, pq, xs)
+        with mock.patch.object(moments_closed, "pq_rising_two_term", rising_two_term_loop):
+            old = closed_forms(config, pq, xs)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("big_n", [1, 2, 131, 400])
+    @pytest.mark.parametrize("c", [0.95, 0.95**2])
+    def test_last_factor_extends_the_product_in_loop_order(self, big_n, c):
+        pq = PQPair(0.95, 0.9)
+        xs = np.linspace(0.0, 1.0, 1001)
+        shorter = rising_two_term_loop(c, 1.0, xs, 1.0 - xs, big_n - 1, pq)
+        full = rising_two_term_loop(c, 1.0, xs, 1.0 - xs, big_n, pq)
+        assert np.array_equal(shorter * moments_closed._last_factor(c, xs, big_n, pq), full)
+
+    def test_scalar_x_gives_floats(self):
+        for value in closed_forms(SchurerConfig(n=6, ell=1), PQ, 0.3):
+            assert type(value) is float
+
+    def test_large_degree_fine_grid_stays_small(self):
+        # one product block is 256 KB; the unblocked factor table at
+        # N = 1000, G = 1001 would be 8 MB, with temporaries of its size
+        config, pq = SchurerConfig(n=1000), classic(1000)
+        xs = np.linspace(0.0, 1.0, 1001)
+        tracemalloc.start()
+        try:
+            closed_forms(config, pq, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestMomentReport:
@@ -152,6 +222,32 @@ class TestMomentReport:
             )
             assert report.max_abs_diff[key] == per_row
             assert type(report.max_abs_diff[key]) is float
+
+    @pytest.mark.parametrize(
+        "config, pq, grid",
+        [
+            (SchurerConfig(n=12, ell=1), PQ, np.linspace(0, 1, 101)),
+            (SchurerConfig(n=12, ell=1), PQ, squares_disagree_grid()),
+            (SchurerConfig(n=9), PQPair(1.0, 0.7), np.random.default_rng(3).random(57)),
+            (SchurerConfig(n=5, basis_variant=BasisVariant.AS_PRINTED), PQ, np.linspace(0, 1, 11)),
+        ],
+    )
+    def test_consistency_maxima_are_the_row_maxima(self, config, pq, grid):
+        report = build_moment_report(config, pq, grid)
+        rows = report.rows
+        if config.basis_variant is BasisVariant.NORMALIZED:
+            m0_dev = max(abs(r.oracle_m0 - 1.0) for r in rows)
+        else:
+            m0_dev = 0.0
+        c1_dev = max(abs(r.oracle_c1 - (r.oracle_m1 - r.x)) for r in rows)
+        c2_dev = max(
+            abs(r.oracle_c2 - (r.oracle_m2 - 2.0 * r.x * r.oracle_m1 + r.x**2)) for r in rows
+        )
+        assert (report.max_m0_dev, report.max_c1_consistency, report.max_c2_consistency) == (
+            m0_dev, c1_dev, c2_dev
+        )
+        for value in (report.max_m0_dev, report.max_c1_consistency, report.max_c2_consistency):
+            assert type(value) is float
 
     def test_write_both_files(self, tmp_path):
         config = SchurerConfig(n=2, ell=0)

@@ -375,6 +375,18 @@ class TestCentralMoments:
             apply_central_moment(SchurerConfig(n=4), PQ, 0.5, 3)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("variant", ["printed", "normalized", None, 0])
+    def test_rejects_basis_variant_that_is_not_the_enum(self, variant):
+        # a string used to evaluate the normalized basis silently
+        with pytest.raises(ValueError, match="basis_variant"):
+            SchurerConfig(n=2, basis_variant=variant)
+
+    def test_enum_members_accepted(self):
+        for variant in BasisVariant:
+            assert SchurerConfig(n=2, basis_variant=variant).basis_variant is variant
+
+
 class TestConfigHash:
     def test_equal_configs_hash_equal(self):
         one = SchurerConfig(n=6, ell=2, basis_variant=BasisVariant.AS_PRINTED, quad_tol=1e-9)

@@ -1,12 +1,15 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from pqbernstein import pq_core
 from pqbernstein.pq_core import PQPair, pq_integer, pq_rising_two_term
 
-from oracles import pq_binomial, pq_factorial, pq_power_falling
+from oracles import pq_binomial, pq_factorial, pq_power_falling, rising_two_term_loop
 
 PQ = PQPair(0.9, 0.8)
 
@@ -175,3 +178,64 @@ class TestPowerProducts:
         lhs = pq_power_falling(x, m, pq)
         rhs = pq_rising_two_term(1.0, -1.0, 1.0, x, m, pq)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+
+
+def same_bits(new, old) -> bool:
+    """Equal value, sign of zero and NaN positions, element by element."""
+    new, old = np.broadcast_arrays(np.asarray(new, dtype=float), np.asarray(old, dtype=float))
+    return new.tobytes() == old.tobytes()
+
+
+# x and y: a number or a grid of up to 40 points (several chunks once the
+# block is patched small); the values reach overflow and zero factors
+operands = st.floats(min_value=-2.0, max_value=2.0)
+grids = hnp.arrays(float, st.integers(1, 40), elements=operands)
+
+
+class TestRisingBlockedProduct:
+    @given(
+        pq_pairs(min_p=0.05),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.one_of(operands, grids),
+        st.integers(0, 400),
+        st.sampled_from([1, 3, 64, 1000, pq_core.BLOCK_VALUES]),
+        st.data(),
+    )
+    def test_equals_the_factor_loop(self, pq, a, b, x, m, block, data):
+        # y is a number, or a grid of x's shape
+        shape = np.shape(x)
+        y = data.draw(
+            st.one_of(operands, hnp.arrays(float, shape, elements=operands))
+            if shape else operands
+        )
+        with mock.patch.object(pq_core, "BLOCK_VALUES", block):
+            new = pq_rising_two_term(a, b, x, y, m, pq)
+        old = rising_two_term_loop(a, b, x, y, m, pq)
+        assert np.shape(new) == np.broadcast_shapes(np.shape(x), np.shape(y))
+        assert same_bits(new, old)
+
+    @pytest.mark.parametrize("block", [1, 101, 5 * 101, pq_core.BLOCK_VALUES])
+    def test_classic_grid_crossing_chunk_boundaries(self, block):
+        # the shape of a theorems closed form: N = 131 factors over G = 101
+        n = 130
+        pq = PQPair(1.0 - 1.0 / (n + 2) ** 2, 1.0 - 1.0 / (n + 2))
+        xs = np.linspace(0.0, 1.0, 101)
+        with mock.patch.object(pq_core, "BLOCK_VALUES", block):
+            new = pq_rising_two_term(pq.p * pq.p, 1.0, xs, 1.0 - xs, n + 1, pq)
+        assert same_bits(new, rising_two_term_loop(pq.p * pq.p, 1.0, xs, 1.0 - xs, n + 1, pq))
+
+    @pytest.mark.parametrize("m", [0, 1, 7])
+    def test_scalar_input_returns_float(self, m):
+        value = pq_rising_two_term(0.9, 1.0, 0.3, 0.7, m, PQ)
+        assert type(value) is float
+        assert value == rising_two_term_loop(0.9, 1.0, 0.3, 0.7, m, PQ)
+
+    def test_empty_product_over_a_grid_is_ones(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        value = pq_rising_two_term(0.9, 1.0, xs, 1.0 - xs, 0, PQ)
+        assert value.shape == (5,) and (value == 1.0).all()
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            pq_rising_two_term(1.0, 1.0, 0.5, 0.5, -1, PQ)

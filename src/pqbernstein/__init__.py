@@ -10,11 +10,9 @@ from .error_bounds import (
     BoundReport,
     ModulusGrid,
     NotLipschitzError,
-    alpha_n,
     check_t32,
     check_t33,
     check_t34,
-    delta_n,
     verify_lipschitz,
 )
 from .experiments import (
@@ -44,13 +42,10 @@ from .operator_eval import (
     SchurerConfig,
     apply,
     apply_central_moment,
-    apply_many_on_grid,
     apply_on_grid,
     basis_matrix,
     basis_row,
-    central_moments_on_grid,
     evaluate_on_grid,
-    raw_moments_on_grid,
     required_domain,
 )
 from .pq_core import (
@@ -58,7 +53,7 @@ from .pq_core import (
     pq_integer,
     pq_rising_two_term,
 )
-from .pq_quadrature import QuadratureRule, TruncationError, build_rule, integrate
+from .pq_quadrature import QuadratureRule, TruncationError, build_rule
 
 __version__ = "0.1.0"
 
@@ -79,16 +74,13 @@ __all__ = [
     "RealFunction",
     "SchurerConfig",
     "TruncationError",
-    "alpha_n",
     "apply",
     "apply_central_moment",
-    "apply_many_on_grid",
     "apply_on_grid",
     "basis_matrix",
     "basis_row",
     "build_moment_report",
     "build_rule",
-    "central_moments_on_grid",
     "check_t32",
     "check_t33",
     "check_t34",
@@ -96,13 +88,10 @@ __all__ = [
     "closed_first_moment",
     "closed_second_moment",
     "custom_schedule",
-    "delta_n",
     "evaluate_on_grid",
-    "integrate",
     "make_function",
     "pq_integer",
     "pq_rising_two_term",
-    "raw_moments_on_grid",
     "required_domain",
     "run_bounds",
     "run_figure",

@@ -10,8 +10,8 @@ Three inequalities are checked against the operator oracle on an x-grid:
   constant C is unspecified, so only finiteness and a configurable ratio cap
   are checked.
 
-delta_n is the oracle second central moment; alpha_n is the transcribed
-closed-form first moment (the quantity the smoothness bound is stated with),
+delta_n is the oracle second central moment clamped at 0; alpha_n is the
+transcribed closed-form first moment (the smoothness bound is stated with it),
 and its drift from the oracle first moment is logged alongside.
 
 Moduli are grid approximations: the domain is sampled at m points a fixed
@@ -34,7 +34,7 @@ import numpy as np
 
 from .functions import RealFunction
 from .moments_closed import closed_first_moment
-from .operator_eval import SchurerConfig, central_moments_on_grid, evaluate_on_grid
+from .operator_eval import SchurerConfig, evaluate_on_grid
 from .pq_core import PQPair
 from .reportio import Report, config_block
 
@@ -119,21 +119,6 @@ class ModulusGrid:
     def omega2(self, delta: float | np.ndarray) -> float | np.ndarray:
         """sup over shifts 0 < h <= delta of the second difference |f(x+2h)-2f(x+h)+f(x)|."""
         return self._lookup(2, self._lag_sup2, delta)
-
-
-def delta_n(
-    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
-) -> float | np.ndarray:
-    """Oracle second central moment at x (a point or a grid), clamped at 0 for
-    use under square roots."""
-    return np.maximum(central_moments_on_grid(config, pq, x)[1], 0.0)
-
-
-def alpha_n(
-    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
-) -> float | np.ndarray:
-    """Transcribed closed-form first moment (the smoothness bound is stated with it)."""
-    return closed_first_moment(config, pq, x)
 
 
 def verify_lipschitz(
@@ -245,13 +230,9 @@ def _errors_and_deltas(
     return xs, errors, np.maximum(op.central[1], 0.0), op.raw[1]
 
 
-def _quad_budget(config: SchurerConfig) -> float:
-    return (config.degree + 1) * config.quad_tol
-
-
 def _modulus_slack(config: SchurerConfig, mg: ModulusGrid) -> float:
     # quadrature truncation plus the sup the modulus grid can hide
-    return 10.0 * (_quad_budget(config) + mg.omega(2.0 * mg.step))
+    return 10.0 * (config.truncation_budget + mg.omega(2.0 * mg.step))
 
 
 def check_t32(
@@ -289,7 +270,7 @@ def check_t33(
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     verify_lipschitz(f, m_const, alpha)
-    budget = _quad_budget(config)
+    budget = config.truncation_budget
     # delta_n enters through a concave power: (d - eps)^(a/2) >= d^(a/2) - eps^(a/2)
     slack = 10.0 * budget + m_const * budget ** (alpha / 2.0)
     xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
@@ -319,7 +300,7 @@ def check_t34(
     mg = ModulusGrid(f)
     slack = _modulus_slack(config, mg)
     xs, errors, deltas, oracle_m1 = _errors_and_deltas(config, pq, f, grid)
-    alphas = alpha_n(config, pq, xs)
+    alphas = closed_first_moment(config, pq, xs)
     a_n = deltas + (alphas - xs) ** 2
     c_n = np.abs(alphas - xs)
     omega2_term = mg.omega2(np.sqrt(a_n))

@@ -85,6 +85,11 @@ class SchurerConfig:
     def degree(self) -> int:
         return self.n + self.ell
 
+    @property
+    def truncation_budget(self) -> float:
+        """(N+1) quad_tol: the quadrature truncation allowed in K(1; x)."""
+        return (self.degree + 1) * self.quad_tol
+
 
 class NumericalRangeError(ArithmeticError):
     """The basis coefficients of this (config, pq) overflow double precision."""
@@ -162,12 +167,12 @@ def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
     big_n = config.degree
     k = np.arange(big_n + 1)
     ints = _pq_integers(p, basis.one_minus)  # j = 0..N+1, which covers [n+1]
-    rule = build_rule(pq, a=1.0, tol=config.quad_tol)
+    rule = build_rule(pq, config.quad_tol)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         denom = ints[config.n + 1]
         c0 = ints[:-1] / denom
         c1 = ((q - 1.0) * ints[:-1] + np.power(p, k)) / denom
-        # arguments are affine in t over (0, a/p], so their values at t = 0 and
+        # arguments are affine in t over (0, 1/p], so their values at t = 0 and
         # at the top node bound the hull
         at_top = c0 + c1 * rule.top_node
         domain = (min(0.0, float(at_top.min())), max(float(c0.max()), float(at_top.max())))
@@ -238,7 +243,7 @@ def basis_row(config: SchurerConfig, pq: PQPair, x: float) -> np.ndarray:
 def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
     """Interval every integrand argument lands in; f passed to apply must cover it.
 
-    Arguments are affine in t over (0, a/p], so the hull of their values at
+    Arguments are affine in t over (0, 1/p], so the hull of their values at
     t = 0 and at the top quadrature node covers everything.
     """
     return _tables(config, pq).domain
@@ -306,32 +311,11 @@ def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluatio
     return GridEvaluation(x, tuple(b @ m for m in raw_means), [b @ m for m in means])
 
 
-def apply_many_on_grid(
-    config: SchurerConfig, pq: PQPair, fs, xs: np.ndarray
-) -> list[np.ndarray]:
-    """Operator values of each f in fs on a grid of x, one array per f."""
-    return evaluate_on_grid(config, pq, fs, xs).values
-
-
 def apply_on_grid(
     config: SchurerConfig, pq: PQPair, f: RealFunction, xs: np.ndarray
 ) -> np.ndarray:
     """Operator values on a grid of x; the integral means are shared across x."""
-    return apply_many_on_grid(config, pq, (f,), xs)[0]
-
-
-def raw_moments_on_grid(
-    config: SchurerConfig, pq: PQPair, xs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K(t^j; x) for j = 0, 1, 2, each of xs.shape."""
-    return evaluate_on_grid(config, pq, (), xs).raw
-
-
-def central_moments_on_grid(
-    config: SchurerConfig, pq: PQPair, xs
-) -> tuple[np.ndarray, np.ndarray]:
-    """Operator applied to (t - x) and (t - x)^2 at every x, each of xs.shape."""
-    return evaluate_on_grid(config, pq, (), xs).central
+    return evaluate_on_grid(config, pq, (f,), xs).values[0]
 
 
 def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int) -> float:
@@ -342,4 +326,4 @@ def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return float(central_moments_on_grid(config, pq, float(x))[order - 1])
+    return float(evaluate_on_grid(config, pq, (), float(x)).central[order - 1])

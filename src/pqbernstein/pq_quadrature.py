@@ -1,13 +1,14 @@
-"""The (p,q)-definite integral on [0, a] as a truncated node/weight rule.
+"""The (p,q)-definite integral on [0, 1] as a truncated node/weight rule.
 
 For p > q (enforced by :class:`~pqbernstein.pq_core.PQPair`) the integral is
 the geometric series
 
-    int_0^a f dt = (p - q) a sum_{j>=0} (q^j / p^{j+1}) f(a q^j / p^{j+1}),
+    int_0^1 f dt = (p - q) sum_{j>=0} (q^j / p^{j+1}) f(q^j / p^{j+1}),
 
-so truncating after index K leaves a tail bounded by sup|f| * a * (q/p)^{K+1}
-and the retained weights sum exactly to a - a (q/p)^{K+1}.  Note the largest
-node is a/p, which exceeds a whenever p < 1; integrands must be defined there.
+so truncating after index K leaves a tail bounded by sup|f| * (q/p)^{K+1}
+and the retained weights sum exactly to 1 - (q/p)^{K+1}.  A rule is applied
+as weights @ f(nodes).  Note the largest node is 1/p, which exceeds 1
+whenever p < 1; integrands must be defined there.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
 from .pq_core import PQPair
 
 DEFAULT_HARD_CAP = 10**6
@@ -31,7 +31,6 @@ class TruncationError(RuntimeError):
 class QuadratureRule:
     """Immutable truncated rule; safe to share across threads."""
 
-    a: float
     pq: PQPair
     trunc_index: int
     nodes: np.ndarray
@@ -40,49 +39,35 @@ class QuadratureRule:
 
     @property
     def top_node(self) -> float:
-        return self.a / self.pq.p
+        return 1.0 / self.pq.p
 
 
-def build_rule(
-    pq: PQPair, a: float, tol: float, hard_cap: int = DEFAULT_HARD_CAP
-) -> QuadratureRule:
-    """Smallest-K rule with certified tail a*(q/p)^(K+1) <= tol."""
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"upper limit a must be positive and finite, got {a}")
+def build_rule(pq: PQPair, tol: float) -> QuadratureRule:
+    """Smallest-K rule with certified tail (q/p)^(K+1) <= tol."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     p, q = pq.p, pq.q
     r = q / p
-    k = max(0, math.ceil(math.log(tol / a) / math.log(r)) - 1)
+    k = max(0, math.ceil(math.log(tol) / math.log(r)) - 1)
     # correct for log round-off so the bound holds in float arithmetic
-    while a * r ** (k + 1) > tol:
+    while r ** (k + 1) > tol:
         k += 1
-        if k > hard_cap:
+        if k > DEFAULT_HARD_CAP:
             break
-    if k > hard_cap:
+    if k > DEFAULT_HARD_CAP:
         raise TruncationError(
             f"truncation infeasible: tol={tol:g} at q/p={r:.12g} needs more than "
-            f"{hard_cap} nodes"
+            f"{DEFAULT_HARD_CAP} nodes"
         )
     j = np.arange(k + 1)
     rj = np.power(r, j)
-    nodes = a * rj / p
-    weights = (p - q) * a * rj / p
+    nodes = rj / p
+    weights = (p - q) * rj / p
     return QuadratureRule(
-        a=a,
         pq=pq,
         trunc_index=k,
         nodes=nodes,
         weights=weights,
-        tail_bound=a * r ** (k + 1),
+        tail_bound=r ** (k + 1),
     )
 
-
-def integrate(rule: QuadratureRule, f: RealFunction) -> float:
-    """sum_j w_j f(t_j); truncation error is at most sup|f| * rule.tail_bound."""
-    if f.lo > 0.0 + DOMAIN_EDGE_TOL or f.hi < rule.top_node - DOMAIN_EDGE_TOL:
-        raise DomainError(
-            f"integrand {f.name} must cover [0, {rule.top_node:.6g}] "
-            f"(declared domain [{f.lo:.6g}, {f.hi:.6g}])"
-        )
-    return float(np.dot(rule.weights, f(rule.nodes)))

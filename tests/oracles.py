@@ -2,9 +2,9 @@
 
 Each evaluates one definition term by term in plain floats: the
 (p,q)-factorial, binomial, falling power and rising two-term product, a
-single basis value, one Kantorovich argument, the moduli of continuity of
-a function, the modulus tables built in full over every lag, and the CSV
-writer that formats cell by cell.  ``exact_basis_rows`` is the exception: it evaluates
+single basis value, one Kantorovich argument, a quadrature rule applied
+to a function, the moduli of continuity of a function, the modulus tables
+built in full over every lag, and the CSV writer that formats cell by cell.  ``exact_basis_rows`` is the exception: it evaluates
 the basis exactly in rational arithmetic.
 """
 
@@ -14,8 +14,10 @@ from fractions import Fraction
 import numpy as np
 
 from pqbernstein.error_bounds import MODULUS_GRID_DIV, ModulusGrid
+from pqbernstein.functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
 from pqbernstein.operator_eval import SchurerConfig, basis_row
 from pqbernstein.pq_core import PQPair, pq_integer
+from pqbernstein.pq_quadrature import QuadratureRule
 
 
 def pq_factorial(n: int, pq: PQPair) -> float:
@@ -125,6 +127,16 @@ def argument(k: int, t: float, config: SchurerConfig, pq: PQPair) -> float:
     denom = pq_integer(config.n + 1, pq)
     ik = pq_integer(k, pq)
     return ik / denom + ((pq.q - 1.0) * ik + pq.p**k) / denom * t
+
+
+def integrate(rule: QuadratureRule, f: RealFunction) -> float:
+    """sum_j w_j f(t_j); truncation error is at most sup|f| * rule.tail_bound."""
+    if f.lo > 0.0 + DOMAIN_EDGE_TOL or f.hi < rule.top_node - DOMAIN_EDGE_TOL:
+        raise DomainError(
+            f"integrand {f.name} must cover [0, {rule.top_node:.6g}] "
+            f"(declared domain [{f.lo:.6g}, {f.hi:.6g}])"
+        )
+    return float(np.dot(rule.weights, f(rule.nodes)))
 
 
 def modulus(f, delta: float) -> float:

@@ -12,16 +12,14 @@ from pqbernstein.error_bounds import (
     BoundRow,
     ModulusGrid,
     NotLipschitzError,
-    alpha_n,
     check_t32,
     check_t33,
     check_t34,
-    delta_n,
     verify_lipschitz,
 )
 from pqbernstein.functions import FUNCTION_NAMES, RealFunction, make_function
 from pqbernstein.moments_closed import closed_first_moment
-from pqbernstein.operator_eval import SchurerConfig, required_domain
+from pqbernstein.operator_eval import SchurerConfig, evaluate_on_grid, required_domain
 from pqbernstein.pq_core import PQPair
 
 from oracles import FullModulusGrid, modulus, modulus2
@@ -188,9 +186,10 @@ class TestModulusTables:
 
 class TestDeltaAlpha:
     def test_delta_nonnegative(self):
+        # the oracle second central moment is clamped at 0 in every bound row
         config = SchurerConfig(n=10, ell=1)
-        for x in XS[::10]:
-            assert delta_n(config, PQ, float(x)) >= 0.0
+        rep = check_t32(config, PQ, hull_function("e2", config, PQ), XS)
+        assert all(row.delta_n >= 0.0 for row in rep.rows)
 
     def test_delta_decreases_along_schedule(self):
         # uniform concentration: the grid max of the second central moment
@@ -199,15 +198,16 @@ class TestDeltaAlpha:
         for n in (8, 16, 32, 64, 128):
             pq = PQPair(1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1))
             config = SchurerConfig(n=n, ell=0)
-            worst = max(delta_n(config, pq, float(x)) for x in XS)
+            worst = float(evaluate_on_grid(config, pq, (), XS).central[1].max())
             if previous is not None:
                 assert worst < previous
             previous = worst
 
     def test_alpha_is_the_closed_first_moment(self):
         config = SchurerConfig(n=7, ell=2)
-        for x in (0.0, 0.4, 1.0):
-            assert alpha_n(config, PQ, x) == closed_first_moment(config, PQ, x)
+        rep = check_t34(config, PQ, hull_function("f_fig", config, PQ), XS)
+        want = closed_first_moment(config, PQ, XS)
+        assert [row.alpha_n for row in rep.rows] == want.tolist()
 
 
 class TestLipschitzSampling:

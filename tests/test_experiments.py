@@ -3,17 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from pqbernstein import experiments
 from pqbernstein.cli import main
 from pqbernstein.experiments import (
     ConfigError,
     KOROVKIN_FUNCTIONS,
     custom_schedule,
+    run_bounds,
     run_figure,
     run_korovkin,
     run_selftest,
     schedule,
 )
-from pqbernstein.operator_eval import BasisVariant
+from pqbernstein.operator_eval import BasisVariant, SchurerConfig
 from pqbernstein.pq_core import PQPair
 
 
@@ -165,6 +167,33 @@ class TestRunFigure:
         b = run_figure(ell=2, grid_size=31)
         assert a.to_csv_text() == b.to_csv_text()
         assert a.to_json_text() == b.to_json_text()
+
+
+class TestRunBounds:
+    @pytest.mark.parametrize(
+        "theorem, function_name, message",
+        [("t35", "f_fig", "unknown theorem"), ("t33", "f_fig", "no built-in Lipschitz data")],
+    )
+    def test_bad_arguments_rejected_before_any_work(
+        self, theorem, function_name, message, monkeypatch
+    ):
+        def no_work(*args):
+            raise AssertionError("built the hull function for arguments it rejects")
+
+        monkeypatch.setattr(experiments, "_hull_function", no_work)
+        with pytest.raises(ConfigError, match=message):
+            run_bounds(theorem, SchurerConfig(n=4), PQPair(0.9, 0.8), function_name)
+
+    @pytest.mark.parametrize("theorem", ["t32", "t34"])
+    def test_lipschitz_data_rejected_outside_t33(self, theorem):
+        with pytest.raises(ConfigError, match="t33 only"):
+            run_bounds(theorem, SchurerConfig(n=4), PQPair(0.9, 0.8), lipschitz=(5.0, 1.0))
+
+    def test_lipschitz_data_used_by_t33(self):
+        rep = run_bounds(
+            "t33", SchurerConfig(n=4), PQPair(0.9, 0.8), "e1", grid_size=11, lipschitz=(5.0, 1.0)
+        )
+        assert rep.extras == {"lipschitz_m": 5.0, "lipschitz_alpha": 1.0}
 
 
 class TestSelftest:

@@ -28,13 +28,10 @@ from pqbernstein.operator_eval import (
     _pq_integers,
     _tables,
     apply_central_moment,
-    apply_many_on_grid,
     apply_on_grid,
     basis_matrix,
     basis_row,
-    central_moments_on_grid,
     evaluate_on_grid,
-    raw_moments_on_grid,
     required_domain,
 )
 from pqbernstein.pq_core import PQPair, pq_integer
@@ -71,7 +68,7 @@ def old_basis_row(config, pq, x):
 
 
 def old_arguments(config, pq):
-    rule = build_rule(pq, a=1.0, tol=config.quad_tol)
+    rule = build_rule(pq, config.quad_tol)
     k = np.arange(config.degree + 1)
     ints = np.array([pq_integer(int(j), pq) for j in k])
     denom = pq_integer(config.n + 1, pq)
@@ -113,7 +110,7 @@ def test_apply_on_grid_matches_basis_row_loop(config, pq):
 
 @pytest.mark.parametrize("config, pq", OPERATORS, ids=IDS)
 def test_grid_central_moments_match_per_x_reduction(config, pq):
-    first, second = central_moments_on_grid(config, pq, XS)
+    first, second = evaluate_on_grid(config, pq, (), XS).central
     for order, got in ((1, first), (2, second)):
         want = np.array([old_central_moment(config, pq, float(x), order) for x in XS])
         assert np.abs(got - want).max() <= AGREEMENT
@@ -150,7 +147,7 @@ def test_argument_table_lies_inside_required_domain(config, pq):
 @pytest.mark.parametrize("config, pq", OPERATORS[:4], ids=IDS[:4])
 def test_pointwise_central_moment_is_the_grid_value(config, pq):
     # same basis rows and means; only the dot product's summation order differs
-    first, second = central_moments_on_grid(config, pq, XS)
+    first, second = evaluate_on_grid(config, pq, (), XS).central
     for i, x in enumerate(XS):
         for order, grid_value in ((1, first[i]), (2, second[i])):
             value = apply_central_moment(config, pq, float(x), order)
@@ -161,8 +158,8 @@ def test_grid_shape_follows_xs():
     config, pq = SchurerConfig(n=5, ell=1), PQPair(0.9, 0.8)
     xs = XS[:20].reshape(4, 5)
     assert basis_matrix(config, pq, xs).shape == (4, 5, config.degree + 1)
-    first, second = central_moments_on_grid(config, pq, xs)
-    flat_first, flat_second = central_moments_on_grid(config, pq, xs.ravel())
+    first, second = evaluate_on_grid(config, pq, (), xs).central
+    flat_first, flat_second = evaluate_on_grid(config, pq, (), xs.ravel()).central
     np.testing.assert_array_equal(first.ravel(), flat_first)
     np.testing.assert_array_equal(second.ravel(), flat_second)
 
@@ -174,7 +171,7 @@ def test_grid_rejects_points_outside_unit_interval():
         with pytest.raises(ValueError):
             apply_on_grid(config, pq, f, bad)
         with pytest.raises(ValueError):
-            central_moments_on_grid(config, pq, bad)
+            evaluate_on_grid(config, pq, (), bad)
     assert apply_on_grid(config, pq, f, np.array([])).shape == (0,)
 
 
@@ -222,7 +219,7 @@ def test_many_functions_match_single_calls():
     config, pq = SchurerConfig(n=12, ell=1), PQPair(0.95, 0.9)
     lo, hi = required_domain(config, pq)
     fs = [make_function(name, lo, hi) for name in ("e0", "e2", "f_fig")]
-    for f, got in zip(fs, apply_many_on_grid(config, pq, fs, XS)):
+    for f, got in zip(fs, evaluate_on_grid(config, pq, fs, XS).values):
         np.testing.assert_array_equal(got, apply_on_grid(config, pq, f, XS))
 
 
@@ -318,7 +315,7 @@ def test_no_functions_build_no_argument_block():
         tracemalloc.stop()
     assert means.shape == (0, config.degree + 1) and not means.flags.writeable
     assert peak < 8 * operator_eval.MEANS_BLOCK / 4  # a quarter of one block's bytes
-    assert apply_many_on_grid(config, pq, [], XS) == []
+    assert evaluate_on_grid(config, pq, [], XS).values == []
 
 
 def test_evaluate_on_grid_is_each_grid_function():
@@ -326,11 +323,11 @@ def test_evaluate_on_grid_is_each_grid_function():
     lo, hi = required_domain(config, pq)
     fs = [make_function(name, lo, hi) for name in ("e2", "f_fig")]
     op = evaluate_on_grid(config, pq, fs, XS)
-    for got, want in zip(op.values, apply_many_on_grid(config, pq, fs, XS)):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(op.raw, raw_moments_on_grid(config, pq, XS)):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(op.central, central_moments_on_grid(config, pq, XS)):
+    for f, got in zip(fs, op.values):
+        np.testing.assert_array_equal(got, apply_on_grid(config, pq, f, XS))
+    # the moments do not depend on the functions asked for
+    alone = evaluate_on_grid(config, pq, (), XS)
+    for got, want in zip(op.raw + op.central, alone.raw + alone.central):
         np.testing.assert_array_equal(got, want)
     one = evaluate_on_grid(config, pq, fs, 0.3)
     assert np.ndim(one.x) == 0 and np.ndim(one.central[1]) == 0

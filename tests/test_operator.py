@@ -26,7 +26,7 @@ from pqbernstein.pq_core import PQPair, pq_integer
 from pqbernstein.pq_quadrature import build_rule
 from pqbernstein.qreference import q_kantorovich_schurer
 
-from oracles import argument, basis, exact_basis_rows, pq_binomial, pq_power_falling
+from oracles import argument, basis, exact_basis_rows, integrate, pq_binomial, pq_power_falling
 
 PQ = PQPair(0.9, 0.8)
 
@@ -34,7 +34,7 @@ PQ = PQPair(0.9, 0.8)
 def brute_force_apply(config, pq, fn, x):
     """Slow reference: the defining sum assembled from the scalar primitives."""
     big_n = config.degree
-    rule = build_rule(pq, a=1.0, tol=config.quad_tol)
+    rule = build_rule(pq, config.quad_tol)
     total = 0.0
     for k in range(big_n + 1):
         b = pq_binomial(big_n, k, pq) * x**k * pq_power_falling(x, big_n - k, pq)
@@ -242,10 +242,8 @@ class TestApply:
         config = SchurerConfig(n=6, ell=0, quad_tol=1e-12)
         denom = pq_integer(7, PQ)
         f = make_function("f_fig", *required_domain(config, PQ))
-        rule = build_rule(PQ, a=1.0, tol=1e-12)
+        rule = build_rule(PQ, 1e-12)
         scaled = RealFunction(lambda t: f.fn(t / denom), 0.0, rule.top_node)
-        from pqbernstein.pq_quadrature import integrate
-
         assert apply(config, PQ, f, 0.0) == pytest.approx(
             integrate(rule, scaled), abs=1e-12
         )

@@ -2,8 +2,9 @@
 
 Subcommands: selftest, korovkin, moments, bounds, figure.  Exit codes:
 0 all checks passed, 1 a bound/convergence check failed, 2 configuration
-error, 3 numerical infeasibility (quadrature truncation cap, or basis
-coefficients outside the double range).
+error, 3 numerical infeasibility (quadrature truncation cap, basis
+coefficients outside the double range, or an array larger than the memory
+available, such as the basis matrix of a very large --grid).
 """
 
 from __future__ import annotations
@@ -217,7 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--function", choices=FUNCTION_NAMES, default="f_fig")
     p_bnd.add_argument("--lip-m", type=float, default=None, help="Lipschitz constant M (t33)")
     p_bnd.add_argument("--lip-alpha", type=float, default=None, help="Lipschitz exponent (t33)")
-    p_bnd.add_argument("--ratio-cap", type=float, default=DEFAULT_RATIO_CAP)
+    p_bnd.add_argument(
+        "--ratio-cap",
+        type=float,
+        default=None,
+        help=f"ratio cap, t34 only (default {DEFAULT_RATIO_CAP:g})",
+    )
     p_bnd.set_defaults(handler=_cmd_bounds)
 
     p_fig = sub.add_parser("figure", parents=[common], help="figure data columns")
@@ -239,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (TruncationError, NumericalRangeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

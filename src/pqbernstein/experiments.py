@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .error_bounds import BoundReport, check_t32, check_t33, check_t34
+from .error_bounds import DEFAULT_RATIO_CAP, BoundReport, check_t32, check_t33, check_t34
 from .functions import LIPSCHITZ_DATA, RealFunction, make_function
 from .moments_closed import MomentReport, build_moment_report
 from .operator_eval import (
@@ -342,13 +342,21 @@ def run_bounds(
     pq: PQPair,
     function_name: str = "f_fig",
     grid_size: int = 101,
-    ratio_cap: float = 50.0,
+    ratio_cap: float | None = None,
     lipschitz: tuple[float, float] | None = None,
 ) -> BoundReport:
+    """One bound check of a built-in function over the run grid.
+
+    ratio_cap applies to t34 only (None: DEFAULT_RATIO_CAP) and lipschitz to
+    t33 only (None: the function's built-in data); either one passed with
+    another theorem raises ConfigError.
+    """
     if theorem not in ("t32", "t33", "t34"):
         raise ConfigError(f"unknown theorem {theorem!r}; choose t32, t33 or t34")
     if lipschitz is not None and theorem != "t33":
         raise ConfigError(f"Lipschitz data (M, alpha) apply to t33 only, not {theorem}")
+    if ratio_cap is not None and theorem != "t34":
+        raise ConfigError(f"a ratio cap applies to t34 only, not {theorem}")
     if theorem == "t33" and lipschitz is None:
         lipschitz = LIPSCHITZ_DATA.get(function_name)
         if lipschitz is None:
@@ -360,7 +368,8 @@ def run_bounds(
     if theorem == "t32":
         return check_t32(config, pq, f, xs)
     if theorem == "t34":
-        return check_t34(config, pq, f, xs, ratio_cap=ratio_cap)
+        cap = DEFAULT_RATIO_CAP if ratio_cap is None else ratio_cap
+        return check_t34(config, pq, f, xs, ratio_cap=cap)
     m_const, alpha = lipschitz
     return check_t33(config, pq, f, m_const, alpha, xs)
 

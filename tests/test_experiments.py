@@ -1,10 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from pqbernstein import experiments
 from pqbernstein.cli import main
+from pqbernstein.error_bounds import DEFAULT_RATIO_CAP
 from pqbernstein.experiments import (
     ConfigError,
     KOROVKIN_FUNCTIONS,
@@ -188,6 +198,19 @@ class TestRunBounds:
     def test_lipschitz_data_rejected_outside_t33(self, theorem):
         with pytest.raises(ConfigError, match="t33 only"):
             run_bounds(theorem, SchurerConfig(n=4), PQPair(0.9, 0.8), lipschitz=(5.0, 1.0))
+
+    @pytest.mark.parametrize("theorem", ["t32", "t33"])
+    @pytest.mark.parametrize("cap", [50.0, -5.0])
+    def test_ratio_cap_rejected_outside_t34(self, theorem, cap):
+        with pytest.raises(ConfigError, match="t34 only"):
+            run_bounds(theorem, SchurerConfig(n=4), PQPair(0.9, 0.8), "e1", ratio_cap=cap)
+
+    def test_t34_ratio_cap_defaults_to_the_module_constant(self):
+        config, pq = SchurerConfig(n=4), PQPair(0.9, 0.8)
+        default = run_bounds("t34", config, pq, grid_size=5)
+        assert default.extras["ratio_cap"] == DEFAULT_RATIO_CAP
+        capped = run_bounds("t34", config, pq, grid_size=5, ratio_cap=1e-6)
+        assert capped.extras["ratio_cap"] == 1e-6
 
     def test_lipschitz_data_used_by_t33(self):
         rep = run_bounds(
@@ -395,6 +418,42 @@ class TestCLI:
         )
         assert code == 2
         assert "ratio_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem", ["t32", "t33"])
+    def test_ratio_cap_outside_t34_exits_two(self, theorem, capsys):
+        code = main(
+            ["bounds", "--theorem", theorem, "--function", "e1", "--n", "4", "--p", "0.9",
+             "--q", "0.8", "--grid", "3", "--ratio-cap", "-5"]
+        )
+        assert code == 2
+        assert "t34 only" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        resource is None or not sys.platform.startswith("linux"),
+        reason="needs resource.RLIMIT_AS and /proc/self/status",
+    )
+    def test_out_of_memory_exits_three(self):
+        # the basis matrix of a 3,000,000-point grid at n = 128 is 2.86 GiB; an
+        # address-space limit 1 GiB above the child's size after import makes
+        # that allocation fail at once, so the test never holds the memory
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import resource, sys\n"
+            "from pqbernstein.cli import main\n"
+            "with open('/proc/self/status') as status:\n"
+            "    size = next(int(l.split()[1]) for l in status if l.startswith('VmSize:'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size * 1024 + 2**30, hard))\n"
+            "sys.exit(main(['figure', '--params', '0.999:0.99:128', '--grid', '3000000']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: out of memory: ")
+        assert done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("guard", ["nan", "inf"])
     def test_non_finite_guard_exits_two(self, guard, capsys):

@@ -4,15 +4,18 @@ The oracles below restate the earlier pointwise implementation: the basis row
 from the factorial ratio with separate power tables, the operator as a Python
 loop of basis rows, and the central moments as ((arg - x)^order) @ weights
 per x.  The tests at the end cover the O(N + K) means: (p,q)-integers from
-1 - r^j, one pass over the argument blocks per function, the read-only means
+1 - r^j, one pass over the arguments per function, the read-only means
 cache, the memory of a large operator, means that do not depend on the block
 size, and one basis matrix per Korovkin degree, bound check and moment report.
+The last ones cover the Gauss path for analytic functions: its means against
+the K-node rule's, where it runs, and the bit-identical K-node fallback.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pqbernstein import functions, operator_eval
 from pqbernstein.error_bounds import check_t32, check_t33, check_t34
@@ -24,6 +27,7 @@ from pqbernstein.operator_eval import (
     NumericalRangeError,
     SchurerConfig,
     _basis,
+    _gauss_means,
     _integral_means,
     _pq_integers,
     _tables,
@@ -35,7 +39,7 @@ from pqbernstein.operator_eval import (
     required_domain,
 )
 from pqbernstein.pq_core import PQPair, pq_integer
-from pqbernstein.pq_quadrature import build_rule
+from pqbernstein.pq_quadrature import GAUSS_POINTS, build_rule, gauss_rules
 
 # (n, ell, p, q); the last two reach N = 130 along the classic schedule
 CASES = [
@@ -225,7 +229,7 @@ def test_many_functions_match_single_calls():
 
 def test_cached_means_are_read_only():
     config, pq = SchurerConfig(n=7), PQPair(0.9, 0.8)
-    means = _integral_means(config, pq, (functions._BUILTINS["f_fig"],))
+    means = _integral_means(config, pq, ((functions._BUILTINS["f_fig"], True),))
     assert not means.flags.writeable
     with pytest.raises(ValueError):
         means[0, 0] = 0.0
@@ -244,19 +248,31 @@ def test_distinct_closures_never_share_means():
 
 
 def test_t32_and_t34_evaluate_f_fig_over_the_arguments_once(monkeypatch):
-    config, pq = SchurerConfig(n=40, ell=1), classic(40)
-    fig = functions._BUILTINS["f_fig"]
-    block_sizes = []
+    # f_fig takes the Gauss path here, (N+1)(2s + 4) arguments; holder_half
+    # takes the K-node rule's argument blocks, (N+1)(K+1) arguments
+    config, pq = SchurerConfig(n=64, ell=1), classic(64)
+    gauss_nodes = 2 * GAUSS_POINTS + 4
+    sizes = {"f_fig": [], "holder_half": []}
 
-    def counting(t):
-        if np.ndim(t) == 2:  # argument blocks; modulus and error samples are 1-D
-            block_sizes.append(t.size)
-        return fig(t)
+    def counting(name):
+        original = functions._BUILTINS[name]
 
-    monkeypatch.setitem(functions._BUILTINS, "f_fig", counting)
+        def fn(t):
+            if np.ndim(t) == 2:  # arguments; modulus and error samples are 1-D
+                sizes[name].append(t.shape)
+            return original(t)
+
+        return fn
+
+    for name in sizes:
+        monkeypatch.setitem(functions._BUILTINS, name, counting(name))
     for theorem in ("t32", "t34"):
-        run_bounds(theorem, config, pq, "f_fig")
-    assert sum(block_sizes) == (config.degree + 1) * _tables(config, pq).rule.nodes.size
+        for name in sizes:
+            run_bounds(theorem, config, pq, name)
+    big_n1, k1 = config.degree + 1, _tables(config, pq).rule.nodes.size
+    assert sizes["f_fig"] == [(big_n1, gauss_nodes)]
+    assert {shape[1] for shape in sizes["holder_half"]} == {k1}
+    assert sum(rows for rows, _ in sizes["holder_half"]) == big_n1
 
 
 def test_korovkin_power_columns_match_direct_quadrature():
@@ -267,7 +283,10 @@ def test_korovkin_power_columns_match_direct_quadrature():
         lo, hi = required_domain(config, pq)
         for name in KOROVKIN_FUNCTIONS:
             f = make_function(name, min(lo, 0.0), max(hi, 1.0))
-            direct = float(np.abs(apply_on_grid(config, pq, f, xs) - f(xs)).max())
+            # the power columns expand over the K-node rule's node moments:
+            # compare with that rule, not with the Gauss path
+            k_node = RealFunction(f.fn, f.lo, f.hi)
+            direct = float(np.abs(apply_on_grid(config, pq, k_node, xs) - f(xs)).max())
             assert row.sup_errors[name] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
@@ -290,7 +309,8 @@ def test_fresh_classic_n1024_apply_stays_small():
 @pytest.mark.parametrize("block", [2**8, 2**20])
 @pytest.mark.parametrize("config, pq", OPERATORS[::3], ids=IDS[::3])
 def test_means_do_not_depend_on_the_block_size(config, pq, block, monkeypatch):
-    fns = tuple(functions._BUILTINS[name] for name in ("e2", "f_fig", "holder_half"))
+    # the K-node path, the one that forms argument blocks
+    fns = tuple((functions._BUILTINS[name], False) for name in ("e2", "f_fig", "holder_half"))
     _integral_means.cache_clear()
     default = _integral_means(config, pq, fns)
     _integral_means.cache_clear()
@@ -365,3 +385,94 @@ def test_bound_checks_and_moment_report_build_one_basis_matrix_each(basis_builds
         basis_builds.clear()
         check()
         assert basis_builds == [config.degree]
+
+
+def gauss_attempts(fn, seen):
+    """fn, recording the widths of the 2-D argument arrays it is called on."""
+
+    def spy(t):
+        if np.ndim(t) == 2:
+            seen.append(t.shape[1])
+        return fn(t)
+
+    return spy
+
+
+@given(
+    n=st.integers(min_value=10, max_value=200),
+    ell=st.integers(min_value=0, max_value=3),
+    u=st.floats(min_value=0.0, max_value=1.0),
+    ratio=st.floats(min_value=0.7, max_value=0.995),
+)
+def test_gauss_and_k_node_means_of_the_analytic_builtins_agree(n, ell, u, ratio):
+    # p within 1/(n+1) of 1 keeps the arguments [k]/[n+1] below about e, and
+    # n >= 10 keeps each argument's range short: the Gauss path never runs
+    # below N+1 = 11 (see GAUSS_BUILD_FIXED), and at n = 1, p = 0.5 the
+    # s / s+4 check rightly refuses f_fig over arguments spanning [0, 2]
+    p = 1.0 - u / (n + 1)
+    config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, p * ratio)
+    tb, rules = _tables(config, pq), gauss_rules(pq, config.quad_tol)
+    for name in sorted(functions.ANALYTIC_BUILTINS):
+        fn = functions._BUILTINS[name]
+        k_node = _integral_means(config, pq, ((fn, False),))[0]
+        gauss = _gauss_means(tb, rules, fn, config.quad_tol)
+        assert gauss is not None
+        for means in (gauss, _integral_means(config, pq, ((fn, True),))[0]):
+            assert (np.abs(means - k_node) <= 1e-13 * np.maximum(1.0, np.abs(k_node))).all()
+
+
+def test_analytic_builtins_take_the_gauss_path_above_the_crossover():
+    config, pq = SchurerConfig(n=64, ell=1), classic(64)
+    lo, hi = required_domain(config, pq)
+    for name in sorted(functions.ANALYTIC_BUILTINS):
+        seen = []
+        f = make_function(name, lo, hi)
+        spied = RealFunction(gauss_attempts(f.fn, seen), lo, hi, analytic=f.analytic)
+        got = apply_on_grid(config, pq, spied, XS)
+        assert seen == [2 * GAUSS_POINTS + 4]
+        want = basis_matrix(config, pq, XS) @ _integral_means(config, pq, ((f.fn, False),))[0]
+        assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "n, ell, p, q",
+    [(24, 3, 1.0, 0.98), (24, 3, 0.9, 0.9 * 0.98), (24, 0, 0.99, 0.5), (1, 0, 0.9, 0.8)],
+)
+def test_small_operators_keep_the_k_node_rule(n, ell, p, q):
+    # every operator of N+1 <= 28 arguments and q/p <= 0.98 stays below the crossover
+    config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, q)
+    lo, hi = required_domain(config, pq)
+    seen = []
+    fig = make_function("f_fig", lo, hi)
+    spied = RealFunction(gauss_attempts(fig.fn, seen), lo, hi, analytic=True)
+    apply_on_grid(config, pq, spied, XS)
+    assert set(seen) == {_tables(config, pq).rule.nodes.size}
+
+
+@pytest.mark.parametrize(
+    "rough",
+    [lambda t: np.sqrt(np.abs(t - 0.5)), lambda t: np.abs(np.cos(40.0 * t))],
+    ids=["sqrt_kink", "abs_cos"],
+)
+def test_a_rough_function_declared_analytic_falls_back_bit_identically(rough):
+    config, pq = SchurerConfig(n=64, ell=1), classic(64)
+    lo, hi = required_domain(config, pq)
+    seen = []
+    declared = RealFunction(gauss_attempts(rough, seen), lo, hi, analytic=True)
+    got = apply_on_grid(config, pq, declared, XS)
+    k1 = _tables(config, pq).rule.nodes.size
+    assert seen[0] == 2 * GAUSS_POINTS + 4  # tried, failed the s / s+4 check
+    assert set(seen[1:]) == {k1}
+    np.testing.assert_array_equal(got, apply_on_grid(config, pq, RealFunction(rough, lo, hi), XS))
+
+
+def test_an_undeclared_closure_takes_the_k_node_path_bit_identically():
+    config, pq = SchurerConfig(n=64, ell=1), classic(64)
+    lo, hi = required_domain(config, pq)
+    fig = functions._BUILTINS["f_fig"]
+    seen = []
+    closure = RealFunction(gauss_attempts(lambda t: 1.0 + np.cos(5.0 * t**2), seen), lo, hi)
+    got = apply_on_grid(config, pq, closure, XS)
+    assert set(seen) == {_tables(config, pq).rule.nodes.size}
+    # the same values as f_fig's K-node means, bit for bit
+    np.testing.assert_array_equal(got, apply_on_grid(config, pq, RealFunction(fig, lo, hi), XS))

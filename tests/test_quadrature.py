@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from pqbernstein.functions import DomainError, RealFunction
 from pqbernstein.pq_core import PQPair, pq_integer
-from pqbernstein.pq_quadrature import DEFAULT_HARD_CAP, TruncationError, build_rule
+from pqbernstein.pq_quadrature import (
+    DEFAULT_HARD_CAP,
+    GAUSS_POINTS,
+    TruncationError,
+    build_rule,
+    gauss_rules,
+)
 from pqbernstein.qreference import jackson_integral
 
 from oracles import integrate
@@ -135,3 +141,45 @@ class TestIntegrate:
         too_small = RealFunction(lambda t: t, 0.0, 1.0, name="f")  # top node is 1/0.9
         with pytest.raises(DomainError):
             integrate(rule, too_small)
+
+
+class TestGaussRules:
+    """The s- and (s+4)-point Gauss rules of the K-node rule's discrete measure."""
+
+    @given(
+        p=st.floats(min_value=0.5, max_value=1.0),
+        ratio=st.floats(min_value=0.6, max_value=0.999),
+    )
+    def test_monomial_sums_match_the_k_node_rule(self, p, ratio):
+        # monomials of p t, which spans (0, 1] on the nodes, so every sum is
+        # at most 1; a node rounded by eps moves (p t)^m by about m eps, hence
+        # the slack that grows past degree 16 (measured worst over 1,500
+        # random pairs: 1.9e-14 at degree 31)
+        pq = PQPair(p, p * ratio)
+        rule, rules = build_rule(pq, 1e-10), gauss_rules(pq, 1e-10)
+        s = GAUSS_POINTS
+        degrees = np.arange(2 * s + 8)
+        want = (p * rule.nodes) ** degrees[:, None] @ rule.weights
+        got = (p * rules.nodes) ** degrees[:, None] @ rules.weights
+        slack = 1e-14 * np.maximum(1.0, degrees / 16)
+        assert (np.abs(got[: 2 * s, 0] - want[: 2 * s]) <= slack[: 2 * s]).all()
+        assert (np.abs(got[:, 1] - want) <= slack).all()
+
+    def test_layout_nodes_inside_the_rule_and_positive_weights(self):
+        pq = PQPair(0.9, 0.8)
+        rules, s = gauss_rules(pq, 1e-10), GAUSS_POINTS
+        assert rules.nodes.shape == (2 * s + 4,) and rules.weights.shape == (2 * s + 4, 2)
+        assert (rules.weights[s:, 0] == 0.0).all() and (rules.weights[:s, 1] == 0.0).all()
+        assert (rules.weights[:s, 0] > 0.0).all() and (rules.weights[s:, 1] > 0.0).all()
+        for nodes in (rules.nodes[:s], rules.nodes[s:]):
+            assert (np.diff(nodes) > 0.0).all()
+            assert 0.0 < nodes[0] and nodes[-1] <= build_rule(pq, 1e-10).top_node
+        assert not rules.nodes.flags.writeable and not rules.weights.flags.writeable
+        assert gauss_rules(pq, 1e-10) is rules  # cached per (pq, tol)
+
+    def test_too_few_nodes_are_refused(self):
+        # q/p = 0.5 at tol 1e-10: 34 nodes, no more than the 2s + 4 Gauss nodes
+        pq = PQPair(1.0, 0.5)
+        assert build_rule(pq, 1e-10).nodes.size <= 2 * GAUSS_POINTS + 4
+        with pytest.raises(ValueError, match="Gauss rules"):
+            gauss_rules(pq, 1e-10)

@@ -22,25 +22,14 @@ class RealFunction:
 
     ``fn`` must accept numpy arrays (all built-ins do); scalar input returns a
     float, array input an array of the same shape.  The operator caches its
-    integral means per ``(fn, analytic)`` pair, so ``fn`` must be hashable and
-    a pure function of its argument.
-
-    ``analytic`` promises that ``fn`` is analytic on a neighbourhood of
-    [lo, hi], so that a polynomial of modest degree approximates it well there.
-    On operators large enough for it to pay, the operator then tries a Gauss
-    rule of GAUSS_POINTS nodes in place of the K-node (p,q)-rule for the
-    integral means, and keeps the Gauss means only where they agree with
-    those of GAUSS_POINTS + 4 nodes within the quadrature tolerance; elsewhere
-    it falls back to the K-node rule.  A false promise therefore costs time,
-    not accuracy, unless the function fools both rules alike.  The default,
-    False, always takes the K-node rule.
+    integral means per ``fn`` object, so ``fn`` must be hashable and a pure
+    function of its argument.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     lo: float
     hi: float
     name: str = "f"
-    analytic: bool = False
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
@@ -77,8 +66,12 @@ LIPSCHITZ_DATA: dict[str, tuple[float, float]] = {
     "holder_half": (1.0, 0.5),
 }
 
-# Built-ins that are entire functions; holder_half has a kink at 1/2.
-ANALYTIC_BUILTINS = frozenset({"e0", "e1", "e2", "f_fig"})
+# Built-ins whose integral means the operator may take with a Gauss rule (see
+# operator_eval): f_fig is entire.  holder_half has a kink at 1/2.  e0, e1
+# and e2 keep the K-node rule, so their means stay the same sums, to
+# rounding, as the node-moment means the Korovkin and moment reports compare
+# them with.
+ANALYTIC_BUILTINS = frozenset({_BUILTINS["f_fig"]})
 
 FUNCTION_NAMES = tuple(_BUILTINS)
 
@@ -89,4 +82,4 @@ def make_function(name: str, lo: float, hi: float) -> RealFunction:
         fn = _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown function {name!r}; choose from {FUNCTION_NAMES}") from None
-    return RealFunction(fn, lo, hi, name=name, analytic=name in ANALYTIC_BUILTINS)
+    return RealFunction(fn, lo, hi, name=name)

@@ -24,15 +24,15 @@ The basis needs only O(N) coefficients and no quadrature rule.  The means
 are defined by the rule's K nodes and the argument coefficients, O(N + K).
 Every argument is an affine image of the same nodes, so one Gauss rule of the
 rule's discrete measure (pq_quadrature.gauss_rules, s = 16 and s + 4 = 20
-points, built once per (pq, tol)) serves every k: a function declared
-analytic (RealFunction.analytic) costs (N+1)(2s + 4) evaluations instead of
-(N+1)(K+1), on operators where that saving outweighs the build, and keeps
-the Gauss means only where the two rules agree within quad_tol.  Every other
-function, and any that fails that check, takes the K-node rule, which stays
-the definition: the arguments c0_k + c1_k t are formed one row block of
-MEANS_BLOCK values at a time, sized to stay in a core's L2 cache, and reduced
-against the weights at once, so the (N+1) x K argument table never exists.
-The means of each (function, analytic) pair are cached.  The raw moments of
+points, built at most once per operator) serves every k: the analytic
+built-ins (functions.ANALYTIC_BUILTINS, f_fig) cost (N+1)(2s + 4) evaluations
+instead of (N+1)(K+1), on operators where that saving outweighs the build,
+and keep the Gauss means only where the two rules agree within quad_tol.
+Every other function, and any that fails that check, takes the K-node rule,
+which stays the definition: the arguments c0_k + c1_k t are formed one row
+block of MEANS_BLOCK values at a time, sized to stay in a core's L2 cache,
+and reduced against the weights at once, so the (N+1) x K argument table
+never exists.  The means of each function are cached.  The raw moments of
 t^0, t^1, t^2 expand over the K-node rule's node moments and give the
 central moments.
 
@@ -46,12 +46,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
+from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
 from .pq_core import BLOCK_VALUES, PQPair
 from .pq_quadrature import GAUSS_POINTS, GaussRules, QuadratureRule, build_rule, gauss_rules
 
@@ -114,12 +114,16 @@ MEANS_BLOCK = BLOCK_VALUES
 # The Gauss path pays for itself when the evaluations it saves,
 # (N+1)(K+1 - (2s+4)), outweigh the build of its rules, which costs about
 # GAUSS_BUILD_FIXED + GAUSS_BUILD_PER_NODE (K+1) K-node evaluations of f_fig.
-# Timed on a 2-vCPU Xeon, cold, median of 25: an f_fig evaluation costs
-# 13 ns and a build 0.35 ms + 0.13 us per node (0.41 ms at K+1 = 46, 0.59 ms
-# at 2,292, 3.4 ms at 23,015).  The crossover in N+1 is therefore 177 at
-# K+1 = 200, 39 at 1,000, 20 at 3,000 and 12 at 23,614; an operator with
-# N+1 <= 28 needs K+1 >= 1,556 to cross it.  It depends on (N, K) alone, so
-# the path, and with it every result, does not depend on what is cached.
+# Timed on a 2-vCPU Xeon, cold, medians of 21 to 25: a K-node evaluation of
+# f_fig costs about 13 ns and a build about 0.40 ms + 0.08 us per node
+# (0.45 ms at K+1 = 196, 0.63 ms at 2,292, 2.0 ms at 23,614), which the
+# constants round to 0.35 ms + 0.13 us.  The crossover in N+1 is therefore
+# 177 at K+1 = 200, 39 at 1,000, 20 at 3,000 and 12 at 23,614.  Timed
+# directly, the Gauss path first won at N+1 = 25 at K+1 = 2,982 (17 lost),
+# at 41 at K+1 = 1,140 (33 tied), and at 9, the smallest tried, at
+# K+1 = 23,614.  An operator with N+1 <= 28 needs K+1 >= 1,556 to cross it.
+# The crossover depends on (N, K) alone, so the path, and with it every
+# result, does not depend on what is cached.
 GAUSS_BUILD_FIXED = 27_000
 GAUSS_BUILD_PER_NODE = 10
 
@@ -143,6 +147,11 @@ class _Tables:
     c1: np.ndarray           # ([k+1]-[k])/[n+1], computed as ((q-1)[k]+p^k)/[n+1]
     raw_means: np.ndarray    # sum_t w_t (c0_k + c1_k t)^j for j = 0, 1, 2, shape (3, N+1)
     domain: tuple[float, float]  # hull of the arguments, see required_domain
+
+    @cached_property
+    def gauss(self) -> GaussRules:
+        """The Gauss rules of this rule, built on first use and kept with the entry."""
+        return gauss_rules(self.rule)
 
 
 @lru_cache(maxsize=32)
@@ -217,10 +226,10 @@ def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
     return _Tables(rule=rule, c0=c0, c1=c1, raw_means=raw_means, domain=domain)
 
 
-def _gauss_means(tb: _Tables, rules: GaussRules, fn, tol: float) -> np.ndarray | None:
+def _gauss_means(tb: _Tables, fn, tol: float) -> np.ndarray | None:
     """(s+4)-point Gauss means of fn per k; None if the s-point ones differ by more than tol."""
-    arg = tb.c0[:, None] + tb.c1[:, None] * rules.nodes
-    small, large = (np.asarray(fn(arg), dtype=float) @ rules.weights).T
+    arg = tb.c0[:, None] + tb.c1[:, None] * tb.gauss.nodes
+    small, large = (np.asarray(fn(arg), dtype=float) @ tb.gauss.weights).T
     # written so that a NaN fails too
     if np.all(np.abs(small - large) <= tol * np.maximum(1.0, np.abs(large))):
         return large
@@ -229,33 +238,27 @@ def _gauss_means(tb: _Tables, rules: GaussRules, fn, tol: float) -> np.ndarray |
 
 @lru_cache(maxsize=32)
 def _integral_means(config: SchurerConfig, pq: PQPair, fns: tuple) -> np.ndarray:
-    """sum_t w_t fn(c0_k + c1_k t) per (fn, analytic) pair and k, shape (len(fns), N+1).
+    """sum_t w_t fn(c0_k + c1_k t) per fn and k, shape (len(fns), N+1), read-only.
 
-    A pair declared analytic, on an operator large enough for the Gauss path
-    to pay (see GAUSS_BUILD_FIXED), takes that path: (N+1)(2s + 4)
-    evaluations, kept if the s- and (s+4)-point means agree within quad_tol.
-    Every other pair, and any that fails that check, takes the K-node rule:
-    its arguments are built and reduced one row block of about MEANS_BLOCK
-    values at a time, shared by every such fn, so no (N+1) x K array exists.
-    The result is read-only.  The cache keys on the callables themselves: two
-    closures never share an entry, and a fn must be a pure function of its
-    argument.
+    An analytic built-in, on an operator large enough for the Gauss path to
+    pay (see GAUSS_BUILD_FIXED), takes that path: (N+1)(2s + 4) evaluations,
+    kept if the s- and (s+4)-point means agree within quad_tol.  Every other
+    fn, and any that fails that check, takes the K-node rule: its arguments
+    are built and reduced one row block of about MEANS_BLOCK values at a
+    time, shared by every such fn, so no (N+1) x K array exists.  The cache
+    keys on the callables themselves: two closures never share an entry, and
+    a fn must be a pure function of its argument.
     """
     tb = _tables(config, pq)
     nodes, weights = tb.rule.nodes, tb.rule.weights
     out = np.empty((len(fns), tb.c0.size))
     saved = tb.c0.size * (nodes.size - 2 * GAUSS_POINTS - 4)
-    gauss = (
-        gauss_rules(pq, config.quad_tol)
-        if saved >= GAUSS_BUILD_FIXED + GAUSS_BUILD_PER_NODE * nodes.size
-        and any(analytic for _, analytic in fns)
-        else None
-    )
+    gauss_pays = saved >= GAUSS_BUILD_FIXED + GAUSS_BUILD_PER_NODE * nodes.size
     rest = []
-    for i, (fn, analytic) in enumerate(fns):
+    for i, fn in enumerate(fns):
         means = None
-        if analytic and gauss is not None:
-            means = _gauss_means(tb, gauss, fn, config.quad_tol)
+        if gauss_pays and fn in ANALYTIC_BUILTINS:
+            means = _gauss_means(tb, fn, config.quad_tol)
         if means is None:
             rest.append(i)
         else:
@@ -266,7 +269,7 @@ def _integral_means(config: SchurerConfig, pq: PQPair, fns: tuple) -> np.ndarray
         block = slice(start, start + rows)
         arg = tb.c0[block, None] + tb.c1[block, None] * nodes
         for i in rest:
-            out[i, block] = np.asarray(fns[i][0](arg), dtype=float) @ weights
+            out[i, block] = np.asarray(fns[i](arg), dtype=float) @ weights
     out.flags.writeable = False
     return out
 
@@ -324,8 +327,7 @@ def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float
     """Operator value at x; linear and positive in f up to quadrature truncation."""
     _check_points(x)
     _check_covers(config, pq, f)
-    means = _integral_means(config, pq, ((f.fn, f.analytic),))[0]
-    return float(basis_row(config, pq, x) @ means)
+    return float(basis_row(config, pq, x) @ _integral_means(config, pq, (f.fn,))[0])
 
 
 class GridEvaluation(NamedTuple):
@@ -357,7 +359,7 @@ def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluatio
     x = np.asarray(xs, dtype=float)[()]  # a NumPy scalar for one point: cheaper arithmetic
     # f.fn directly: _check_covers has compared f's domain with the cached
     # hull of the arguments, so a second scan of them is redundant
-    means = _integral_means(config, pq, tuple((f.fn, f.analytic) for f in fs))
+    means = _integral_means(config, pq, tuple(f.fn for f in fs))
     raw_means = _tables(config, pq).raw_means
     b = basis_matrix(config, pq, x)
     return GridEvaluation(x, tuple(b @ m for m in raw_means), [b @ m for m in means])

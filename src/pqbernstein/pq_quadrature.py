@@ -14,16 +14,16 @@ The truncated rule is a discrete measure on K+1 points, so it has Gauss
 rules of its own: s nodes in (0, 1/p] that sum every polynomial of degree
 below 2s exactly as the K+1 nodes do (Golub & Welsch, Math. Comp. 23, 1969;
 Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP 2004,
-section 2.2).  gauss_rules builds the GAUSS_POINTS- and GAUSS_POINTS+4-point
-rules from one discrete Stieltjes pass over the K+1 nodes; their recurrence
-coefficients are nested, so the pass costs O(K (s+4)).
+section 2.2).  gauss_rules builds a rule's GAUSS_POINTS- and
+GAUSS_POINTS+4-point Gauss rules from one discrete Stieltjes pass over its
+K+1 nodes; their recurrence coefficients are nested, so the pass costs
+O(K (s+4)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -143,18 +143,18 @@ def _golub_welsch(alpha: np.ndarray, beta: np.ndarray, s: int):
     return nodes, beta[0] * vectors[0] ** 2
 
 
-@lru_cache(maxsize=32)
-def gauss_rules(pq: PQPair, tol: float) -> GaussRules:
-    """Gauss rules of build_rule(pq, tol), exact on its sums of polynomials of degree < 2s.
+def gauss_rules(rule: QuadratureRule) -> GaussRules:
+    """Gauss rules of a truncated rule, exact on its sums of polynomials of degree < 2s.
 
-    Raises ValueError if the truncated rule has no more than 2s + 4 nodes:
+    Not cached here: operator_eval keeps the rules of each operator's rule
+    beside it.  Raises ValueError if the rule has no more than 2s + 4 nodes:
     its Gauss rules would then evaluate an integrand as often as it does.
     """
-    rule = build_rule(pq, tol)
     s = GAUSS_POINTS
     if rule.nodes.size <= 2 * s + 4:
+        pq = rule.pq
         raise ValueError(
-            f"the rule at p={pq.p!r}, q={pq.q!r}, tol={tol:g} has {rule.nodes.size} nodes; "
+            f"the rule at p={pq.p!r}, q={pq.q!r} with {rule.nodes.size} nodes is too small: "
             f"Gauss rules of {s} and {s + 4} points need more than {2 * s + 4}"
         )
     alpha, beta = _stieltjes(rule.nodes, rule.weights, s + 4)

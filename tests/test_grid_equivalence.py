@@ -7,8 +7,9 @@ per x.  The tests at the end cover the O(N + K) means: (p,q)-integers from
 1 - r^j, one pass over the arguments per function, the read-only means
 cache, the memory of a large operator, means that do not depend on the block
 size, and one basis matrix per Korovkin degree, bound check and moment report.
-The last ones cover the Gauss path for analytic functions: its means against
-the K-node rule's, where it runs, and the bit-identical K-node fallback.
+The last ones cover the Gauss path of the analytic built-ins: its means
+against the K-node rule's, where it runs, and the bit-identical K-node
+fallback.
 """
 
 import tracemalloc
@@ -39,7 +40,7 @@ from pqbernstein.operator_eval import (
     required_domain,
 )
 from pqbernstein.pq_core import PQPair, pq_integer
-from pqbernstein.pq_quadrature import GAUSS_POINTS, build_rule, gauss_rules
+from pqbernstein.pq_quadrature import GAUSS_POINTS, build_rule
 
 # (n, ell, p, q); the last two reach N = 130 along the classic schedule
 CASES = [
@@ -229,7 +230,7 @@ def test_many_functions_match_single_calls():
 
 def test_cached_means_are_read_only():
     config, pq = SchurerConfig(n=7), PQPair(0.9, 0.8)
-    means = _integral_means(config, pq, ((functions._BUILTINS["f_fig"], True),))
+    means = _integral_means(config, pq, (functions._BUILTINS["f_fig"],))
     assert not means.flags.writeable
     with pytest.raises(ValueError):
         means[0, 0] = 0.0
@@ -266,6 +267,10 @@ def test_t32_and_t34_evaluate_f_fig_over_the_arguments_once(monkeypatch):
 
     for name in sizes:
         monkeypatch.setitem(functions._BUILTINS, name, counting(name))
+    # the counting f_fig stands in for f_fig among the analytic built-ins
+    monkeypatch.setattr(
+        operator_eval, "ANALYTIC_BUILTINS", frozenset({functions._BUILTINS["f_fig"]})
+    )
     for theorem in ("t32", "t34"):
         for name in sizes:
             run_bounds(theorem, config, pq, name)
@@ -283,10 +288,7 @@ def test_korovkin_power_columns_match_direct_quadrature():
         lo, hi = required_domain(config, pq)
         for name in KOROVKIN_FUNCTIONS:
             f = make_function(name, min(lo, 0.0), max(hi, 1.0))
-            # the power columns expand over the K-node rule's node moments:
-            # compare with that rule, not with the Gauss path
-            k_node = RealFunction(f.fn, f.lo, f.hi)
-            direct = float(np.abs(apply_on_grid(config, pq, k_node, xs) - f(xs)).max())
+            direct = float(np.abs(apply_on_grid(config, pq, f, xs) - f(xs)).max())
             assert row.sup_errors[name] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
@@ -309,8 +311,7 @@ def test_fresh_classic_n1024_apply_stays_small():
 @pytest.mark.parametrize("block", [2**8, 2**20])
 @pytest.mark.parametrize("config, pq", OPERATORS[::3], ids=IDS[::3])
 def test_means_do_not_depend_on_the_block_size(config, pq, block, monkeypatch):
-    # the K-node path, the one that forms argument blocks
-    fns = tuple((functions._BUILTINS[name], False) for name in ("e2", "f_fig", "holder_half"))
+    fns = tuple(functions._BUILTINS[name] for name in ("e2", "f_fig", "holder_half"))
     _integral_means.cache_clear()
     default = _integral_means(config, pq, fns)
     _integral_means.cache_clear()
@@ -398,54 +399,94 @@ def gauss_attempts(fn, seen):
     return spy
 
 
+def declare_analytic(monkeypatch, fn):
+    """Let the operator treat fn as an analytic built-in."""
+    monkeypatch.setattr(
+        operator_eval, "ANALYTIC_BUILTINS", operator_eval.ANALYTIC_BUILTINS | {fn}
+    )
+
+
+def k_node_means(config, pq, fn):
+    """fn's K-node means: a closure is never an analytic built-in."""
+    return _integral_means(config, pq, (lambda t: fn(t),))[0]
+
+
 @given(
     n=st.integers(min_value=10, max_value=200),
     ell=st.integers(min_value=0, max_value=3),
     u=st.floats(min_value=0.0, max_value=1.0),
     ratio=st.floats(min_value=0.7, max_value=0.995),
 )
-def test_gauss_and_k_node_means_of_the_analytic_builtins_agree(n, ell, u, ratio):
+def test_gauss_and_k_node_means_of_the_smooth_builtins_agree(n, ell, u, ratio):
     # p within 1/(n+1) of 1 keeps the arguments [k]/[n+1] below about e, and
     # n >= 10 keeps each argument's range short: the Gauss path never runs
     # below N+1 = 11 (see GAUSS_BUILD_FIXED), and at n = 1, p = 0.5 the
     # s / s+4 check rightly refuses f_fig over arguments spanning [0, 2]
     p = 1.0 - u / (n + 1)
     config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, p * ratio)
-    tb, rules = _tables(config, pq), gauss_rules(pq, config.quad_tol)
-    for name in sorted(functions.ANALYTIC_BUILTINS):
+    tb = _tables(config, pq)
+    for name in ("e0", "e1", "e2", "f_fig"):
         fn = functions._BUILTINS[name]
-        k_node = _integral_means(config, pq, ((fn, False),))[0]
-        gauss = _gauss_means(tb, rules, fn, config.quad_tol)
+        want = k_node_means(config, pq, fn)
+        gauss = _gauss_means(tb, fn, config.quad_tol)
         assert gauss is not None
-        for means in (gauss, _integral_means(config, pq, ((fn, True),))[0]):
-            assert (np.abs(means - k_node) <= 1e-13 * np.maximum(1.0, np.abs(k_node))).all()
+        got = [gauss, _integral_means(config, pq, (fn,))[0]]  # the latter on either path
+        for means in got:
+            assert (np.abs(means - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
 
 
-def test_analytic_builtins_take_the_gauss_path_above_the_crossover():
+def test_f_fig_takes_the_gauss_path_above_the_crossover(monkeypatch):
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
     lo, hi = required_domain(config, pq)
-    for name in sorted(functions.ANALYTIC_BUILTINS):
-        seen = []
-        f = make_function(name, lo, hi)
-        spied = RealFunction(gauss_attempts(f.fn, seen), lo, hi, analytic=f.analytic)
-        got = apply_on_grid(config, pq, spied, XS)
-        assert seen == [2 * GAUSS_POINTS + 4]
-        want = basis_matrix(config, pq, XS) @ _integral_means(config, pq, ((f.fn, False),))[0]
-        assert np.abs(got - want).max() <= 1e-13
+    fig, seen = functions._BUILTINS["f_fig"], []
+    spied = gauss_attempts(fig, seen)
+    declare_analytic(monkeypatch, spied)
+    got = apply_on_grid(config, pq, RealFunction(spied, lo, hi), XS)
+    assert seen == [2 * GAUSS_POINTS + 4]
+    want = basis_matrix(config, pq, XS) @ k_node_means(config, pq, fig)
+    assert np.abs(got - want).max() <= 1e-13
+    # f_fig itself, through the public path, the same
+    np.testing.assert_array_equal(apply_on_grid(config, pq, make_function("f_fig", lo, hi), XS), got)
+
+
+def test_only_f_fig_among_the_builtins_tries_the_gauss_rule(monkeypatch):
+    # above the crossover too, e0, e1 and e2 keep the K-node rule, whose sums
+    # the Korovkin and moment reports compare their direct means with
+    config, pq = SchurerConfig(n=64, ell=1), classic(64)
+    tried, gauss_means = [], operator_eval._gauss_means
+
+    def spy(tb, fn, tol):
+        tried.append(fn)
+        return gauss_means(tb, fn, tol)
+
+    monkeypatch.setattr(operator_eval, "_gauss_means", spy)
+    _integral_means.cache_clear()
+    try:
+        _integral_means(config, pq, tuple(functions._BUILTINS.values()))
+    finally:
+        _integral_means.cache_clear()
+    assert tried == [functions._BUILTINS["f_fig"]]
+
+
+def test_gauss_rules_are_built_once_per_operator():
+    config, pq = SchurerConfig(n=64, ell=1), classic(64)
+    tb = _tables(config, pq)
+    assert tb.gauss is tb.gauss
+    assert tb.gauss.nodes.max() <= tb.rule.top_node
 
 
 @pytest.mark.parametrize(
     "n, ell, p, q",
     [(24, 3, 1.0, 0.98), (24, 3, 0.9, 0.9 * 0.98), (24, 0, 0.99, 0.5), (1, 0, 0.9, 0.8)],
 )
-def test_small_operators_keep_the_k_node_rule(n, ell, p, q):
+def test_small_operators_keep_the_k_node_rule(n, ell, p, q, monkeypatch):
     # every operator of N+1 <= 28 arguments and q/p <= 0.98 stays below the crossover
     config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, q)
     lo, hi = required_domain(config, pq)
     seen = []
-    fig = make_function("f_fig", lo, hi)
-    spied = RealFunction(gauss_attempts(fig.fn, seen), lo, hi, analytic=True)
-    apply_on_grid(config, pq, spied, XS)
+    spied = gauss_attempts(functions._BUILTINS["f_fig"], seen)
+    declare_analytic(monkeypatch, spied)
+    apply_on_grid(config, pq, RealFunction(spied, lo, hi), XS)
     assert set(seen) == {_tables(config, pq).rule.nodes.size}
 
 
@@ -454,25 +495,29 @@ def test_small_operators_keep_the_k_node_rule(n, ell, p, q):
     [lambda t: np.sqrt(np.abs(t - 0.5)), lambda t: np.abs(np.cos(40.0 * t))],
     ids=["sqrt_kink", "abs_cos"],
 )
-def test_a_rough_function_declared_analytic_falls_back_bit_identically(rough):
+def test_a_rough_function_declared_analytic_falls_back_bit_identically(rough, monkeypatch):
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
     lo, hi = required_domain(config, pq)
     seen = []
-    declared = RealFunction(gauss_attempts(rough, seen), lo, hi, analytic=True)
-    got = apply_on_grid(config, pq, declared, XS)
+    spied = gauss_attempts(rough, seen)
+    declare_analytic(monkeypatch, spied)
+    got = apply_on_grid(config, pq, RealFunction(spied, lo, hi), XS)
     k1 = _tables(config, pq).rule.nodes.size
     assert seen[0] == 2 * GAUSS_POINTS + 4  # tried, failed the s / s+4 check
     assert set(seen[1:]) == {k1}
     np.testing.assert_array_equal(got, apply_on_grid(config, pq, RealFunction(rough, lo, hi), XS))
 
 
-def test_an_undeclared_closure_takes_the_k_node_path_bit_identically():
+def test_an_undeclared_closure_takes_the_k_node_path_bit_identically(monkeypatch):
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
     lo, hi = required_domain(config, pq)
-    fig = functions._BUILTINS["f_fig"]
     seen = []
     closure = RealFunction(gauss_attempts(lambda t: 1.0 + np.cos(5.0 * t**2), seen), lo, hi)
     got = apply_on_grid(config, pq, closure, XS)
     assert set(seen) == {_tables(config, pq).rule.nodes.size}
-    # the same values as f_fig's K-node means, bit for bit
-    np.testing.assert_array_equal(got, apply_on_grid(config, pq, RealFunction(fig, lo, hi), XS))
+    # the same values as f_fig's own K-node means, bit for bit
+    monkeypatch.setattr(operator_eval, "ANALYTIC_BUILTINS", frozenset())
+    _integral_means.cache_clear()
+    want = apply_on_grid(config, pq, make_function("f_fig", lo, hi), XS)
+    _integral_means.cache_clear()
+    np.testing.assert_array_equal(got, want)

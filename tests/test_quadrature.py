@@ -156,7 +156,8 @@ class TestGaussRules:
         # the slack that grows past degree 16 (measured worst over 1,500
         # random pairs: 1.9e-14 at degree 31)
         pq = PQPair(p, p * ratio)
-        rule, rules = build_rule(pq, 1e-10), gauss_rules(pq, 1e-10)
+        rule = build_rule(pq, 1e-10)
+        rules = gauss_rules(rule)
         s = GAUSS_POINTS
         degrees = np.arange(2 * s + 8)
         want = (p * rule.nodes) ** degrees[:, None] @ rule.weights
@@ -167,19 +168,20 @@ class TestGaussRules:
 
     def test_layout_nodes_inside_the_rule_and_positive_weights(self):
         pq = PQPair(0.9, 0.8)
-        rules, s = gauss_rules(pq, 1e-10), GAUSS_POINTS
+        rule = build_rule(pq, 1e-10)
+        rules, s = gauss_rules(rule), GAUSS_POINTS
         assert rules.nodes.shape == (2 * s + 4,) and rules.weights.shape == (2 * s + 4, 2)
         assert (rules.weights[s:, 0] == 0.0).all() and (rules.weights[:s, 1] == 0.0).all()
         assert (rules.weights[:s, 0] > 0.0).all() and (rules.weights[s:, 1] > 0.0).all()
         for nodes in (rules.nodes[:s], rules.nodes[s:]):
             assert (np.diff(nodes) > 0.0).all()
-            assert 0.0 < nodes[0] and nodes[-1] <= build_rule(pq, 1e-10).top_node
+            assert 0.0 < nodes[0] and nodes[-1] <= rule.top_node
         assert not rules.nodes.flags.writeable and not rules.weights.flags.writeable
-        assert gauss_rules(pq, 1e-10) is rules  # cached per (pq, tol)
 
     def test_too_few_nodes_are_refused(self):
         # q/p = 0.5 at tol 1e-10: 34 nodes, no more than the 2s + 4 Gauss nodes
         pq = PQPair(1.0, 0.5)
-        assert build_rule(pq, 1e-10).nodes.size <= 2 * GAUSS_POINTS + 4
+        rule = build_rule(pq, 1e-10)
+        assert rule.nodes.size <= 2 * GAUSS_POINTS + 4
         with pytest.raises(ValueError, match="Gauss rules"):
-            gauss_rules(pq, 1e-10)
+            gauss_rules(rule)

@@ -40,9 +40,10 @@ def main() -> int:
         print(f"== korovkin [{name}] ==")
         result = run_korovkin(schedule(name), [8, 16, 32, 64, 128], ell=0, grid_size=101)
         result.write(f"{out}/korovkin_{name}")
-        last = result.rows[-1].sup_errors
+        last = {key: cells[-1] for key, cells in result.columns.items()}
         print(f"   converged={result.converged}, sup errors at n=128: "
-              f"e1={last['e1']:.3e}, e2={last['e2']:.3e}, f_fig={last['f_fig']:.3e}")
+              f"e1={last['sup_err_e1']:.3e}, e2={last['sup_err_e2']:.3e}, "
+              f"f_fig={last['sup_err_f_fig']:.3e}")
         failures += 0 if result.all_passed else 1
 
     print("== moments ==")

@@ -26,9 +26,7 @@ the modulus sits on the large side; the slack budget covers the error side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from itertools import repeat
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .functions import RealFunction
 from .moments_closed import closed_first_moment
 from .operator_eval import SchurerConfig, evaluate_on_grid
 from .pq_core import PQPair
-from .reportio import Report, config_block
+from .reportio import Report, config_block, json_rows
 
 # outer sampling: domain_length / MODULUS_GRID_DIV points
 MODULUS_GRID_DIV = 2000
@@ -139,24 +137,8 @@ def verify_lipschitz(
         )
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    x: float
-    error: float
-    delta_n: float
-    passed: bool
-    bound_t32: float | None = None
-    bound_t33: float | None = None
-    alpha_n: float | None = None
-    a_n: float | None = None
-    c_n: float | None = None
-    omega2_term: float | None = None
-    omega_term: float | None = None
-    ratio_t34: float | None = None
-
-
-_ROW_CELLS = attrgetter(*CSV_COLUMNS)
-_ROW_FIELDS = tuple(field.name for field in fields(BoundRow))
+# a JSON row names the CSV columns, with the verdict fourth
+JSON_ROW = {name: name for name in (*CSV_COLUMNS[:3], "passed", *CSV_COLUMNS[3:-1])}
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,16 +147,12 @@ class BoundReport(Report):
     config: SchurerConfig
     pq: PQPair
     function_name: str
-    rows: tuple[BoundRow, ...]
+    columns: dict[str, list]
     slack: float
     all_passed: bool
     extras: dict
 
     kind = "bound_report"
-    csv_columns = CSV_COLUMNS
-
-    def csv_rows(self):
-        return map(_ROW_CELLS, self.rows)
 
     def json_fields(self) -> dict:
         return {
@@ -184,10 +162,7 @@ class BoundReport(Report):
             "slack": self.slack,
             "all_passed": self.all_passed,
             "extras": self.extras,
-            "rows": [
-                {k: v for k, v in vars(r).items() if v is not None}
-                for r in self.rows
-            ],
+            "rows": json_rows(JSON_ROW, self.columns),
         }
 
 
@@ -201,19 +176,17 @@ def _bound_report(
     extras: dict,
     **columns: np.ndarray,
 ) -> BoundReport:
-    """One BoundRow per grid point from named columns over xs; None cells stay unset."""
+    """The report of named columns over xs; a column not given is all None."""
     columns = {"x": xs, **columns}
-    # positional cells in field order; a field without a column stays None
-    cells = [
-        columns[name].tolist() if name in columns else repeat(None)
-        for name in _ROW_FIELDS
-    ]
     return BoundReport(
         theorem=theorem,
         config=config,
         pq=pq,
         function_name=f.name,
-        rows=tuple(map(BoundRow, *cells)),
+        columns={
+            name: columns[name].tolist() if name in columns else [None] * len(xs)
+            for name in CSV_COLUMNS
+        },
         slack=slack,
         all_passed=bool(columns["passed"].all()),
         extras=extras,

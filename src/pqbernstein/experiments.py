@@ -29,7 +29,7 @@ from .operator_eval import (
 from .pq_core import PQPair, pq_integer
 from .pq_quadrature import build_rule
 from .qreference import q_kantorovich_schurer
-from .reportio import Report
+from .reportio import Report, json_rows
 
 KOROVKIN_FUNCTIONS = ("e0", "e1", "e2", "f_fig")
 CONVERGENCE_FLAGGED = ("e1", "e2", "f_fig")
@@ -139,13 +139,13 @@ def _hull_function(name: str, config: SchurerConfig, pq: PQPair) -> RealFunction
     return make_function(name, min(lo, 0.0), max(hi, 1.0))
 
 
-@dataclass(frozen=True)
-class KorovkinRow:
-    n: int
-    p: float
-    q: float
-    sup_errors: dict[str, float]
-    decreasing: dict[str, bool | None]
+KOROVKIN_JSON_ROW = {
+    "n": "n",
+    "p": "p",
+    "q": "q",
+    "sup_errors": {name: f"sup_err_{name}" for name in KOROVKIN_FUNCTIONS},
+    "decreasing": {name: f"decreasing_{name}" for name in CONVERGENCE_FLAGGED},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,30 +155,15 @@ class KorovkinResult(Report):
     grid_size: int
     quad_tol: float
     basis_variant: BasisVariant
-    rows: tuple[KorovkinRow, ...]
+    columns: dict[str, list]
     converged: bool
     e0_within_budget: bool
 
     kind = "korovkin_run"
-    csv_columns = (
-        "n",
-        "p",
-        "q",
-        *(f"sup_err_{name}" for name in KOROVKIN_FUNCTIONS),
-        *(f"decreasing_{name}" for name in CONVERGENCE_FLAGGED),
-    )
 
     @property
     def all_passed(self) -> bool:
         return self.converged and self.e0_within_budget
-
-    def csv_rows(self):
-        for r in self.rows:
-            yield (
-                r.n, r.p, r.q,
-                *(r.sup_errors[name] for name in KOROVKIN_FUNCTIONS),
-                *(r.decreasing[name] for name in CONVERGENCE_FLAGGED),
-            )
 
     def json_fields(self) -> dict:
         return {
@@ -189,7 +174,7 @@ class KorovkinResult(Report):
             "basis_variant": self.basis_variant.value,
             "converged": self.converged,
             "e0_within_budget": self.e0_within_budget,
-            "rows": [vars(r) for r in self.rows],
+            "rows": json_rows(KOROVKIN_JSON_ROW, self.columns),
         }
 
 
@@ -206,45 +191,41 @@ def run_korovkin(
     ns = _validate_n_list(n_list)
     sched.validate(ns, guard=guard)
     xs = _validate_run_grid(grid_size)
-    rows: list[KorovkinRow] = []
-    prev: dict[str, float] | None = None
+    pairs = [sched.pair(n) for n in ns]
+    sup_errors: dict[str, list[float]] = {name: [] for name in KOROVKIN_FUNCTIONS}
     e0_ok = True
-    for n in ns:
-        pq = sched.pair(n)
+    for n, pq in zip(ns, pairs):
         config = SchurerConfig(n=n, ell=ell, basis_variant=basis_variant, quad_tol=quad_tol)
         fig = _hull_function("f_fig", config, pq)
-        # e0, e1, e2 from the raw moment means, which are the same truncated rule
         op = evaluate_on_grid(config, pq, (fig,), xs)
+        # in KOROVKIN_FUNCTIONS order; e0, e1, e2 from the raw moment means,
+        # which are the same truncated rule
         m0, m1, m2 = op.raw
-        residuals = {
-            "e0": m0 - 1.0,
-            "e1": m1 - xs,
-            "e2": m2 - xs**2,
-            "f_fig": op.values[0] - fig(xs),
-        }
-        errors = {name: float(np.abs(residuals[name]).max()) for name in KOROVKIN_FUNCTIONS}
-        flags = {
-            name: (None if prev is None else bool(errors[name] < prev[name]))
-            for name in CONVERGENCE_FLAGGED
-        }
+        residuals = (m0 - 1.0, m1 - xs, m2 - xs**2, op.values[0] - fig(xs))
+        for sups, residual in zip(sup_errors.values(), residuals):
+            sups.append(float(np.abs(residual).max()))
         # partition of unity keeps e0 at the truncation floor
-        if errors["e0"] > 10.0 * config.truncation_budget:
+        if sup_errors["e0"][-1] > 10.0 * config.truncation_budget:
             e0_ok = False
-        rows.append(KorovkinRow(n=n, p=pq.p, q=pq.q, sup_errors=errors, decreasing=flags))
-        prev = errors
-    converged = all(
-        row.decreasing[name]
-        for row in rows[1:]
+    # the first degree has nothing to decrease from
+    decreasing = {
+        name: [None] + [b < a for a, b in zip(sup_errors[name], sup_errors[name][1:])]
         for name in CONVERGENCE_FLAGGED
-    )
+    }
     return KorovkinResult(
         schedule_name=sched.name,
         ell=ell,
         grid_size=grid_size,
         quad_tol=quad_tol,
         basis_variant=basis_variant,
-        rows=tuple(rows),
-        converged=converged,
+        columns={
+            "n": ns,
+            "p": [pq.p for pq in pairs],
+            "q": [pq.q for pq in pairs],
+            **{f"sup_err_{name}": sup_errors[name] for name in KOROVKIN_FUNCTIONS},
+            **{f"decreasing_{name}": decreasing[name] for name in CONVERGENCE_FLAGGED},
+        },
+        converged=all(all(flags[1:]) for flags in decreasing.values()),
         e0_within_budget=e0_ok,
     )
 
@@ -256,21 +237,12 @@ class FigureTable(Report):
     quad_tol: float
     basis_variant: BasisVariant
     params: tuple[tuple[float, float, int], ...]
-    xs: np.ndarray
-    f_values: np.ndarray
-    columns: tuple[tuple[str, np.ndarray], ...]
+    columns: dict[str, list]
 
     kind = "figure_data"
 
-    @property
-    def csv_columns(self) -> tuple[str, ...]:
-        return ("x", "f", *(label for label, _ in self.columns))
-
-    def csv_rows(self):
-        values = (self.xs, self.f_values, *(col for _, col in self.columns))
-        return zip(*(v.tolist() for v in values))
-
     def json_fields(self) -> dict:
+        _, _, *curves = self.columns.items()  # after x and f, one column per label
         return {
             "function": "f_fig",
             "ell": self.ell,
@@ -278,9 +250,9 @@ class FigureTable(Report):
             "quad_tol": self.quad_tol,
             "basis_variant": self.basis_variant.value,
             "params": [list(t) for t in self.params],
-            "x": self.xs.tolist(),
-            "f": self.f_values.tolist(),
-            "columns": {label: col.tolist() for label, col in self.columns},
+            "x": self.columns["x"],
+            "f": self.columns["f"],
+            "columns": dict(curves),
         }
 
 
@@ -308,24 +280,21 @@ def run_figure(
     if len(set(triples)) < len(triples):
         raise ConfigError("figure (p, q, n) triples must be distinct")
     xs = _validate_run_grid(grid_size)
-    columns = []
-    f_vals = None
+    columns = {"x": xs.tolist()}
     for p, q, n in triples:
         pq = PQPair(p, q)
         config = SchurerConfig(n=n, ell=ell, basis_variant=basis_variant, quad_tol=quad_tol)
         f = _hull_function("f_fig", config, pq)
-        if f_vals is None:
-            f_vals = f(xs)
-        columns.append((_figure_label(p, q, n), apply_on_grid(config, pq, f, xs)))
+        if "f" not in columns:
+            columns["f"] = f(xs).tolist()
+        columns[_figure_label(p, q, n)] = apply_on_grid(config, pq, f, xs).tolist()
     return FigureTable(
         ell=ell,
         grid_size=grid_size,
         quad_tol=quad_tol,
         basis_variant=basis_variant,
         params=triples,
-        xs=xs,
-        f_values=f_vals,
-        columns=tuple(columns),
+        columns=columns,
     )
 
 

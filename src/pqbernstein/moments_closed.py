@@ -35,7 +35,7 @@ from .operator_eval import (
     required_domain,
 )
 from .pq_core import PQPair, pq_integer, pq_rising_two_term
-from .reportio import Report, config_block
+from .reportio import Report, config_block, json_rows
 
 INTERPRETATION_TAG = (
     "(c*x + 1 - x)^m_{p,q} read as prod_{s<m} (p^s * c * x + q^s * (1 - x))"
@@ -128,25 +128,19 @@ def closed_central_moments(
     return c1, head + mid + tail
 
 
-@dataclass(frozen=True)
-class MomentRow:
-    x: float
-    oracle_m0: float
-    oracle_m1: float
-    oracle_m2: float
-    oracle_c1: float
-    oracle_c2: float
-    closed_m1: float
-    closed_m2: float
-    closed_c1: float
-    closed_c2: float
+# a JSON row groups the oracle and closed-form columns and leaves out diff_*
+JSON_ROW = {
+    "x": "x",
+    "oracle": {key: f"oracle_{key}" for key in ("m0", "m1", "m2", "c1", "c2")},
+    "closed": {key: f"closed_{key}" for key in ("m1", "m2", "c1", "c2")},
+}
 
 
 @dataclass(frozen=True, eq=False)
 class MomentReport(Report):
     config: SchurerConfig
     pq: PQPair
-    rows: tuple[MomentRow, ...]
+    columns: dict[str, list]
     max_abs_diff: dict[str, float]
     flagged: bool
     # worst deviations of the oracle's own consistency identities
@@ -155,21 +149,10 @@ class MomentReport(Report):
     max_c2_consistency: float
 
     kind = "moment_report"
-    csv_columns = CSV_COLUMNS
 
     @property
     def max_abs_diff_overall(self) -> float:
         return max(self.max_abs_diff.values())
-
-    def csv_rows(self):
-        for r in self.rows:
-            yield (
-                r.x, r.oracle_m0,
-                r.oracle_m1, r.closed_m1, abs(r.closed_m1 - r.oracle_m1),
-                r.oracle_m2, r.closed_m2, abs(r.closed_m2 - r.oracle_m2),
-                r.oracle_c1, r.closed_c1, abs(r.closed_c1 - r.oracle_c1),
-                r.oracle_c2, r.closed_c2, abs(r.closed_c2 - r.oracle_c2),
-            )
 
     def json_fields(self) -> dict:
         return {
@@ -182,25 +165,7 @@ class MomentReport(Report):
                 "max_c1_dev": self.max_c1_consistency,
                 "max_c2_dev": self.max_c2_consistency,
             },
-            "rows": [
-                {
-                    "x": r.x,
-                    "oracle": {
-                        "m0": r.oracle_m0,
-                        "m1": r.oracle_m1,
-                        "m2": r.oracle_m2,
-                        "c1": r.oracle_c1,
-                        "c2": r.oracle_c2,
-                    },
-                    "closed": {
-                        "m1": r.closed_m1,
-                        "m2": r.closed_m2,
-                        "c1": r.closed_c1,
-                        "c2": r.closed_c2,
-                    },
-                }
-                for r in self.rows
-            ],
+            "rows": json_rows(JSON_ROW, self.columns),
         }
 
 
@@ -224,36 +189,30 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
     closed_c1, closed_c2 = closed_central_moments(config, pq, xs)
     closed_m1 = closed_first_moment(config, pq, xs)
     closed_m2 = closed_second_moment(config, pq, xs)
-    x_list = xs.tolist()
-    columns = (
-        oracle_m0, oracle_m1, oracle_m2, oracle_c1, oracle_c2,
-        closed_m1, closed_m2, closed_c1, closed_c2,
-    )
-    rows = tuple(map(MomentRow, x_list, *(col.tolist() for col in columns)))
-
-    max_abs_diff = {
-        key: float(np.abs(closed - oracle).max())
-        for key, closed, oracle in (
-            ("m1", closed_m1, oracle_m1),
-            ("m2", closed_m2, oracle_m2),
-            ("c1", closed_c1, oracle_c1),
-            ("c2", closed_c2, oracle_c2),
-        )
-    }
+    table = {"x": xs, "oracle_m0": oracle_m0}
+    max_abs_diff = {}
+    for key, oracle_col, closed_col in (
+        ("m1", oracle_m1, closed_m1),
+        ("m2", oracle_m2, closed_m2),
+        ("c1", oracle_c1, closed_c1),
+        ("c2", oracle_c2, closed_c2),
+    ):
+        table[f"oracle_{key}"] = oracle_col
+        table[f"closed_{key}"] = closed_col
+        table[f"diff_{key}"] = np.abs(closed_col - oracle_col)
+        max_abs_diff[key] = float(table[f"diff_{key}"].max())
     flagged = bool(max(max_abs_diff.values()) > 100.0 * config.quad_tol)
-    m0_target = 1.0 if config.basis_variant is BasisVariant.NORMALIZED else None
-    max_m0_dev = (
-        float(np.abs(oracle_m0 - m0_target).max()) if m0_target is not None else 0.0
-    )
+    normalized = config.basis_variant is BasisVariant.NORMALIZED
+    max_m0_dev = float(np.abs(oracle_m0 - 1.0).max()) if normalized else 0.0
     # x**2 by Python's float power (libm pow), as the per-row form computed
     # it: NumPy squares by x*x, which differs in the last bit at some points
     # of some grids linspace(0, 1, G) (the first is G = 42)
-    x_squared = np.array(list(map(pow, x_list, repeat(2))))
+    x_squared = np.array(list(map(pow, xs.tolist(), repeat(2))))
     c2_expected = oracle_m2 - 2.0 * xs * oracle_m1 + x_squared
     return MomentReport(
         config=config,
         pq=pq,
-        rows=rows,
+        columns={name: table[name].tolist() for name in CSV_COLUMNS},
         max_abs_diff=max_abs_diff,
         flagged=flagged,
         max_m0_dev=max_m0_dev,

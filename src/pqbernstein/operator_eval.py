@@ -56,6 +56,11 @@ from .pq_core import BLOCK_VALUES, PQPair
 from .pq_quadrature import GAUSS_POINTS, GaussRules, QuadratureRule, build_rule, gauss_rules
 
 
+# one ulp of 1: a smaller tolerance asks the quadrature for less error than
+# float rounding of its sums leaves, and the e0 gate fails on a correct operator
+QUAD_TOL_MIN = 2.0**-52
+
+
 class BasisVariant(enum.Enum):
     AS_PRINTED = "printed"
     NORMALIZED = "normalized"
@@ -79,8 +84,8 @@ class SchurerConfig:
             raise ValueError(
                 f"basis_variant must be a BasisVariant, got {self.basis_variant!r}"
             )
-        if not (self.quad_tol > 0.0 and math.isfinite(self.quad_tol)):
-            raise ValueError(f"quad_tol must be positive and finite, got {self.quad_tol!r}")
+        if not (self.quad_tol >= QUAD_TOL_MIN and math.isfinite(self.quad_tol)):
+            raise ValueError(f"quad_tol must be finite and >= 2**-52, got {self.quad_tol!r}")
         # every cache lookup hashes the config: hash once, from numbers only,
         # so the value is the same in every process and survives pickling
         variant = self.basis_variant is BasisVariant.AS_PRINTED

@@ -1,5 +1,12 @@
 """The one serializer behind every report type.
 
+A report is its document fields plus one table, ``columns``: an ordered
+mapping from CSV column name to the list of that column's cells.  The CSV is
+that table; the JSON ``rows`` are the same table laid out by a template that
+maps each JSON key to a column name or to a nested template (a group such as
+``oracle`` or ``sup_errors``).  One rule covers None: a None cell is left out
+of a top-level row and kept as null inside a nested group.
+
 CSV dialect: comma separator, '.' decimal, up to 17 significant digits,
 LF line endings, mandatory header row; None is an empty cell.  Each column
 is formatted with one format: a column of plain floats goes through
@@ -21,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 SCHEMA_VERSION = "1"
 
@@ -40,7 +47,7 @@ def fmt_float(v) -> str:
     return f"{v:.17g}"
 
 
-def _column_format(cells: tuple) -> tuple[str, Sequence]:
+def _column_format(cells: list) -> tuple[str, Sequence]:
     """The %-format of one CSV column and the values it substitutes."""
     if set(map(type, cells)) == {float}:
         if not all(map(math.isfinite, cells)):
@@ -49,13 +56,25 @@ def _column_format(cells: tuple) -> tuple[str, Sequence]:
     return "%s", list(map(fmt_float, cells))
 
 
-def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+def csv_text(columns: Mapping[str, list]) -> str:
     lines = [",".join(columns)]
-    cells = list(zip(*rows))
-    if cells:
-        formats, values = zip(*map(_column_format, cells))
-        lines += map(",".join(formats).__mod__, zip(*values))
+    formats, values = zip(*map(_column_format, columns.values()))
+    lines += map(",".join(formats).__mod__, zip(*values))
     return "\n".join(lines) + "\n"
+
+
+def json_rows(template: Mapping, columns: Mapping[str, list]) -> list[dict]:
+    """The table's rows as JSON objects laid out by template, by the None rule above."""
+
+    def group(template: Mapping, keep_none: bool) -> list[dict]:
+        keys = tuple(template)
+        cells = [columns[v] if isinstance(v, str) else group(v, True) for v in template.values()]
+        return [
+            {key: cell for key, cell in zip(keys, row) if keep_none or cell is not None}
+            for row in zip(*cells)
+        ]
+
+    return group(template, False)
 
 
 def _element_lines(items: list, kinds: set, pad: str) -> str:
@@ -111,18 +130,17 @@ def write_text(path: str, text: str) -> None:
 
 
 class Report:
-    """A table of rows plus document fields, written as CSV and as JSON.
+    """A table of named columns plus document fields, written as CSV and as JSON.
 
-    Subclasses set ``kind`` and ``csv_columns`` and define ``csv_rows()``,
-    the cells of each row in column order, and ``json_fields()``, the JSON
-    document after ``kind``.
+    Subclasses set ``kind``, hold the table as ``columns`` and define
+    ``json_fields()``, the JSON document after ``kind``.
     """
 
     kind: str
-    csv_columns: Sequence[str]
+    columns: dict[str, list]
 
     def to_csv_text(self) -> str:
-        return csv_text(self.csv_columns, self.csv_rows())
+        return csv_text(self.columns)
 
     def to_json_text(self) -> str:
         return json_text(

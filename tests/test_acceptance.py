@@ -142,19 +142,15 @@ def test_criterion_06_korovkin_convergence():
         schedule("classic"), [8, 16, 32, 64, 128], ell=0, grid_size=101, quad_tol=1e-10
     )
     elapsed = time.perf_counter() - start
-    first, last = result.rows[0], result.rows[-1]
+    first = {name: result.columns[f"sup_err_{name}"][0] for name in KOROVKIN_FROZEN_N128}
+    last = {name: result.columns[f"sup_err_{name}"][-1] for name in KOROVKIN_FROZEN_N128}
     strict = result.converged
-    quarter = all(
-        last.sup_errors[name] <= first.sup_errors[name] / 4.0
-        for name in ("e1", "e2", "f_fig")
-    )
+    quarter = all(last[name] <= first[name] / 4.0 for name in ("e1", "e2", "f_fig"))
     frozen = all(
-        last.sup_errors[name] == pytest.approx(KOROVKIN_FROZEN_N128[name], rel=1e-9)
+        last[name] == pytest.approx(KOROVKIN_FROZEN_N128[name], rel=1e-9)
         for name in KOROVKIN_FROZEN_N128
     )
-    ratios = {
-        name: last.sup_errors[name] / first.sup_errors[name] for name in KOROVKIN_FROZEN_N128
-    }
+    ratios = {name: last[name] / first[name] for name in KOROVKIN_FROZEN_N128}
     report(
         6,
         "Korovkin convergence along classic schedule",
@@ -171,8 +167,8 @@ def test_criterion_07_first_modulus_bound():
     for config, pq in BOUND_CONFIGS:
         for fname in ("e1", "e2", "f_fig"):
             rep = check_t32(config, pq, bound_function(fname, config, pq), xs)
-            rows += len(rep.rows)
-            violations += sum(not r.passed for r in rep.rows)
+            rows += len(rep.columns["passed"])
+            violations += rep.columns["passed"].count(False)
     report(
         7,
         "first-modulus bound (2 configs x 3 functions)",
@@ -188,8 +184,8 @@ def test_criterion_08_lipschitz_bound():
     for config, pq in BOUND_CONFIGS:
         for fname, m_const, alpha in [("e1", 1.0, 1.0), ("holder_half", 1.0, 0.5)]:
             rep = check_t33(config, pq, bound_function(fname, config, pq), m_const, alpha, xs)
-            rows += len(rep.rows)
-            violations += sum(not r.passed for r in rep.rows)
+            rows += len(rep.columns["passed"])
+            violations += rep.columns["passed"].count(False)
     report(
         8,
         "Lipschitz-class bound (2 configs x 2 witnesses)",
@@ -208,7 +204,7 @@ def test_criterion_09_smoothness_ratio():
         config = SchurerConfig(n=n, ell=0)
         rep = check_t34(config, pq, bound_function("f_fig", config, pq), xs)
         # a degenerate row's undefined ratio (None) reads as NaN: not finite
-        values = np.array([r.ratio_t34 for r in rep.rows], dtype=float)
+        values = np.array(rep.columns["ratio_t34"], dtype=float)
         all_finite &= bool(np.isfinite(values).all())
         cap_ok &= rep.all_passed and rep.extras["max_ratio"] <= 50.0
         max_ratios.append(rep.extras["max_ratio"])
@@ -216,7 +212,7 @@ def test_criterion_09_smoothness_ratio():
     for config, pq_other in BOUND_CONFIGS:
         rep = check_t34(config, pq_other, bound_function("f_fig", config, pq_other), xs)
         # a degenerate row's undefined ratio (None) reads as NaN: not finite
-        values = np.array([r.ratio_t34 for r in rep.rows], dtype=float)
+        values = np.array(rep.columns["ratio_t34"], dtype=float)
         all_finite &= bool(np.isfinite(values).all())
         cap_ok &= rep.extras["max_ratio"] <= 50.0
     non_increasing = all(b <= a + 1e-12 for a, b in zip(max_ratios, max_ratios[1:]))
@@ -242,7 +238,7 @@ def test_criterion_10_moment_report():
         consistency_ok &= rep.max_m0_dev <= n * tol
         consistency_ok &= rep.max_c1_consistency <= 2 * n * tol
         consistency_ok &= rep.max_c2_consistency <= 4 * n * tol
-        consistency_ok &= all(r.oracle_c2 >= -n * tol for r in rep.rows)
+        consistency_ok &= all(c2 >= -n * tol for c2 in rep.columns["oracle_c2"])
 
     frozen_rep = run_moments(SchurerConfig(n=6, ell=2), PQPair(0.9, 0.8), grid_size=101)
     flag_exercised = frozen_rep.flagged

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from pqbernstein import error_bounds
 from pqbernstein.error_bounds import (
     CSV_COLUMNS,
-    BoundRow,
     ModulusGrid,
     NotLipschitzError,
     check_t32,
@@ -189,7 +187,7 @@ class TestDeltaAlpha:
         # the oracle second central moment is clamped at 0 in every bound row
         config = SchurerConfig(n=10, ell=1)
         rep = check_t32(config, PQ, hull_function("e2", config, PQ), XS)
-        assert all(row.delta_n >= 0.0 for row in rep.rows)
+        assert all(delta >= 0.0 for delta in rep.columns["delta_n"])
 
     def test_delta_decreases_along_schedule(self):
         # uniform concentration: the grid max of the second central moment
@@ -207,7 +205,7 @@ class TestDeltaAlpha:
         config = SchurerConfig(n=7, ell=2)
         rep = check_t34(config, PQ, hull_function("f_fig", config, PQ), XS)
         want = closed_first_moment(config, PQ, XS)
-        assert [row.alpha_n for row in rep.rows] == want.tolist()
+        assert rep.columns["alpha_n"] == want.tolist()
 
 
 class TestLipschitzSampling:
@@ -228,15 +226,15 @@ class TestTheorem32:
         config = SchurerConfig(n=8, ell=0)
         report = check_t32(config, PQ, hull_function("e0", config, PQ), XS)
         assert report.all_passed
-        assert max(r.error for r in report.rows) <= report.slack
+        assert max(report.columns["error"]) <= report.slack
 
     @pytest.mark.parametrize("fname", ["e1", "e2", "f_fig"])
     def test_bound_holds(self, fname):
         config = SchurerConfig(n=20, ell=1)
         report = check_t32(config, PQ, hull_function(fname, config, PQ), XS)
         assert report.all_passed
-        for row in report.rows:
-            assert row.error <= row.bound_t32 + report.slack
+        for error, bound in zip(report.columns["error"], report.columns["bound_t32"]):
+            assert error <= bound + report.slack
 
 
 class TestTheorem33:
@@ -245,8 +243,8 @@ class TestTheorem33:
         f = hull_function("e1", config, PQ)
         report = check_t33(config, PQ, f, 1.0, 1.0, XS)
         assert report.all_passed
-        for row in report.rows:
-            assert row.bound_t33 == pytest.approx(math.sqrt(row.delta_n), rel=1e-12)
+        for bound, delta in zip(report.columns["bound_t33"], report.columns["delta_n"]):
+            assert bound == pytest.approx(math.sqrt(delta), rel=1e-12)
 
     def test_half_holder_witness(self):
         config = SchurerConfig(n=12, ell=1)
@@ -275,15 +273,15 @@ class TestTheorem34:
         config = SchurerConfig(n=8, ell=0)
         report = check_t34(config, PQ, hull_function("e0", config, PQ), XS)
         assert report.all_passed
-        assert all(r.ratio_t34 == 0.0 for r in report.rows)
+        assert all(ratio == 0.0 for ratio in report.columns["ratio_t34"])
 
     def test_affine_second_modulus_vanishes(self):
         config = SchurerConfig(n=10, ell=1)
         lo, hi = required_domain(config, PQ)
         f = RealFunction(lambda t: 0.3 + 0.5 * t, min(lo, 0.0), max(hi, 1.0), name="affine")
         report = check_t34(config, PQ, f, XS)
-        for row in report.rows:
-            assert row.omega2_term == pytest.approx(0.0, abs=1e-12)
+        for term in report.columns["omega2_term"]:
+            assert term == pytest.approx(0.0, abs=1e-12)
         # here the transcribed alpha drifts from the oracle first moment, so
         # where it crosses x the denominator dies while the error does not;
         # those rows must be surfaced as degenerate, not hidden
@@ -300,8 +298,8 @@ class TestTheorem34:
         f = RealFunction(lambda t: 0.3 + 0.5 * t, min(lo, 0.0), max(hi, 1.0), name="affine")
         report = check_t34(config, pq, f, XS)
         assert report.all_passed
-        for row in report.rows:
-            assert row.omega2_term == pytest.approx(0.0, abs=1e-12)
+        for term in report.columns["omega2_term"]:
+            assert term == pytest.approx(0.0, abs=1e-12)
 
     def test_oscillatory_ratios_finite_and_capped(self):
         config = SchurerConfig(n=15, ell=1)
@@ -310,7 +308,7 @@ class TestTheorem34:
         assert report.extras["degenerate_rows"] == 0
         assert report.extras["max_ratio"] <= 50.0
         # a degenerate row's undefined ratio (None) reads as NaN: not finite
-        assert np.isfinite(np.array([r.ratio_t34 for r in report.rows], dtype=float)).all()
+        assert np.isfinite(np.array(report.columns["ratio_t34"], dtype=float)).all()
 
     def test_alpha_drift_is_logged(self):
         config = SchurerConfig(n=15, ell=1)
@@ -363,14 +361,7 @@ class TestBoundReportSerialization:
         assert all(isinstance(row["passed"], bool) for row in doc["rows"])
 
 
-def rows_from_keywords(xs, columns):
-    """One BoundRow per grid point, each built from a dict of its named cells."""
-    names = ("x", *columns)
-    cells = zip(xs.tolist(), *(col.tolist() for col in columns.values()))
-    return tuple(BoundRow(**dict(zip(names, row))) for row in cells)
-
-
-class TestBoundRowsFromColumns:
+class TestBoundColumns:
     @pytest.mark.parametrize(
         "theorem, fname, n, ell, pq",
         [
@@ -381,7 +372,9 @@ class TestBoundRowsFromColumns:
             ("t34", "e1", 10, 1, PQPair(0.9, 0.8)),
         ],
     )
-    def test_rows_equal_rows_built_from_keywords(self, theorem, fname, n, ell, pq, monkeypatch):
+    def test_given_arrays_are_columns_and_the_rest_none(
+        self, theorem, fname, n, ell, pq, monkeypatch
+    ):
         captured = []
         build = error_bounds._bound_report
 
@@ -400,11 +393,13 @@ class TestBoundRowsFromColumns:
         else:
             check_t34(config, pq, f, XS)
         [(xs, columns, report)] = captured
-        expected = rows_from_keywords(xs, columns)
-        assert report.rows == expected
+        given = {"x": xs, **columns}
+        assert list(report.columns) == list(CSV_COLUMNS)
+        for name, cells in report.columns.items():
+            # equal cells of equal types: bools stay bools, floats floats
+            want = given[name].tolist() if name in given else [None] * len(xs)
+            assert cells == want
+            assert list(map(type, cells)) == list(map(type, want))
+        assert set(given) <= set(CSV_COLUMNS)
         if fname == "e1":
-            assert any(r.ratio_t34 is None for r in report.rows)
-        # equal cells of equal types: the same bytes in both formats
-        keyword_report = dataclasses.replace(report, rows=expected)
-        assert report.to_csv_text() == keyword_report.to_csv_text()
-        assert report.to_json_text() == keyword_report.to_json_text()
+            assert None in report.columns["ratio_t34"]

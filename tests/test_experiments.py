@@ -16,6 +16,7 @@ from pqbernstein import experiments
 from pqbernstein.cli import main
 from pqbernstein.error_bounds import DEFAULT_RATIO_CAP
 from pqbernstein.experiments import (
+    CONVERGENCE_FLAGGED,
     ConfigError,
     KOROVKIN_FUNCTIONS,
     custom_schedule,
@@ -85,10 +86,23 @@ class TestRunKorovkin:
         result = run_korovkin(
             schedule("classic"), [8, 16], ell=0, grid_size=21, guard=0.2
         )
-        assert [r.n for r in result.rows] == [8, 16]
-        assert set(result.rows[0].sup_errors) == set(KOROVKIN_FUNCTIONS)
-        assert result.rows[0].decreasing["e1"] is None
-        assert result.rows[1].decreasing["e1"] is True
+        assert result.columns["n"] == [8, 16]
+        assert all(len(result.columns[f"sup_err_{name}"]) == 2 for name in KOROVKIN_FUNCTIONS)
+        assert result.columns["decreasing_e1"] == [None, True]
+        assert result.e0_within_budget
+
+    def test_one_degree_converges_with_null_flags(self):
+        result = run_korovkin(schedule("classic"), [8], grid_size=11, guard=0.2)
+        assert result.converged
+        for name in CONVERGENCE_FLAGGED:
+            assert result.columns[f"decreasing_{name}"] == [None]
+        (row,) = json.loads(result.to_json_text())["rows"]
+        assert row["decreasing"] == {name: None for name in CONVERGENCE_FLAGGED}
+        assert result.to_csv_text().splitlines()[1].endswith(",,,")
+
+    @pytest.mark.parametrize("name", ["classic", "q-only"])
+    def test_tolerance_floor_keeps_the_e0_gate(self, name):
+        result = run_korovkin(schedule(name), [8, 16, 32], quad_tol=2.0**-52, guard=1.0)
         assert result.e0_within_budget
 
     def test_rejects_non_increasing_n_list(self):
@@ -109,8 +123,8 @@ class TestRunKorovkin:
     def test_integral_float_and_numpy_degrees_accepted(self):
         one = run_korovkin(schedule("classic"), [8, 16], grid_size=11, guard=0.2)
         two = run_korovkin(schedule("classic"), [8.0, np.int64(16)], grid_size=11, guard=0.2)
-        assert [r.n for r in two.rows] == [8, 16]
-        assert all(type(r.n) is int for r in two.rows)
+        assert two.columns["n"] == [8, 16]
+        assert all(type(n) is int for n in two.columns["n"])
         assert one.to_csv_text() == two.to_csv_text()
 
     def test_csv_header(self):
@@ -134,11 +148,12 @@ class TestRunFigure:
 
     def test_f_column_at_zero(self):
         table = run_figure([(0.95, 0.9, 6)], grid_size=5)
-        assert table.f_values[0] == pytest.approx(2.0)  # 1 + cos(0)
+        assert table.columns["f"][0] == pytest.approx(2.0)  # 1 + cos(0)
 
     def test_near_one_params_converge_toward_f(self):
         table = run_figure(ell=0, grid_size=41)  # default parameter triples
-        sups = [np.abs(col - table.f_values).max() for _, col in table.columns]
+        f = np.array(table.columns["f"])
+        sups = [np.abs(np.array(col) - f).max() for col in list(table.columns.values())[2:]]
         assert sups[-1] < sups[0]
 
     def test_rejects_empty_params(self):
@@ -147,14 +162,14 @@ class TestRunFigure:
 
     def test_default_labels(self):
         table = run_figure(grid_size=5)
-        assert [label for label, _ in table.columns] == [
-            "K_p0.95_q0.9_n10", "K_p0.98_q0.95_n30", "K_p0.999_q0.99_n100"
+        assert list(table.columns) == [
+            "x", "f", "K_p0.95_q0.9_n10", "K_p0.98_q0.95_n30", "K_p0.999_q0.99_n100"
         ]
 
     def test_labels_name_parameters_beyond_six_digits(self):
         # both p print as 0.999999 under :g
         table = run_figure([(0.9999991, 0.99, 10), (0.9999992, 0.99, 10)], grid_size=5)
-        labels = [label for label, _ in table.columns]
+        labels = list(table.columns)[2:]
         assert labels == ["K_p0.9999991_q0.99_n10", "K_p0.9999992_q0.99_n10"]
         assert list(json.loads(table.to_json_text())["columns"]) == labels
 
@@ -166,7 +181,7 @@ class TestRunFigure:
     def test_integral_float_degree_labels_as_int(self):
         table = run_figure([(0.95, 0.9, 6.0)], grid_size=5)
         assert table.params == ((0.95, 0.9, 6),)
-        assert [label for label, _ in table.columns] == ["K_p0.95_q0.9_n6"]
+        assert list(table.columns) == ["x", "f", "K_p0.95_q0.9_n6"]
 
     def test_rejects_duplicate_triples(self):
         with pytest.raises(ConfigError, match="distinct"):
@@ -474,6 +489,11 @@ class TestCLI:
         # "1e400" parses to inf; no traceback, a configuration error
         assert main([*argv, "--grid", "5", "--tol", tol]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_tolerance_below_float_resolution_exits_two(self, capsys):
+        # accepted once, then reported a correct operator's e0 as over budget
+        assert main(["korovkin", "--n", "8,16,32", "--tol", "1e-18", "--guard", "1"]) == 2
+        assert "2**-52" in capsys.readouterr().err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

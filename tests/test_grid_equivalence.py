@@ -283,13 +283,14 @@ def test_t32_and_t34_evaluate_f_fig_over_the_arguments_once(monkeypatch):
 def test_korovkin_power_columns_match_direct_quadrature():
     result = run_korovkin(schedule("q-only"), (8, 128), ell=1, grid_size=51)
     xs = np.linspace(0.0, 1.0, 51)
-    for row in result.rows:
-        config, pq = SchurerConfig(n=row.n, ell=1), PQPair(row.p, row.q)
+    columns = result.columns
+    for i, (n, p, q) in enumerate(zip(columns["n"], columns["p"], columns["q"])):
+        config, pq = SchurerConfig(n=n, ell=1), PQPair(p, q)
         lo, hi = required_domain(config, pq)
         for name in KOROVKIN_FUNCTIONS:
             f = make_function(name, min(lo, 0.0), max(hi, 1.0))
             direct = float(np.abs(apply_on_grid(config, pq, f, xs) - f(xs)).max())
-            assert row.sup_errors[name] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+            assert columns[f"sup_err_{name}"][i] == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
 def test_fresh_classic_n1024_apply_stays_small():

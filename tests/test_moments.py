@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,12 @@ from pqbernstein.pq_core import PQPair, pq_integer
 from oracles import rising_two_term_loop
 
 PQ = PQPair(0.9, 0.8)
+
+
+def table_rows(report):
+    """The report's table one row at a time, each cell an attribute named by its column."""
+    names = list(report.columns)
+    return [SimpleNamespace(**dict(zip(names, cells))) for cells in zip(*report.columns.values())]
 
 
 class TestClosedForms:
@@ -154,8 +161,8 @@ class TestMomentReport:
     def test_single_point_grid(self):
         config = SchurerConfig(n=4, ell=0)
         report = build_moment_report(config, PQ, [0.0])
-        assert len(report.rows) == 1
-        assert report.rows[0].oracle_m0 == pytest.approx(1.0, abs=5 * config.quad_tol)
+        assert all(len(cells) == 1 for cells in report.columns.values())
+        assert report.columns["oracle_m0"][0] == pytest.approx(1.0, abs=5 * config.quad_tol)
 
     def test_oracle_consistency_identities(self):
         for (n, ell, p, q) in [(4, 1, 0.9, 0.8), (8, 0, 0.99, 0.98), (6, 2, 1.0, 0.9)]:
@@ -164,7 +171,7 @@ class TestMomentReport:
             assert report.max_m0_dev <= n * config.quad_tol
             assert report.max_c1_consistency <= 2 * n * config.quad_tol
             assert report.max_c2_consistency <= 4 * n * config.quad_tol
-            assert all(r.oracle_c2 >= -n * config.quad_tol for r in report.rows)
+            assert all(c2 >= -n * config.quad_tol for c2 in report.columns["oracle_c2"])
 
     def test_p1_degree_one_collapses_to_quadrature_noise(self):
         # the only case where every transcribed form is a correct
@@ -184,9 +191,8 @@ class TestMomentReport:
         # oracle m0 for the printed basis carries the p + (1-p) x^2 defect at N=2
         printed = SchurerConfig(n=2, ell=0, basis_variant=BasisVariant.AS_PRINTED)
         report = build_moment_report(printed, PQ, np.linspace(0, 1, 11))
-        for row in report.rows:
-            expected = PQ.p + (1 - PQ.p) * row.x**2
-            assert row.oracle_m0 == pytest.approx(expected, abs=1e-9)
+        for x, m0 in zip(report.columns["x"], report.columns["oracle_m0"]):
+            assert m0 == pytest.approx(PQ.p + (1 - PQ.p) * x**2, abs=1e-9)
 
     def test_csv_shape(self):
         config = SchurerConfig(n=3, ell=0)
@@ -216,11 +222,10 @@ class TestMomentReport:
     def test_max_abs_diff_is_the_row_maximum(self):
         report = build_moment_report(SchurerConfig(n=12, ell=1), PQ, np.linspace(0, 1, 41))
         for key in ("m1", "m2", "c1", "c2"):
-            per_row = max(
-                abs(getattr(r, f"closed_{key}") - getattr(r, f"oracle_{key}"))
-                for r in report.rows
-            )
-            assert report.max_abs_diff[key] == per_row
+            closed, oracle = report.columns[f"closed_{key}"], report.columns[f"oracle_{key}"]
+            per_row = [abs(c - o) for c, o in zip(closed, oracle)]
+            assert report.columns[f"diff_{key}"] == per_row
+            assert report.max_abs_diff[key] == max(per_row)
             assert type(report.max_abs_diff[key]) is float
 
     @pytest.mark.parametrize(
@@ -234,7 +239,7 @@ class TestMomentReport:
     )
     def test_consistency_maxima_are_the_row_maxima(self, config, pq, grid):
         report = build_moment_report(config, pq, grid)
-        rows = report.rows
+        rows = table_rows(report)
         if config.basis_variant is BasisVariant.NORMALIZED:
             m0_dev = max(abs(r.oracle_m0 - 1.0) for r in rows)
         else:

@@ -384,6 +384,12 @@ class TestConfigValidation:
         for variant in BasisVariant:
             assert SchurerConfig(n=2, basis_variant=variant).basis_variant is variant
 
+    @pytest.mark.parametrize("tol", [1e-18, 2.0**-53, 5e-324])
+    def test_rejects_tolerance_below_float_resolution(self, tol):
+        # the e0 gate 10 (N+1) tol failed on a correct operator at tol 1e-18
+        with pytest.raises(ValueError, match="quad_tol"):
+            SchurerConfig(n=8, quad_tol=tol)
+
 
 class TestConfigHash:
     def test_equal_configs_hash_equal(self):

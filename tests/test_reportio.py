@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from oracles import csv_text_per_cell
 from pqbernstein import cli
 from pqbernstein.experiments import (
-    FigureTable,
-    KorovkinResult,
     run_bounds,
     run_figure,
     run_korovkin,
@@ -55,21 +53,91 @@ def _doc(report) -> dict:
     return {"schema_version": SCHEMA_VERSION, "kind": report.kind, **report.json_fields()}
 
 
+# the cell _with_value replaces, by kind; the bound reports' ratio_t34 column
+# is all float (t34), float or None (degenerate t34) or all None (t32, t33)
+BAD_CELL = {
+    "figure_data": ("f", 1),
+    "korovkin_run": ("sup_err_e1", 0),
+    "bound_report": ("ratio_t34", 0),
+    "moment_report": ("closed_c2", 0),
+}
+
+
 def _with_value(report, value: float):
     """A copy of report with value in one cell of its table."""
-    if isinstance(report, FigureTable):
-        f_values = report.f_values.copy()
-        f_values[1] = value
-        return replace(report, f_values=f_values)
-    first, *rest = report.rows
-    if isinstance(report, KorovkinResult):
-        bad = replace(first, sup_errors={**first.sup_errors, "e1": value})
-    elif report.kind == "bound_report":
-        # a column that is all float (t34), float or None (degenerate t34) or all None
-        bad = replace(first, ratio_t34=value)
-    else:
-        bad = replace(first, closed_c2=value)
-    return replace(report, rows=(bad, *rest))
+    name, row = BAD_CELL[report.kind]
+    cells = list(report.columns[name])
+    cells[row] = value
+    return replace(report, columns={**report.columns, name: cells})
+
+
+def _columns(names, rows) -> dict:
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+
+
+def _pairs(obj: dict) -> list:
+    """obj's items in order, nested objects as item lists too."""
+    return [(k, _pairs(v) if isinstance(v, dict) else v) for k, v in obj.items()]
+
+
+# JSON row keys of each bound report, in order; a None cell is left out
+BOUND_ROW_KEYS = {
+    "t32": ("x", "error", "delta_n", "passed", "bound_t32"),
+    "t33": ("x", "error", "delta_n", "passed", "bound_t33"),
+    "t34": (
+        "x", "error", "delta_n", "passed",
+        "alpha_n", "a_n", "c_n", "omega2_term", "omega_term", "ratio_t34",
+    ),
+}
+
+
+def _expected_rows(name: str, c: dict) -> list[list]:
+    """Each JSON row of report name as (key, value) pairs, written out by hand."""
+    if name == "korovkin":
+        return [
+            [
+                ("n", c["n"][i]),
+                ("p", c["p"][i]),
+                ("q", c["q"][i]),
+                ("sup_errors", [
+                    ("e0", c["sup_err_e0"][i]),
+                    ("e1", c["sup_err_e1"][i]),
+                    ("e2", c["sup_err_e2"][i]),
+                    ("f_fig", c["sup_err_f_fig"][i]),
+                ]),
+                ("decreasing", [
+                    ("e1", c["decreasing_e1"][i]),
+                    ("e2", c["decreasing_e2"][i]),
+                    ("f_fig", c["decreasing_f_fig"][i]),
+                ]),
+            ]
+            for i in range(len(c["n"]))
+        ]
+    if name == "moments":
+        return [
+            [
+                ("x", c["x"][i]),
+                ("oracle", [
+                    ("m0", c["oracle_m0"][i]),
+                    ("m1", c["oracle_m1"][i]),
+                    ("m2", c["oracle_m2"][i]),
+                    ("c1", c["oracle_c1"][i]),
+                    ("c2", c["oracle_c2"][i]),
+                ]),
+                ("closed", [
+                    ("m1", c["closed_m1"][i]),
+                    ("m2", c["closed_m2"][i]),
+                    ("c1", c["closed_c1"][i]),
+                    ("c2", c["closed_c2"][i]),
+                ]),
+            ]
+            for i in range(len(c["x"]))
+        ]
+    keys = BOUND_ROW_KEYS[name.removesuffix("_degenerate")]
+    return [
+        [(key, c[key][i]) for key in keys if c[key][i] is not None]
+        for i in range(len(c["x"]))
+    ]
 
 
 def _strip(line: str) -> str:
@@ -82,14 +150,55 @@ class TestReportEquivalence:
         assert json.loads(report.to_json_text()) == json.loads(old)
 
     def test_csv_matches_the_per_cell_writer(self, report):
-        expected = csv_text_per_cell(report.csv_columns, report.csv_rows())
+        expected = csv_text_per_cell(list(report.columns), zip(*report.columns.values()))
         assert report.to_csv_text() == expected
 
     def test_degenerate_t34_has_undefined_ratios(self):
         report = _build("t34_degenerate")
         assert report.extras["degenerate_rows"] > 0
-        ratios = {type(r.ratio_t34) for r in report.rows}
+        ratios = {type(ratio) for ratio in report.columns["ratio_t34"]}
         assert ratios == {float, type(None)}
+
+
+class TestJsonRows:
+    """Each kind's JSON rows against a layout written out here, key order included."""
+
+    @pytest.mark.parametrize("name", WITH_ROWS)
+    def test_rows_match_the_written_layout(self, name):
+        report = _build(name)
+        rows = json.loads(report.to_json_text())["rows"]
+        assert [_pairs(row) for row in rows] == _expected_rows(name, report.columns)
+
+    def test_bound_rows_drop_none_cells(self):
+        for name in ("t32", "t33", "t34"):
+            rows = json.loads(_build(name).to_json_text())["rows"]
+            assert {tuple(row) for row in rows} == {BOUND_ROW_KEYS[name]}
+        rows = json.loads(_build("t34_degenerate").to_json_text())["rows"]
+        undefined = [row for row in rows if "ratio_t34" not in row]
+        assert len(undefined) == _build("t34_degenerate").extras["degenerate_rows"]
+        assert all(tuple(row) == BOUND_ROW_KEYS["t34"][:-1] for row in undefined)
+
+    def test_korovkin_first_row_keeps_null_flags(self):
+        first, *rest = json.loads(_build("korovkin").to_json_text())["rows"]
+        assert first["decreasing"] == {"e1": None, "e2": None, "f_fig": None}
+        assert all(None not in row["decreasing"].values() for row in rest)
+
+    def test_moment_rows_leave_out_the_differences(self):
+        report = _build("moments")
+        row = json.loads(report.to_json_text())["rows"][0]
+        assert [f"diff_{key}" in report.columns for key in row["closed"]] == [True] * 4
+        assert list(row) == ["x", "oracle", "closed"]
+        assert list(row["oracle"]) == ["m0", "m1", "m2", "c1", "c2"]
+        assert list(row["closed"]) == ["m1", "m2", "c1", "c2"]
+
+    def test_figure_arrays_are_its_columns(self):
+        table = _build("figure")
+        doc = json.loads(table.to_json_text())
+        labels = ["K_p0.95_q0.9_n10", "K_p0.98_q0.95_n30", "K_p0.999_q0.99_n100"]
+        assert list(doc)[-3:] == ["x", "f", "columns"]
+        assert list(table.columns) == ["x", "f", *labels]
+        assert doc["x"] == table.columns["x"] and doc["f"] == table.columns["f"]
+        assert list(doc["columns"].items()) == [(label, table.columns[label]) for label in labels]
 
 
 class TestJsonLayout:
@@ -113,12 +222,7 @@ class TestJsonLayout:
     def test_number_arrays_on_one_line(self):
         table = _build("figure")
         lines = table.to_json_text().splitlines()
-        arrays = {
-            "x": table.xs.tolist(),
-            "f": table.f_values.tolist(),
-            **{label: col.tolist() for label, col in table.columns},
-        }
-        for key, values in arrays.items():
+        for key, values in table.columns.items():
             (line,) = [line for line in lines if line.lstrip().startswith(f'"{key}": [')]
             assert json.loads("{" + _strip(line) + "}") == {key: values}
         # the (p, q, n) triples: one per line
@@ -155,9 +259,9 @@ class TestNonFinite:
 
     def test_csv_text_rejects_non_finite_floats(self):
         with pytest.raises(ValueError):
-            csv_text(("a", "b"), [(math.nan, math.inf)])
+            csv_text({"a": [math.nan], "b": [math.inf]})
         with pytest.raises(ValueError):
-            csv_text(("a",), [(None,), (math.inf,)])
+            csv_text({"a": [None, math.inf]})
 
     def test_json_rejects_a_non_finite_field(self):
         with pytest.raises(ValueError):
@@ -200,20 +304,20 @@ class TestCsvColumns:
         )
     )
     def test_float_columns_match_per_cell(self, rows):
-        columns = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
-        assert csv_text(columns, rows) == csv_text_per_cell(columns, rows)
+        names = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+        assert csv_text(_columns(names, rows)) == csv_text_per_cell(names, rows)
 
     @given(st.lists(st.tuples(CELLS, CELLS, CELLS), max_size=8))
     def test_mixed_columns_match_per_cell(self, rows):
-        columns = ("a", "b", "c")
-        assert csv_text(columns, rows) == csv_text_per_cell(columns, rows)
+        names = ("a", "b", "c")
+        assert csv_text(_columns(names, rows)) == csv_text_per_cell(names, rows)
 
     def test_edge_floats_and_none_columns(self):
         rows = [
             (0.0, -0.0, 5e-324, None, 1.7976931348623157e308),
             (0.1, 1e16, -2.5e-5, None, 123456789.0),
         ]
-        columns = ("a", "b", "c", "d", "e")
-        assert csv_text(columns, rows) == csv_text_per_cell(columns, rows)
-        assert csv_text(("a", "b"), [(None, None)] * 2) == "a,b\n,\n,\n"
-        assert csv_text(("a", "b"), []) == "a,b\n"
+        names = ("a", "b", "c", "d", "e")
+        assert csv_text(_columns(names, rows)) == csv_text_per_cell(names, rows)
+        assert csv_text({"a": [None, None], "b": [None, None]}) == "a,b\n,\n,\n"
+        assert csv_text({"a": [], "b": []}) == "a,b\n"

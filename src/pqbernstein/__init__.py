@@ -32,9 +32,7 @@ from .functions import DomainError, RealFunction, make_function
 from .moments_closed import (
     MomentReport,
     build_moment_report,
-    closed_central_moments,
-    closed_first_moment,
-    closed_second_moment,
+    closed_moments,
 )
 from .operator_eval import (
     BasisVariant,
@@ -84,9 +82,7 @@ __all__ = [
     "check_t32",
     "check_t33",
     "check_t34",
-    "closed_central_moments",
-    "closed_first_moment",
-    "closed_second_moment",
+    "closed_moments",
     "custom_schedule",
     "evaluate_on_grid",
     "make_function",

@@ -26,12 +26,13 @@ the modulus sits on the large side; the slack budget covers the error side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import RealFunction
-from .moments_closed import closed_first_moment
+from .moments_closed import closed_moments
 from .operator_eval import SchurerConfig, evaluate_on_grid
 from .pq_core import PQPair
 from .reportio import Report, config_block, json_rows
@@ -238,8 +239,8 @@ def check_t33(
     grid,
 ) -> BoundReport:
     """Per grid point: error <= M delta_n^(alpha/2) + slack, after sampling the class."""
-    if not m_const > 0.0:
-        raise ValueError(f"M must be positive, got {m_const!r}")
+    if not (m_const > 0.0 and math.isfinite(m_const)):
+        raise ValueError(f"M must be finite and positive, got {m_const!r}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     verify_lipschitz(f, m_const, alpha)
@@ -268,12 +269,12 @@ def check_t34(
     within slack (then the ratio is defined as 0), otherwise they are flagged
     as degenerate and their ratio is left undefined (None).
     """
-    if not ratio_cap > 0.0:
-        raise ValueError(f"ratio_cap must be positive, got {ratio_cap!r}")
+    if not (ratio_cap > 0.0 and math.isfinite(ratio_cap)):
+        raise ValueError(f"ratio_cap must be finite and positive, got {ratio_cap!r}")
     mg = ModulusGrid(f)
     slack = _modulus_slack(config, mg)
     xs, errors, deltas, oracle_m1 = _errors_and_deltas(config, pq, f, grid)
-    alphas = closed_first_moment(config, pq, xs)
+    alphas = closed_moments(config, pq, xs)[0]
     a_n = deltas + (alphas - xs) ** 2
     c_n = np.abs(alphas - xs)
     omega2_term = mg.omega2(np.sqrt(a_n))

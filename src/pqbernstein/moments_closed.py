@@ -12,12 +12,13 @@ uses (p^2 x + 1 - x)^N where linearity applied to the raw first moment gives
 extra q on its x^2 bracket.  Measured behaviour: the raw-moment forms are
 exact for N = n + ell = 1 and drift for larger N.
 
-Each closed form takes one x or a whole x-grid (a NumPy array) and returns
-the same shape, with values identical to those of the pointwise calls.  Per
-call, each distinct rising product and (p,q)-integer is computed once.  A
-rising product is one blocked product over the grid (pq_rising_two_term);
-the central moments take (p x + 1 - x)^N as (p x + 1 - x)^{N-1} times its
-last factor, the order the product itself multiplies in.
+closed_moments gives all four closed forms in one pass, for one x or a whole
+x-grid (a NumPy array), the values on a grid identical to pointwise calls.  Per
+call it computes each (p,q)-integer, bracket coefficient and rising product
+once; a rising product is one blocked product over the grid
+(pq_rising_two_term).  (p x + 1 - x)^N is (p x + 1 - x)^{N-1} times its last
+factor, the order the product itself multiplies in, so it equals the full
+product bit for bit.
 """
 
 from __future__ import annotations
@@ -65,67 +66,41 @@ def _last_factor(c: float, x, m: int, pq: PQPair):
     return pq.p**s * c * x + pq.q**s * (1.0 - x)
 
 
-def closed_first_moment(
+def closed_moments(
     config: SchurerConfig, pq: PQPair, x: float | np.ndarray
-) -> float | np.ndarray:
-    """(px+1-x)^N / ([2][n+1]) + (p+2q-1) [N] x / ([2][n+1]), N = n + ell."""
-    p, q = pq.p, pq.q
-    big_n = config.degree
-    denom = pq_integer(2, pq) * pq_integer(config.n + 1, pq)
-    head = pq_rising_two_term(p, 1.0, x, 1.0 - x, big_n, pq)
-    return head / denom + (p + 2.0 * q - 1.0) * pq_integer(big_n, pq) * x / denom
+) -> tuple[float | np.ndarray, ...]:
+    """The transcribed moments (m1, m2, c1, c2), discrepancies preserved, N = n + ell.
 
-
-def closed_second_moment(
-    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
-) -> float | np.ndarray:
-    """Second raw moment as transcribed, leading term (p^2 x + 1 - x)^N / ([3][n+1]^2)."""
+    m1 = (px+1-x)^N / ([2][n+1]) + (p+2q-1) [N] x / ([2][n+1]); m2 and c2 lead
+    with (p^2 x + 1 - x)^N / ([3][n+1]^2), c1 with (p^2 x + 1 - x)^N / ([2][n+1]).
+    """
     p, q = pq.p, pq.q
     big_n = config.degree
     two, three = pq_integer(2, pq), pq_integer(3, pq)
     np1 = pq_integer(config.n + 1, pq)
-    int_n = pq_integer(big_n, pq)
-    head = pq_rising_two_term(p * p, 1.0, x, 1.0 - x, big_n, pq) / (three * np1**2)
+    denom, np1_sq = two * np1, np1**2
+    int_n, int_n_less = pq_integer(big_n, pq), pq_integer(big_n - 1, pq)
+    slope = p + 2.0 * q - 1.0
     mid_coef = 1.0 + 2.0 * q / two + (q * q - 1.0) / three
-    mid = (
-        mid_coef
-        * int_n
-        / np1**2
-        * pq_rising_two_term(p, 1.0, x, 1.0 - x, big_n - 1, pq)
-        * x
-    )
     tail_coef = 1.0 + 2.0 * (q - 1.0) / two + (q - 1.0) ** 2 / three
-    tail = tail_coef * int_n * pq_integer(big_n - 1, pq) / np1**2 * x * x
-    return head + mid + tail
-
-
-def closed_central_moments(
-    config: SchurerConfig, pq: PQPair, x: float | np.ndarray
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """First and second central moments as transcribed (discrepancies preserved)."""
-    p, q = pq.p, pq.q
-    big_n = config.degree
-    two, three = pq_integer(2, pq), pq_integer(3, pq)
-    np1 = pq_integer(config.n + 1, pq)
-    int_n = pq_integer(big_n, pq)
     rising_p2 = pq_rising_two_term(p * p, 1.0, x, 1.0 - x, big_n, pq)
     rising_p_short = pq_rising_two_term(p, 1.0, x, 1.0 - x, big_n - 1, pq)
     rising_p = rising_p_short * _last_factor(p, x, big_n, pq)
 
-    c1 = rising_p2 / (two * np1) + ((p + 2.0 * q - 1.0) / (two * np1) - 1.0) * x
-
-    head = rising_p2 / (three * np1**2)
-    mid_coef = 1.0 + 2.0 * q / two + (q * q - 1.0) / three
-    mid = (
-        mid_coef * int_n * rising_p_short / np1**2 - 2.0 * rising_p / (two * np1)
-    ) * x
-    tail_coef = 1.0 + 2.0 * (q - 1.0) / two + (q - 1.0) ** 2 / three
-    tail = (
-        q * tail_coef * int_n * pq_integer(big_n - 1, pq) / np1**2
-        - 2.0 * (p + 2.0 * q - 1.0) * int_n / (two * np1)
-        + 1.0
-    ) * x * x
-    return c1, head + mid + tail
+    head = rising_p2 / (three * np1_sq)
+    m1 = rising_p / denom + slope * int_n * x / denom
+    m2 = (
+        head
+        + mid_coef * int_n / np1_sq * rising_p_short * x
+        + tail_coef * int_n * int_n_less / np1_sq * x * x
+    )
+    c1 = rising_p2 / denom + (slope / denom - 1.0) * x
+    c2 = (
+        head
+        + (mid_coef * int_n * rising_p_short / np1_sq - 2.0 * rising_p / denom) * x
+        + (q * tail_coef * int_n * int_n_less / np1_sq - 2.0 * slope * int_n / denom + 1.0) * x * x
+    )
+    return m1, m2, c1, c2
 
 
 # a JSON row groups the oracle and closed-form columns and leaves out diff_*
@@ -186,9 +161,7 @@ def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport
     )
     oracle_m0, oracle_m1, oracle_m2 = oracle.values
     oracle_c1, oracle_c2 = oracle.central
-    closed_c1, closed_c2 = closed_central_moments(config, pq, xs)
-    closed_m1 = closed_first_moment(config, pq, xs)
-    closed_m2 = closed_second_moment(config, pq, xs)
+    closed_m1, closed_m2, closed_c1, closed_c2 = closed_moments(config, pq, xs)
     table = {"x": xs, "oracle_m0": oracle_m0}
     max_abs_diff = {}
     for key, oracle_col, closed_col in (

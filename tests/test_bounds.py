@@ -16,7 +16,7 @@ from pqbernstein.error_bounds import (
     verify_lipschitz,
 )
 from pqbernstein.functions import FUNCTION_NAMES, RealFunction, make_function
-from pqbernstein.moments_closed import closed_first_moment
+from pqbernstein.moments_closed import closed_moments
 from pqbernstein.operator_eval import SchurerConfig, evaluate_on_grid, required_domain
 from pqbernstein.pq_core import PQPair
 
@@ -204,7 +204,7 @@ class TestDeltaAlpha:
     def test_alpha_is_the_closed_first_moment(self):
         config = SchurerConfig(n=7, ell=2)
         rep = check_t34(config, PQ, hull_function("f_fig", config, PQ), XS)
-        want = closed_first_moment(config, PQ, XS)
+        want = closed_moments(config, PQ, XS)[0]
         assert rep.columns["alpha_n"] == want.tolist()
 
 
@@ -264,6 +264,8 @@ class TestTheorem33:
         f = hull_function("e1", config, PQ)
         with pytest.raises(ValueError):
             check_t33(config, PQ, f, -1.0, 1.0, XS)
+        with pytest.raises(ValueError, match="M must be finite"):
+            check_t33(config, PQ, f, math.inf, 1.0, XS)
         with pytest.raises(ValueError):
             check_t33(config, PQ, f, 1.0, 1.5, XS)
 
@@ -322,7 +324,7 @@ class TestTheorem34:
         )
         assert not report.all_passed
 
-    @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_nan_or_non_positive_cap(self, cap):
         config = SchurerConfig(n=5)
         with pytest.raises(ValueError, match="ratio_cap"):

@@ -425,7 +425,7 @@ class TestCLI:
         assert main(argv + ["--grid", "21"]) == 0
         assert "nan" not in capsys.readouterr().out.lower()
 
-    @pytest.mark.parametrize("cap", ["nan", "-1", "0"])
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-1", "0"])
     def test_bad_ratio_cap_exits_two(self, cap, capsys):
         code = main(
             ["bounds", "--theorem", "t34", "--n", "5", "--p", "0.9", "--q", "0.8",

@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 
 from pqbernstein import moments_closed
-from pqbernstein.moments_closed import (
-    CSV_COLUMNS,
-    build_moment_report,
-    closed_central_moments,
-    closed_first_moment,
-    closed_second_moment,
-)
-from pqbernstein.operator_eval import BasisVariant, SchurerConfig
-from pqbernstein.pq_core import PQPair, pq_integer
+from pqbernstein.error_bounds import check_t34
+from pqbernstein.functions import make_function
+from pqbernstein.moments_closed import CSV_COLUMNS, build_moment_report, closed_moments
+from pqbernstein.operator_eval import BasisVariant, SchurerConfig, required_domain
+from pqbernstein.pq_core import PQPair, pq_integer, pq_rising_two_term
 
 from oracles import rising_two_term_loop
 
@@ -35,7 +31,7 @@ class TestClosedForms:
         expected = PQ.q ** (big_n * (big_n - 1) // 2) / (
             pq_integer(2, PQ) * pq_integer(5, PQ)
         )
-        assert closed_first_moment(config, PQ, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert closed_moments(config, PQ, 0.0)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_second_moment_collapse_at_zero(self):
         config = SchurerConfig(n=4, ell=2)
@@ -43,19 +39,19 @@ class TestClosedForms:
         expected = PQ.q ** (big_n * (big_n - 1) // 2) / (
             pq_integer(3, PQ) * pq_integer(5, PQ) ** 2
         )
-        assert closed_second_moment(config, PQ, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert closed_moments(config, PQ, 0.0)[1] == pytest.approx(expected, rel=1e-14)
 
     def test_classical_limit_first_moment(self):
         # p=1, q ~ 1: (n x + 1/2)/(n+1) for ell = 0
         n, x = 10, 0.5
         config = SchurerConfig(n=n, ell=0)
-        value = closed_first_moment(config, PQPair(1.0, 0.9999), x)
+        value = closed_moments(config, PQPair(1.0, 0.9999), x)[0]
         assert value == pytest.approx((n * x + 0.5) / (n + 1), abs=2e-3)
 
     def test_classical_limit_second_moment(self):
         n, x = 10, 0.5
         config = SchurerConfig(n=n, ell=0)
-        value = closed_second_moment(config, PQPair(1.0, 0.9999), x)
+        value = closed_moments(config, PQPair(1.0, 0.9999), x)[1]
         classical = 0.0
         h = 1.0 / (n + 1)
         import math
@@ -69,7 +65,7 @@ class TestClosedForms:
     def test_central_first_reduces_to_head_at_zero(self):
         config = SchurerConfig(n=3, ell=1)
         big_n = config.degree
-        c1, _ = closed_central_moments(config, PQ, 0.0)
+        c1 = closed_moments(config, PQ, 0.0)[2]
         head = PQ.q ** (big_n * (big_n - 1) // 2) / (pq_integer(2, PQ) * pq_integer(4, PQ))
         assert c1 == pytest.approx(head, rel=1e-14)
 
@@ -79,16 +75,14 @@ class TestClosedForms:
         config = SchurerConfig(n=1, ell=0)
         pq = PQPair(1.0, 0.8)
         for x in np.linspace(0.0, 1.0, 11):
-            c1, _ = closed_central_moments(config, pq, float(x))
-            m1 = closed_first_moment(config, pq, float(x))
+            m1, _, c1, _ = closed_moments(config, pq, float(x))
             assert c1 == pytest.approx(m1 - x, abs=1e-12)
 
     def test_central_inconsistent_with_raw_for_higher_degree(self):
         # for N >= 2 the dropped [N] factor is visible even at p = 1
         config = SchurerConfig(n=3, ell=0)
         pq = PQPair(1.0, 0.8)
-        c1, _ = closed_central_moments(config, pq, 0.5)
-        m1 = closed_first_moment(config, pq, 0.5)
+        m1, _, c1, _ = closed_moments(config, pq, 0.5)
         assert abs(c1 - (m1 - 0.5)) > 1e-3
 
 
@@ -104,14 +98,6 @@ def squares_disagree_grid(size=20):
     return np.sort([x for x in xs if x**2 != x * x][:size] or [0.5])
 
 
-def closed_forms(config, pq, x):
-    return (
-        closed_first_moment(config, pq, x),
-        closed_second_moment(config, pq, x),
-        *closed_central_moments(config, pq, x),
-    )
-
-
 class TestClosedFormsAgainstTheFactorLoop:
     @pytest.mark.parametrize(
         "config, pq",
@@ -124,11 +110,18 @@ class TestClosedFormsAgainstTheFactorLoop:
     )
     def test_bit_identical_to_the_loop_products(self, config, pq):
         xs = np.linspace(0.0, 1.0, 101)
-        new = closed_forms(config, pq, xs)
+        new = closed_moments(config, pq, xs)
         with mock.patch.object(moments_closed, "pq_rising_two_term", rising_two_term_loop):
-            old = closed_forms(config, pq, xs)
+            old = closed_moments(config, pq, xs)
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
+        # m1 as transcribed, from the full N-factor loop product rather than
+        # N - 1 factors times the last one
+        p, q, big_n = pq.p, pq.q, config.degree
+        denom = pq_integer(2, pq) * pq_integer(config.n + 1, pq)
+        head = rising_two_term_loop(p, 1.0, xs, 1.0 - xs, big_n, pq)
+        m1 = head / denom + (p + 2.0 * q - 1.0) * pq_integer(big_n, pq) * xs / denom
+        assert np.array_equal(new[0], m1)
 
     @pytest.mark.parametrize("big_n", [1, 2, 131, 400])
     @pytest.mark.parametrize("c", [0.95, 0.95**2])
@@ -140,7 +133,7 @@ class TestClosedFormsAgainstTheFactorLoop:
         assert np.array_equal(shorter * moments_closed._last_factor(c, xs, big_n, pq), full)
 
     def test_scalar_x_gives_floats(self):
-        for value in closed_forms(SchurerConfig(n=6, ell=1), PQ, 0.3):
+        for value in closed_moments(SchurerConfig(n=6, ell=1), PQ, 0.3):
             assert type(value) is float
 
     def test_large_degree_fine_grid_stays_small(self):
@@ -150,11 +143,23 @@ class TestClosedFormsAgainstTheFactorLoop:
         xs = np.linspace(0.0, 1.0, 1001)
         tracemalloc.start()
         try:
-            closed_forms(config, pq, xs)
+            closed_moments(config, pq, xs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_two_rising_products_per_report_and_per_t34(self):
+        # (p^2 x + 1 - x)^N and (p x + 1 - x)^{N-1}, each built once
+        config, xs = SchurerConfig(n=40, ell=1), np.linspace(0.0, 1.0, 11)
+        f = make_function("e1", *required_domain(config, PQ))
+        with mock.patch.object(
+            moments_closed, "pq_rising_two_term", wraps=pq_rising_two_term
+        ) as spy:
+            build_moment_report(config, PQ, xs)
+            assert spy.call_count == 2
+            check_t34(config, PQ, f, xs)
+            assert spy.call_count == 4
 
 
 class TestMomentReport:

@@ -63,13 +63,9 @@ def _param_triples(text: str) -> list[tuple[float, float, int]]:
     return out
 
 
-def _basis(args) -> BasisVariant:
-    return BasisVariant.NORMALIZED if args.basis == "normalized" else BasisVariant.AS_PRINTED
-
-
 def _config(args) -> SchurerConfig:
     return SchurerConfig(
-        n=args.n, ell=args.ell, basis_variant=_basis(args), quad_tol=args.tol
+        n=args.n, ell=args.ell, basis_variant=BasisVariant(args.basis), quad_tol=args.tol
     )
 
 
@@ -89,7 +85,7 @@ def _emit(args, report) -> None:
 
 
 def _cmd_selftest(args) -> int:
-    result = run_selftest(basis_variant=_basis(args))
+    result = run_selftest(basis_variant=BasisVariant(args.basis))
     sys.stdout.write(result.matrix_text())
     return EXIT_OK if result.all_passed else EXIT_CHECK_FAILED
 
@@ -107,7 +103,7 @@ def _cmd_korovkin(args) -> int:
         ell=args.ell,
         grid_size=args.grid,
         quad_tol=args.tol,
-        basis_variant=_basis(args),
+        basis_variant=BasisVariant(args.basis),
         guard=args.guard,
     )
     _emit(args, result)
@@ -131,13 +127,9 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    lipschitz = None
-    if args.lip_m is not None or args.lip_alpha is not None:
-        if args.theorem != "t33":
-            raise ConfigError("--lip-m and --lip-alpha apply to --theorem t33 only")
-        if args.lip_m is None or args.lip_alpha is None:
-            raise ConfigError("give both --lip-m and --lip-alpha, or neither for the built-in data")
-        lipschitz = (args.lip_m, args.lip_alpha)
+    if (args.lip_m is None) != (args.lip_alpha is None):
+        raise ConfigError("give both --lip-m and --lip-alpha, or neither for the built-in data")
+    lipschitz = None if args.lip_m is None else (args.lip_m, args.lip_alpha)
     report = run_bounds(
         args.theorem,
         _config(args),
@@ -159,7 +151,7 @@ def _cmd_figure(args) -> int:
         ell=args.ell,
         grid_size=args.grid,
         quad_tol=args.tol,
-        basis_variant=_basis(args),
+        basis_variant=BasisVariant(args.basis),
     )
     _emit(args, table)
     return EXIT_OK

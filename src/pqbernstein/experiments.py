@@ -98,7 +98,10 @@ def custom_schedule(
             f"custom schedule lists must align: {len(n_list)} n's, "
             f"{len(p_list)} p's, {len(q_list)} q's"
         )
-    table = {_degree(n): (float(p), float(q)) for n, p, q in zip(n_list, p_list, q_list)}
+    ns = [_integer(n, "degree n") for n in n_list]
+    table = {n: (float(p), float(q)) for n, p, q in zip(ns, p_list, q_list)}
+    if len(table) < len(ns):
+        raise ConfigError(f"custom schedule degrees must be distinct, got {ns}")
 
     def pair_fn(n: int) -> tuple[float, float]:
         if n not in table:
@@ -109,24 +112,25 @@ def custom_schedule(
 
 
 def _validate_run_grid(grid_size: int) -> np.ndarray:
-    if grid_size < 2:
-        raise ConfigError(f"grid size must be >= 2, got {grid_size}")
-    return np.linspace(0.0, 1.0, grid_size)
+    size = _integer(grid_size, "grid size")
+    if size < 2:
+        raise ConfigError(f"grid size must be >= 2, got {size}")
+    return np.linspace(0.0, 1.0, size)
 
 
-def _degree(n) -> int:
-    """n as an int; a value that is not an integer (6.5, NaN, "6") is rejected."""
+def _integer(value, what: str) -> int:
+    """value as an int; a bool or a value that is not an integer (6.5, NaN, "6") is rejected."""
     try:
-        k = int(n)
+        k = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"degree n must be an integer, got {n!r}") from exc
-    if k != n:
-        raise ConfigError(f"degree n must be an integer, got {n!r}")
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+    if k != value or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return k
 
 
 def _validate_n_list(n_list: Sequence[int]) -> list[int]:
-    ns = [_degree(n) for n in n_list]
+    ns = [_integer(n, "degree n") for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"n list must be non-empty and strictly increasing, got {ns}")
     return ns
@@ -215,7 +219,7 @@ def run_korovkin(
     return KorovkinResult(
         schedule_name=sched.name,
         ell=ell,
-        grid_size=grid_size,
+        grid_size=xs.size,
         quad_tol=quad_tol,
         basis_variant=basis_variant,
         columns={
@@ -276,7 +280,7 @@ def run_figure(
     """Columns of K(f_fig) for each (p, q, n) triple next to f_fig itself."""
     if not params:
         raise ConfigError("figure needs at least one (p, q, n) triple")
-    triples = tuple((float(p), float(q), _degree(n)) for p, q, n in params)
+    triples = tuple((float(p), float(q), _integer(n, "degree n")) for p, q, n in params)
     if len(set(triples)) < len(triples):
         raise ConfigError("figure (p, q, n) triples must be distinct")
     xs = _validate_run_grid(grid_size)
@@ -290,7 +294,7 @@ def run_figure(
         columns[_figure_label(p, q, n)] = apply_on_grid(config, pq, f, xs).tolist()
     return FigureTable(
         ell=ell,
-        grid_size=grid_size,
+        grid_size=xs.size,
         quad_tol=quad_tol,
         basis_variant=basis_variant,
         params=triples,
@@ -323,7 +327,10 @@ def run_bounds(
     if theorem not in ("t32", "t33", "t34"):
         raise ConfigError(f"unknown theorem {theorem!r}; choose t32, t33 or t34")
     if lipschitz is not None and theorem != "t33":
-        raise ConfigError(f"Lipschitz data (M, alpha) apply to t33 only, not {theorem}")
+        # the flags are named too: the CLI passes them through unchecked
+        raise ConfigError(
+            f"Lipschitz data (M, alpha; --lip-m, --lip-alpha) apply to t33 only, not {theorem}"
+        )
     if ratio_cap is not None and theorem != "t34":
         raise ConfigError(f"a ratio cap applies to t34 only, not {theorem}")
     if theorem == "t33" and lipschitz is None:

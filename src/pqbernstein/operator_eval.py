@@ -20,21 +20,21 @@ The integral means do not depend on x, so a whole grid is evaluated at once:
 one (G, N+1) basis matrix times one mean vector.  evaluate_on_grid builds
 that matrix once per call and applies it to the raw moment means and to the
 means of every function asked for; the other grid functions are cases of it.
-The basis needs only O(N) coefficients and no quadrature rule.  The means
-are defined by the rule's K nodes and the argument coefficients, O(N + K).
+One entry of _tables keeps all there is of an operator (config, pq): its
+O(N) basis coefficients, then from first use its K-node rule and argument
+coefficients, O(N + K), its Gauss rules and the means of each function.
 Every argument is an affine image of the same nodes, so one Gauss rule of the
 rule's discrete measure (pq_quadrature.gauss_rules, s = 16 and s + 4 = 20
-points, built at most once per operator) serves every k: the analytic
-built-ins (functions.ANALYTIC_BUILTINS, f_fig) cost (N+1)(2s + 4) evaluations
-instead of (N+1)(K+1), on operators where that saving outweighs the build,
-and keep the Gauss means only where the two rules agree within quad_tol.
-Every other function, and any that fails that check, takes the K-node rule,
-which stays the definition: the arguments c0_k + c1_k t are formed one row
-block of MEANS_BLOCK values at a time, sized to stay in a core's L2 cache,
-and reduced against the weights at once, so the (N+1) x K argument table
-never exists.  The means of each function are cached.  The raw moments of
-t^0, t^1, t^2 expand over the K-node rule's node moments and give the
-central moments.
+points) serves every k: the analytic built-ins (functions.ANALYTIC_BUILTINS,
+f_fig) cost (N+1)(2s + 4) evaluations instead of (N+1)(K+1), on operators
+where that saving outweighs the build, and keep the Gauss means only where
+the two rules agree within quad_tol.  Every other function, and any that
+fails that check, takes the K-node rule, which stays the definition: the
+arguments c0_k + c1_k t are formed one row block of MEANS_BLOCK values at a
+time, sized to stay in a core's L2 cache, and reduced against the weights at
+once, so the (N+1) x K argument table never exists.  The raw moments of t^0,
+t^1, t^2 expand over the K-node rule's node moments and give the central
+moments.
 
 Where [N k]_r overflows (from N = 1234 along the classic and q-only
 schedules, never for q/p below about 0.997) or the argument means do (small
@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -76,16 +78,20 @@ class SchurerConfig:
     quad_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.ell, int) and self.ell >= 0):
-            raise ValueError(f"ell must be an integer >= 0, got {self.ell!r}")
+        # stored as int and float, so bools and NumPy scalars never reach the reports
+        for name, least in (("n", 1), ("ell", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not isinstance(self.basis_variant, BasisVariant):
             raise ValueError(
                 f"basis_variant must be a BasisVariant, got {self.basis_variant!r}"
             )
-        if not (self.quad_tol >= QUAD_TOL_MIN and math.isfinite(self.quad_tol)):
+        real = isinstance(self.quad_tol, numbers.Real) and not isinstance(self.quad_tol, bool)
+        if not (real and self.quad_tol >= QUAD_TOL_MIN and math.isfinite(self.quad_tol)):
             raise ValueError(f"quad_tol must be finite and >= 2**-52, got {self.quad_tol!r}")
+        object.__setattr__(self, "quad_tol", float(self.quad_tol))
         # every cache lookup hashes the config: hash once, from numbers only,
         # so the value is the same in every process and survives pickling
         variant = self.basis_variant is BasisVariant.AS_PRINTED
@@ -133,150 +139,157 @@ GAUSS_BUILD_FIXED = 27_000
 GAUSS_BUILD_PER_NODE = 10
 
 
-@dataclass(frozen=True, eq=False)
-class _Basis:
-    """Per-(config, pq) basis coefficients; O(N), no quadrature rule."""
+class _Arguments(NamedTuple):
+    """The arguments c0_k + c1_k t of an operator's integral means; O(N), no (N+1) x K table."""
 
-    coef: np.ndarray         # [N k]_r, times p^{(N(N-1) - k(k-1))/2} for the printed variant
-    powers: np.ndarray       # exponents k = 0..N of x^k
-    fall: np.ndarray         # r^s, s = 0..N-1, of the falling product prod_{s<N-k} (1 - r^s x)
-    one_minus: np.ndarray    # 1 - r^j, j = 1..N+1
-
-
-@dataclass(frozen=True, eq=False)
-class _Tables:
-    """Per-(config, pq) argument coefficients and rule; O(N + K), no (N+1) x K table."""
-
-    rule: QuadratureRule
     c0: np.ndarray           # [k]/[n+1]
     c1: np.ndarray           # ([k+1]-[k])/[n+1], computed as ((q-1)[k]+p^k)/[n+1]
     raw_means: np.ndarray    # sum_t w_t (c0_k + c1_k t)^j for j = 0, 1, 2, shape (3, N+1)
     domain: tuple[float, float]  # hull of the arguments, see required_domain
 
+
+class _Operator:
+    """Everything kept about one operator (config, pq), each part built when first needed.
+
+    Construction builds the O(N) basis coefficients and no quadrature rule;
+    the rule, the arguments and the Gauss rules, O(N + K), follow on first
+    use (about 50 KB at classic N = 130, 400 KB at N = 1024).  The integral
+    means add N+1 read-only floats per function object applied, held with
+    the function while the operator is among the 8 that _tables keeps.
+    """
+
+    def __init__(self, config: SchurerConfig, pq: PQPair) -> None:
+        self.config, self.pq = config, pq
+        p, q = pq.p, pq.q
+        big_n = config.degree
+        k = np.arange(big_n + 1)
+        # log r from log1p: rounding r = q/p itself would cost eps/(1-r) relative
+        log_r = math.log1p(q - 1.0) - math.log1p(p - 1.0)
+        one_minus = -np.expm1(log_r * np.arange(1, big_n + 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = one_minus[big_n - 1 :: -1] / one_minus[:big_n]
+            coef = np.concatenate([[1.0], np.cumprod(ratios)])
+            if config.basis_variant is BasisVariant.AS_PRINTED:
+                # an entry that underflows to 0 is the correctly rounded value
+                coef *= p ** ((big_n * (big_n - 1) - k * (k - 1)) / 2)
+        if not np.isfinite(coef).all():
+            raise NumericalRangeError(
+                f"basis coefficients are not finite in double precision at N = n + ell = "
+                f"{big_n}, p={p!r}, q={q!r} ({config.basis_variant.value} basis)"
+            )
+        self.coef = coef                    # [N k]_r, times p^{(N(N-1) - k(k-1))/2} if printed
+        self.powers = k.astype(float)       # exponents k = 0..N of x^k
+        self.fall = np.exp(log_r * k[:-1])  # r^s, s < N, of prod_{s<N-k} (1 - r^s x)
+        self.one_minus = one_minus          # 1 - r^j, j = 1..N+1
+        self.means: dict = {}               # fn -> its integral means, see integral_means
+
+    def pq_integers(self) -> np.ndarray:
+        """[j]_{p,q} = p^{j-1} (1 - r^j) / (1 - r) for j = 0..N+1, from 1 - r^j."""
+        powers = np.power(self.pq.p, np.arange(self.one_minus.size))
+        return np.concatenate([[0.0], powers * (self.one_minus / self.one_minus[0])])
+
+    @cached_property
+    def rule(self) -> QuadratureRule:
+        return build_rule(self.pq, self.config.quad_tol)
+
+    @cached_property
+    def arguments(self) -> _Arguments:
+        p, q = self.pq.p, self.pq.q
+        ints = self.pq_integers()  # j = 0..N+1, which covers [n+1]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            denom = ints[self.config.n + 1]
+            c0 = ints[:-1] / denom
+            c1 = ((q - 1.0) * ints[:-1] + np.power(p, self.powers)) / denom
+            at_top = c0 + c1 * self.rule.top_node
+            domain = (min(0.0, float(at_top.min())), max(float(c0.max()), float(at_top.max())))
+            # the raw means expand over the node moments S_j = sum_t w_t t^j, so f
+            # is never evaluated for them
+            nodes, weights = self.rule.nodes, self.rule.weights
+            s0, s1, s2 = weights.sum(), weights @ nodes, (weights * nodes) @ nodes
+            raw_means = np.stack(
+                [
+                    np.full_like(c0, s0),
+                    c0 * s0 + c1 * s1,
+                    c0 * c0 * s0 + 2.0 * c0 * c1 * s1 + c1 * c1 * s2,
+                ]
+            )
+        # [n+1]_{p,q} is about p^n / (1 - q/p), so at small p the arguments
+        # [k]/[n+1] grow like p^-n while the basis stays finite
+        if not np.isfinite(raw_means).all():
+            raise NumericalRangeError(
+                f"integral means of t^2 are not finite in double precision at N = n + ell = "
+                f"{self.config.degree}, p={p!r}, q={q!r} "
+                f"(arguments reach {max(-domain[0], domain[1]):.3g})"
+            )
+        return _Arguments(c0, c1, raw_means, domain)
+
     @cached_property
     def gauss(self) -> GaussRules:
-        """The Gauss rules of this rule, built on first use and kept with the entry."""
         return gauss_rules(self.rule)
 
+    def basis(self, xs) -> np.ndarray:
+        """Basis values at every x, shape xs.shape + (N+1,); see basis_matrix."""
+        x = np.asarray(xs, dtype=float)[..., None]
+        falling = (1.0 - self.fall * x).cumprod(axis=-1)
+        out = x**self.powers
+        out *= self.coef
+        out[..., :-1] *= falling[..., ::-1]
+        return out
 
-@lru_cache(maxsize=32)
-def _basis(config: SchurerConfig, pq: PQPair) -> _Basis:
-    p, q = pq.p, pq.q
-    big_n = config.degree
-    k = np.arange(big_n + 1)
-    # log r from log1p: rounding r = q/p itself would cost eps/(1-r) relative
-    log_r = math.log1p(q - 1.0) - math.log1p(p - 1.0)
-    one_minus = -np.expm1(log_r * np.arange(1, big_n + 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = one_minus[big_n - 1 :: -1] / one_minus[:big_n]
-        coef = np.concatenate([[1.0], np.cumprod(ratios)])
-        if config.basis_variant is BasisVariant.AS_PRINTED:
-            # an entry that underflows to 0 is the correctly rounded value
-            coef *= p ** ((big_n * (big_n - 1) - k * (k - 1)) / 2)
-    if not np.isfinite(coef).all():
-        raise NumericalRangeError(
-            f"basis coefficients are not finite in double precision at N = n + ell = "
-            f"{big_n}, p={p!r}, q={q!r} ({config.basis_variant.value} basis)"
-        )
-    return _Basis(
-        coef=coef, powers=k.astype(float), fall=np.exp(log_r * k[:-1]), one_minus=one_minus
-    )
+    def check_covers(self, f: RealFunction) -> None:
+        lo, hi = self.arguments.domain
+        if f.lo > lo + DOMAIN_EDGE_TOL or f.hi < hi - DOMAIN_EDGE_TOL:
+            raise DomainError(
+                f"{f.name} declared on [{f.lo:.6g}, {f.hi:.6g}] but the operator needs "
+                f"[{lo:.6g}, {hi:.6g}]"
+            )
 
+    def gauss_means(self, fn) -> np.ndarray | None:
+        """(s+4)-point Gauss means of fn per k; None if the s-point ones differ by more than tol."""
+        arg = self.arguments.c0[:, None] + self.arguments.c1[:, None] * self.gauss.nodes
+        small, large = (np.asarray(fn(arg), dtype=float) @ self.gauss.weights).T
+        # written so that a NaN fails too
+        if np.all(np.abs(small - large) <= self.config.quad_tol * np.maximum(1.0, np.abs(large))):
+            return large
+        return None
 
-def _pq_integers(p: float, one_minus: np.ndarray) -> np.ndarray:
-    """[j]_{p,q} = p^{j-1} (1 - r^j) / (1 - r) for j = 0..len(one_minus), from 1 - r^j."""
-    powers = np.power(p, np.arange(one_minus.size))
-    return np.concatenate([[0.0], powers * (one_minus / one_minus[0])])
+    def integral_means(self, fns) -> list[np.ndarray]:
+        """sum_t w_t fn(c0_k + c1_k t), k = 0..N, per fn; kept in self.means, read-only.
 
-
-# Each entry pins the rule's K nodes and weights and a few O(N) vectors
-# (about 50 KB at classic N = 130, 400 KB at N = 1024).  Callers finish with
-# one (config, pq) before they move to the next; the longest walk, a default
-# Korovkin run, visits five.
-@lru_cache(maxsize=8)
-def _tables(config: SchurerConfig, pq: PQPair) -> _Tables:
-    # the basis first, so a degree whose coefficients overflow raises here too
-    basis = _basis(config, pq)
-    p, q = pq.p, pq.q
-    big_n = config.degree
-    k = np.arange(big_n + 1)
-    ints = _pq_integers(p, basis.one_minus)  # j = 0..N+1, which covers [n+1]
-    rule = build_rule(pq, config.quad_tol)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        denom = ints[config.n + 1]
-        c0 = ints[:-1] / denom
-        c1 = ((q - 1.0) * ints[:-1] + np.power(p, k)) / denom
-        # arguments are affine in t over (0, 1/p], so their values at t = 0 and
-        # at the top node bound the hull
-        at_top = c0 + c1 * rule.top_node
-        domain = (min(0.0, float(at_top.min())), max(float(c0.max()), float(at_top.max())))
-        # the raw means expand over the node moments S_j = sum_t w_t t^j, so f
-        # is never evaluated for them
-        nodes, weights = rule.nodes, rule.weights
-        s0, s1, s2 = weights.sum(), weights @ nodes, (weights * nodes) @ nodes
-        raw_means = np.stack(
-            [
-                np.full_like(c0, s0),
-                c0 * s0 + c1 * s1,
-                c0 * c0 * s0 + 2.0 * c0 * c1 * s1 + c1 * c1 * s2,
-            ]
-        )
-    # [n+1]_{p,q} is about p^n / (1 - q/p), so at small p the arguments
-    # [k]/[n+1] grow like p^-n while the basis stays finite
-    if not np.isfinite(raw_means).all():
-        raise NumericalRangeError(
-            f"integral means of t^2 are not finite in double precision at N = n + ell = "
-            f"{big_n}, p={p!r}, q={q!r} (arguments reach {max(-domain[0], domain[1]):.3g})"
-        )
-    return _Tables(rule=rule, c0=c0, c1=c1, raw_means=raw_means, domain=domain)
+        The fns not kept yet share one pass: the Gauss path for an analytic
+        built-in where it pays, else one block of the K-node arguments at a
+        time (see the module docstring).  The means are keyed on the callables:
+        two closures never share them, and a fn must be a pure function.
+        """
+        missing = [fn for fn in fns if fn not in self.means]
+        if missing:
+            c0, c1, _, _ = self.arguments
+            nodes, weights = self.rule.nodes, self.rule.weights
+            out = np.empty((len(missing), c0.size))
+            saved = c0.size * (nodes.size - 2 * GAUSS_POINTS - 4)
+            gauss_pays = saved >= GAUSS_BUILD_FIXED + GAUSS_BUILD_PER_NODE * nodes.size
+            rest = []
+            for i, fn in enumerate(missing):
+                means = self.gauss_means(fn) if gauss_pays and fn in ANALYTIC_BUILTINS else None
+                if means is None:
+                    rest.append(i)
+                else:
+                    out[i] = means
+            rows = max(1, MEANS_BLOCK // nodes.size)
+            # every fn took the Gauss path: no argument block either
+            for start in range(0, c0.size, rows) if rest else ():
+                block = slice(start, start + rows)
+                arg = c0[block, None] + c1[block, None] * nodes
+                for i in rest:
+                    out[i, block] = np.asarray(missing[i](arg), dtype=float) @ weights
+            out.flags.writeable = False
+            self.means.update(zip(missing, out))
+        return [self.means[fn] for fn in fns]
 
 
-def _gauss_means(tb: _Tables, fn, tol: float) -> np.ndarray | None:
-    """(s+4)-point Gauss means of fn per k; None if the s-point ones differ by more than tol."""
-    arg = tb.c0[:, None] + tb.c1[:, None] * tb.gauss.nodes
-    small, large = (np.asarray(fn(arg), dtype=float) @ tb.gauss.weights).T
-    # written so that a NaN fails too
-    if np.all(np.abs(small - large) <= tol * np.maximum(1.0, np.abs(large))):
-        return large
-    return None
-
-
-@lru_cache(maxsize=32)
-def _integral_means(config: SchurerConfig, pq: PQPair, fns: tuple) -> np.ndarray:
-    """sum_t w_t fn(c0_k + c1_k t) per fn and k, shape (len(fns), N+1), read-only.
-
-    An analytic built-in, on an operator large enough for the Gauss path to
-    pay (see GAUSS_BUILD_FIXED), takes that path: (N+1)(2s + 4) evaluations,
-    kept if the s- and (s+4)-point means agree within quad_tol.  Every other
-    fn, and any that fails that check, takes the K-node rule: its arguments
-    are built and reduced one row block of about MEANS_BLOCK values at a
-    time, shared by every such fn, so no (N+1) x K array exists.  The cache
-    keys on the callables themselves: two closures never share an entry, and
-    a fn must be a pure function of its argument.
-    """
-    tb = _tables(config, pq)
-    nodes, weights = tb.rule.nodes, tb.rule.weights
-    out = np.empty((len(fns), tb.c0.size))
-    saved = tb.c0.size * (nodes.size - 2 * GAUSS_POINTS - 4)
-    gauss_pays = saved >= GAUSS_BUILD_FIXED + GAUSS_BUILD_PER_NODE * nodes.size
-    rest = []
-    for i, fn in enumerate(fns):
-        means = None
-        if gauss_pays and fn in ANALYTIC_BUILTINS:
-            means = _gauss_means(tb, fn, config.quad_tol)
-        if means is None:
-            rest.append(i)
-        else:
-            out[i] = means
-    rows = max(1, MEANS_BLOCK // nodes.size)
-    # no fn left: no argument block either
-    for start in range(0, tb.c0.size, rows) if rest else ():
-        block = slice(start, start + rows)
-        arg = tb.c0[block, None] + tb.c1[block, None] * nodes
-        for i in rest:
-            out[i, block] = np.asarray(fns[i](arg), dtype=float) @ weights
-    out.flags.writeable = False
-    return out
+# Callers finish with one (config, pq) before they move to the next; the
+# longest walk, a default Korovkin run, visits five.
+_tables = lru_cache(maxsize=8)(_Operator)
 
 
 def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
@@ -285,18 +298,12 @@ def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     Term k is coef_k x^k prod_{s<N-k} (1 - r^s x).  A scalar x gives one
     row, which equals the matching row of any grid that contains x.
     """
-    tb = _basis(config, pq)
-    x = np.asarray(xs, dtype=float)[..., None]
-    falling = (1.0 - tb.fall * x).cumprod(axis=-1)
-    out = x**tb.powers
-    out *= tb.coef
-    out[..., :-1] *= falling[..., ::-1]
-    return out
+    return _tables(config, pq).basis(xs)
 
 
 def basis_row(config: SchurerConfig, pq: PQPair, x: float) -> np.ndarray:
     """All N+1 basis values at one x, nonnegative on [0, 1]."""
-    return basis_matrix(config, pq, float(x))
+    return _tables(config, pq).basis(float(x))
 
 
 def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
@@ -305,7 +312,7 @@ def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
     Arguments are affine in t over (0, 1/p], so the hull of their values at
     t = 0 and at the top quadrature node covers everything.
     """
-    return _tables(config, pq).domain
+    return _tables(config, pq).arguments.domain
 
 
 def _check_points(xs) -> None:
@@ -319,20 +326,12 @@ def _check_points(xs) -> None:
         raise ValueError(f"operator is evaluated on [0, 1], got x={worst!r}")
 
 
-def _check_covers(config: SchurerConfig, pq: PQPair, f: RealFunction) -> None:
-    lo, hi = required_domain(config, pq)
-    if f.lo > lo + DOMAIN_EDGE_TOL or f.hi < hi - DOMAIN_EDGE_TOL:
-        raise DomainError(
-            f"{f.name} declared on [{f.lo:.6g}, {f.hi:.6g}] but the operator needs "
-            f"[{lo:.6g}, {hi:.6g}]"
-        )
-
-
 def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float:
     """Operator value at x; linear and positive in f up to quadrature truncation."""
     _check_points(x)
-    _check_covers(config, pq, f)
-    return float(basis_row(config, pq, x) @ _integral_means(config, pq, (f.fn,))[0])
+    op = _tables(config, pq)
+    op.check_covers(f)
+    return float(op.basis(float(x)) @ op.integral_means((f.fn,))[0])
 
 
 class GridEvaluation(NamedTuple):
@@ -354,20 +353,20 @@ def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluatio
     """K(t^j; x) for j = 0, 1, 2 and K(f; x) for each f in fs, each of xs.shape.
 
     One basis matrix serves them all.  The raw moments come from the means
-    kept with the tables, expanded over the node moments, so the power
+    kept with the operator, expanded over the node moments, so the power
     functions are never evaluated on the arguments; the fs share one pass
     over the argument blocks.
     """
     _check_points(xs)
+    op = _tables(config, pq)
     for f in fs:
-        _check_covers(config, pq, f)
+        op.check_covers(f)
     x = np.asarray(xs, dtype=float)[()]  # a NumPy scalar for one point: cheaper arithmetic
-    # f.fn directly: _check_covers has compared f's domain with the cached
+    # f.fn directly: check_covers has compared f's domain with the cached
     # hull of the arguments, so a second scan of them is redundant
-    means = _integral_means(config, pq, tuple(f.fn for f in fs))
-    raw_means = _tables(config, pq).raw_means
-    b = basis_matrix(config, pq, x)
-    return GridEvaluation(x, tuple(b @ m for m in raw_means), [b @ m for m in means])
+    means = op.integral_means([f.fn for f in fs])
+    b = op.basis(x)
+    return GridEvaluation(x, tuple(b @ m for m in op.arguments.raw_means), [b @ m for m in means])
 
 
 def apply_on_grid(

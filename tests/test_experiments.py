@@ -71,10 +71,14 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             sched.pair(4)
 
-    def test_custom_rejects_non_integral_degree(self):
-        # 8.5 used to become the entry for n = 8
-        with pytest.raises(ConfigError, match="integer"):
-            custom_schedule([8.5, 16], [0.99, 0.999], [0.9, 0.99])
+    @pytest.mark.parametrize(
+        "n_list, message",
+        [([8.5, 16], "integer"), ([True, 16], "integer"), ([8, 8], "distinct"), ([8, 8.0], "distinct")],
+    )
+    def test_custom_rejects_bad_degrees(self, n_list, message):
+        # 8.5 used to become the entry for n = 8, and a repeated n kept its last pair
+        with pytest.raises(ConfigError, match=message):
+            custom_schedule(n_list, [0.99, 0.999], [0.9, 0.99])
 
     def test_custom_rejects_misaligned_lists(self):
         with pytest.raises(ConfigError):
@@ -109,9 +113,15 @@ class TestRunKorovkin:
         with pytest.raises(ConfigError):
             run_korovkin(schedule("classic"), [16, 8], guard=0.2)
 
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ConfigError):
-            run_korovkin(schedule("classic"), [8, 16], grid_size=1, guard=0.2)
+    @pytest.mark.parametrize(
+        "grid_size, message", [(1, ">= 2"), (2.5, "integer"), (True, "integer"), ("11", "integer")]
+    )
+    def test_rejects_bad_grid(self, grid_size, message):
+        # 2.5 used to reach np.linspace as a TypeError, and True to read as size 1
+        with pytest.raises(ConfigError, match=f"grid size .*{message}"):
+            run_korovkin(schedule("classic"), [8, 16], grid_size=grid_size, guard=0.2)
+        with pytest.raises(ConfigError, match=f"grid size .*{message}"):
+            run_figure([(0.95, 0.9, 6)], grid_size=grid_size)
 
     @pytest.mark.parametrize(
         "n_list", [[8.5, 128.7], [8, 16.5], [8, float("nan")], [8, float("inf")], [8, "16"]]
@@ -122,10 +132,11 @@ class TestRunKorovkin:
 
     def test_integral_float_and_numpy_degrees_accepted(self):
         one = run_korovkin(schedule("classic"), [8, 16], grid_size=11, guard=0.2)
-        two = run_korovkin(schedule("classic"), [8.0, np.int64(16)], grid_size=11, guard=0.2)
+        two = run_korovkin(schedule("classic"), [8.0, np.int64(16)], grid_size=11.0, guard=0.2)
         assert two.columns["n"] == [8, 16]
         assert all(type(n) is int for n in two.columns["n"])
         assert one.to_csv_text() == two.to_csv_text()
+        assert one.to_json_text() == two.to_json_text()
 
     def test_csv_header(self):
         result = run_korovkin(schedule("classic"), [8, 16], grid_size=11, guard=0.2)

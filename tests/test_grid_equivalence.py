@@ -27,11 +27,9 @@ from pqbernstein.operator_eval import (
     BasisVariant,
     NumericalRangeError,
     SchurerConfig,
-    _basis,
-    _gauss_means,
-    _integral_means,
-    _pq_integers,
+    _Operator,
     _tables,
+    apply,
     apply_central_moment,
     apply_on_grid,
     basis_matrix,
@@ -132,7 +130,7 @@ def test_basis_row_is_exactly_a_grid_row(config, pq):
 @pytest.mark.parametrize("config, pq", OPERATORS, ids=IDS)
 def test_argument_table_lies_inside_required_domain(config, pq):
     # integral means evaluate f on the argument blocks without a domain check
-    # of their own, relying on the cached hull that _check_covers compares
+    # of their own, relying on the cached hull that check_covers compares
     lo, hi = required_domain(config, pq)
     blocks = []
 
@@ -214,7 +212,7 @@ def classic(n):
     "n, pq", [(1024, PQPair(1.0, 1.0 - 1.0 / 1025)), (1024, classic(1024)), (200, PQPair(0.9, 0.8))]
 )
 def test_pq_integers_match_the_summation_form(n, pq):
-    ints = _pq_integers(pq.p, _basis(SchurerConfig(n=n), pq).one_minus)
+    ints = _tables(SchurerConfig(n=n), pq).pq_integers()
     want = np.array([pq_integer(j, pq) for j in range(n + 2)])
     assert ints[0] == 0.0
     assert np.abs(ints[1:] / want[1:] - 1.0).max() <= 4e-15
@@ -230,10 +228,47 @@ def test_many_functions_match_single_calls():
 
 def test_cached_means_are_read_only():
     config, pq = SchurerConfig(n=7), PQPair(0.9, 0.8)
-    means = _integral_means(config, pq, (functions._BUILTINS["f_fig"],))
+    (means,) = _tables(config, pq).integral_means((functions._BUILTINS["f_fig"],))
     assert not means.flags.writeable
     with pytest.raises(ValueError):
-        means[0, 0] = 0.0
+        means[0] = 0.0
+
+
+def test_apply_after_the_moment_report_reuses_its_e0_means(monkeypatch):
+    # the report takes the means of e0, e1 and e2 in one pass; apply on e0
+    # finds them kept with the operator
+    config, pq = SchurerConfig(n=11, ell=2), PQPair(0.95, 0.9)
+    calls, e0 = [], functions._BUILTINS["e0"]
+
+    def counting(t):
+        if np.ndim(t) == 2:  # arguments; grid samples are 1-D
+            calls.append(t.size)
+        return e0(t)
+
+    monkeypatch.setitem(functions._BUILTINS, "e0", counting)
+    build_moment_report(config, pq, XS)
+    assert calls
+    before = len(calls)
+    value = apply(config, pq, make_function("e0", *required_domain(config, pq)), 0.3)
+    assert len(calls) == before
+    assert value == pytest.approx(1.0, abs=config.truncation_budget)
+
+
+def test_basis_alone_builds_no_rule(monkeypatch):
+    config, pq = SchurerConfig(n=13, ell=1), PQPair(0.9, 0.8)
+    rules = []
+
+    def spy(*args):
+        rules.append(args)
+        return build_rule(*args)
+
+    monkeypatch.setattr(operator_eval, "build_rule", spy)
+    _tables.cache_clear()
+    basis_matrix(config, pq, XS)
+    basis_row(config, pq, 0.5)
+    assert rules == []
+    required_domain(config, pq)
+    assert rules == [(pq, config.quad_tol)]
 
 
 def test_distinct_closures_never_share_means():
@@ -296,8 +331,7 @@ def test_korovkin_power_columns_match_direct_quadrature():
 def test_fresh_classic_n1024_apply_stays_small():
     # the (N+1) x K argument table alone would be 194 MB here (K = 23,614)
     config, pq = SchurerConfig(n=1024), classic(1024)
-    for cache in (_basis, _tables, _integral_means):
-        cache.cache_clear()
+    _tables.cache_clear()
     tracemalloc.start()
     try:
         f = make_function("f_fig", *required_domain(config, pq))
@@ -313,29 +347,30 @@ def test_fresh_classic_n1024_apply_stays_small():
 @pytest.mark.parametrize("config, pq", OPERATORS[::3], ids=IDS[::3])
 def test_means_do_not_depend_on_the_block_size(config, pq, block, monkeypatch):
     fns = tuple(functions._BUILTINS[name] for name in ("e2", "f_fig", "holder_half"))
-    _integral_means.cache_clear()
-    default = _integral_means(config, pq, fns)
-    _integral_means.cache_clear()
+    _tables.cache_clear()
+    default = np.array(_tables(config, pq).integral_means(fns))
+    _tables.cache_clear()
     monkeypatch.setattr(operator_eval, "MEANS_BLOCK", block)
     try:
-        patched = _integral_means(config, pq, fns)
+        patched = np.array(_tables(config, pq).integral_means(fns))
     finally:
-        _integral_means.cache_clear()
+        _tables.cache_clear()
     assert np.abs(patched - default).max() <= 1e-14 * np.abs(default).max()
 
 
 def test_no_functions_build_no_argument_block():
     # one block at classic n = 128 (K about 3,000) holds MEANS_BLOCK floats
     config, pq = SchurerConfig(n=128), classic(128)
-    _tables(config, pq)
-    _integral_means.cache_clear()
+    _tables.cache_clear()
+    op = _tables(config, pq)
+    op.arguments  # the rule and the arguments, built before tracing starts
     tracemalloc.start()
     try:
-        means = _integral_means(config, pq, ())
+        means = op.integral_means(())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert means.shape == (0, config.degree + 1) and not means.flags.writeable
+    assert means == [] and op.means == {}
     assert peak < 8 * operator_eval.MEANS_BLOCK / 4  # a quarter of one block's bytes
     assert evaluate_on_grid(config, pq, [], XS).values == []
 
@@ -357,15 +392,15 @@ def test_evaluate_on_grid_is_each_grid_function():
 
 @pytest.fixture
 def basis_builds(monkeypatch):
-    """Counts basis_matrix calls made through operator_eval."""
+    """Counts the basis matrices the operator entries build."""
     calls = []
-    real = operator_eval.basis_matrix
+    real = _Operator.basis
 
-    def counting(*args):
-        calls.append(args[0].degree)
-        return real(*args)
+    def counting(op, xs):
+        calls.append(op.config.degree)
+        return real(op, xs)
 
-    monkeypatch.setattr(operator_eval, "basis_matrix", counting)
+    monkeypatch.setattr(_Operator, "basis", counting)
     return calls
 
 
@@ -409,7 +444,7 @@ def declare_analytic(monkeypatch, fn):
 
 def k_node_means(config, pq, fn):
     """fn's K-node means: a closure is never an analytic built-in."""
-    return _integral_means(config, pq, (lambda t: fn(t),))[0]
+    return _tables(config, pq).integral_means((lambda t: fn(t),))[0]
 
 
 @given(
@@ -429,9 +464,9 @@ def test_gauss_and_k_node_means_of_the_smooth_builtins_agree(n, ell, u, ratio):
     for name in ("e0", "e1", "e2", "f_fig"):
         fn = functions._BUILTINS[name]
         want = k_node_means(config, pq, fn)
-        gauss = _gauss_means(tb, fn, config.quad_tol)
+        gauss = tb.gauss_means(fn)
         assert gauss is not None
-        got = [gauss, _integral_means(config, pq, (fn,))[0]]  # the latter on either path
+        got = [gauss, tb.integral_means((fn,))[0]]  # the latter on either path
         for means in got:
             assert (np.abs(means - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all()
 
@@ -454,18 +489,18 @@ def test_only_f_fig_among_the_builtins_tries_the_gauss_rule(monkeypatch):
     # above the crossover too, e0, e1 and e2 keep the K-node rule, whose sums
     # the Korovkin and moment reports compare their direct means with
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
-    tried, gauss_means = [], operator_eval._gauss_means
+    tried, gauss_means = [], _Operator.gauss_means
 
-    def spy(tb, fn, tol):
+    def spy(op, fn):
         tried.append(fn)
-        return gauss_means(tb, fn, tol)
+        return gauss_means(op, fn)
 
-    monkeypatch.setattr(operator_eval, "_gauss_means", spy)
-    _integral_means.cache_clear()
+    monkeypatch.setattr(_Operator, "gauss_means", spy)
+    _tables.cache_clear()
     try:
-        _integral_means(config, pq, tuple(functions._BUILTINS.values()))
+        _tables(config, pq).integral_means(tuple(functions._BUILTINS.values()))
     finally:
-        _integral_means.cache_clear()
+        _tables.cache_clear()
     assert tried == [functions._BUILTINS["f_fig"]]
 
 
@@ -518,7 +553,7 @@ def test_an_undeclared_closure_takes_the_k_node_path_bit_identically(monkeypatch
     assert set(seen) == {_tables(config, pq).rule.nodes.size}
     # the same values as f_fig's own K-node means, bit for bit
     monkeypatch.setattr(operator_eval, "ANALYTIC_BUILTINS", frozenset())
-    _integral_means.cache_clear()
+    _tables.cache_clear()
     want = apply_on_grid(config, pq, make_function("f_fig", lo, hi), XS)
-    _integral_means.cache_clear()
+    _tables.cache_clear()
     np.testing.assert_array_equal(got, want)

@@ -390,6 +390,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="quad_tol"):
             SchurerConfig(n=8, quad_tol=tol)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            # bools used to be kept and written as JSON true/false
+            ({"n": True}, "n"),
+            ({"n": 3, "ell": False}, "ell"),
+            ({"n": 3, "quad_tol": True}, "quad_tol"),
+            ({"n": 0}, "n"),
+            ({"n": 3.0}, "n"),
+            ({"n": "3"}, "n"),
+            ({"n": 3, "ell": -1}, "ell"),
+            ({"n": 3, "ell": np.float64(1.0)}, "ell"),
+            ({"n": 3, "quad_tol": "1e-10"}, "quad_tol"),
+        ],
+    )
+    def test_rejects_fields_of_the_wrong_type(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SchurerConfig(**kwargs)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        config = SchurerConfig(n=np.int64(3), ell=np.int32(1), quad_tol=np.float64(1e-9))
+        assert (type(config.n), type(config.ell), type(config.quad_tol)) == (int, int, float)
+        assert config == SchurerConfig(n=3, ell=1, quad_tol=1e-9)
+        assert hash(config) == hash(SchurerConfig(n=3, ell=1, quad_tol=1e-9))
+
 
 class TestConfigHash:
     def test_equal_configs_hash_equal(self):

@@ -20,6 +20,8 @@ The integral means do not depend on x, so a whole grid is evaluated at once:
 one (G, N+1) basis matrix times one mean vector.  evaluate_on_grid builds
 that matrix once per call and applies it to the raw moment means and to the
 means of every function asked for; the other grid functions are cases of it.
+The point functions run the same code on one x, kept a float: the same
+ufuncs give a 1-D row, so a point costs its arithmetic and no broadcasting.
 One entry of _tables keeps all there is of an operator (config, pq): its
 O(N) basis coefficients, then from first use its K-node rule and argument
 coefficients, O(N + K), its Gauss rules and the means of each function.
@@ -144,7 +146,7 @@ class _Arguments(NamedTuple):
 
     c0: np.ndarray           # [k]/[n+1]
     c1: np.ndarray           # ([k+1]-[k])/[n+1], computed as ((q-1)[k]+p^k)/[n+1]
-    raw_means: np.ndarray    # sum_t w_t (c0_k + c1_k t)^j for j = 0, 1, 2, shape (3, N+1)
+    raw_means: tuple[np.ndarray, np.ndarray, np.ndarray]  # sum_t w_t (c0_k + c1_k t)^j, j = 0, 1, 2
     domain: tuple[float, float]  # hull of the arguments, see required_domain
 
 
@@ -206,12 +208,10 @@ class _Operator:
             # is never evaluated for them
             nodes, weights = self.rule.nodes, self.rule.weights
             s0, s1, s2 = weights.sum(), weights @ nodes, (weights * nodes) @ nodes
-            raw_means = np.stack(
-                [
-                    np.full_like(c0, s0),
-                    c0 * s0 + c1 * s1,
-                    c0 * c0 * s0 + 2.0 * c0 * c1 * s1 + c1 * c1 * s2,
-                ]
+            raw_means = (
+                np.full_like(c0, s0),
+                c0 * s0 + c1 * s1,
+                c0 * c0 * s0 + 2.0 * c0 * c1 * s1 + c1 * c1 * s2,
             )
         # [n+1]_{p,q} is about p^n / (1 - q/p), so at small p the arguments
         # [k]/[n+1] grow like p^-n while the basis stays finite
@@ -228,8 +228,8 @@ class _Operator:
         return gauss_rules(self.rule)
 
     def basis(self, xs) -> np.ndarray:
-        """Basis values at every x, shape xs.shape + (N+1,); see basis_matrix."""
-        x = np.asarray(xs, dtype=float)[..., None]
+        """Basis values at every x, shape xs.shape + (N+1,); a float x gives one 1-D row."""
+        x = xs if type(xs) is float else np.asarray(xs, dtype=float)[..., None]
         falling = (1.0 - self.fall * x).cumprod(axis=-1)
         out = x**self.powers
         out *= self.coef
@@ -303,7 +303,7 @@ def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
 
 def basis_row(config: SchurerConfig, pq: PQPair, x: float) -> np.ndarray:
     """All N+1 basis values at one x, nonnegative on [0, 1]."""
-    return _tables(config, pq).basis(float(x))
+    return _tables(config, pq).basis(_check_point(x))
 
 
 def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
@@ -315,29 +315,49 @@ def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
     return _tables(config, pq).arguments.domain
 
 
-def _check_points(xs) -> None:
-    x = np.asarray(xs, dtype=float)
-    if x.size == 0:
-        return
-    lo, hi = (float(x), float(x)) if x.ndim == 0 else (float(x.min()), float(x.max()))
+def _check_point(x) -> float:
+    """x as a float: one real number in [0, 1], a bool or an array of points being refused."""
+    if type(x) is not float:
+        if isinstance(x, np.ndarray):
+            x = x[()]  # the scalar of a 0-d array; any other array stays one
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise TypeError(
+                f"x must be one real number, got {x!r}; "
+                "evaluate arrays of points with apply_on_grid or evaluate_on_grid"
+            )
+        x = float(x)
     # written so that a NaN fails too
-    if not (-DOMAIN_EDGE_TOL <= lo and hi <= 1.0 + DOMAIN_EDGE_TOL):
-        worst = lo if not -DOMAIN_EDGE_TOL <= lo else hi
-        raise ValueError(f"operator is evaluated on [0, 1], got x={worst!r}")
+    if not -DOMAIN_EDGE_TOL <= x <= 1.0 + DOMAIN_EDGE_TOL:
+        raise ValueError(f"operator is evaluated on [0, 1], got x={x!r}")
+    return x
+
+
+def _check_points(xs) -> float | np.ndarray:
+    """The points as evaluated, each in [0, 1]: a float for one point, else a float array."""
+    x = xs if type(xs) is float else np.asarray(xs, dtype=float)
+    if type(x) is float or x.ndim == 0:
+        return _check_point(x)
+    if x.size:
+        _check_point(float(x.min()))
+        _check_point(float(x.max()))
+    return x
 
 
 def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float:
     """Operator value at x; linear and positive in f up to quadrature truncation."""
-    _check_points(x)
+    x = _check_point(x)
     op = _tables(config, pq)
     op.check_covers(f)
-    return float(op.basis(float(x)) @ op.integral_means((f.fn,))[0])
+    means = op.means.get(f.fn)
+    if means is None:
+        (means,) = op.integral_means((f.fn,))
+    return float(op.basis(x) @ means)
 
 
 class GridEvaluation(NamedTuple):
     """Operator values at the points x, all from one basis matrix."""
 
-    x: np.ndarray               # the points as evaluated; a NumPy scalar for one point
+    x: float | np.ndarray       # the points as evaluated; a float for one point
     raw: tuple[np.ndarray, np.ndarray, np.ndarray]  # K(t^j; x) for j = 0, 1, 2
     values: list[np.ndarray]    # K(f; x), one per f asked for
 
@@ -357,16 +377,16 @@ def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluatio
     functions are never evaluated on the arguments; the fs share one pass
     over the argument blocks.
     """
-    _check_points(xs)
+    x = _check_points(xs)  # a float for one point: 1-D rows and scalar arithmetic
     op = _tables(config, pq)
     for f in fs:
         op.check_covers(f)
-    x = np.asarray(xs, dtype=float)[()]  # a NumPy scalar for one point: cheaper arithmetic
     # f.fn directly: check_covers has compared f's domain with the cached
     # hull of the arguments, so a second scan of them is redundant
-    means = op.integral_means([f.fn for f in fs])
+    means = op.integral_means([f.fn for f in fs]) if fs else ()
     b = op.basis(x)
-    return GridEvaluation(x, tuple(b @ m for m in op.arguments.raw_means), [b @ m for m in means])
+    m0, m1, m2 = op.arguments.raw_means
+    return GridEvaluation(x, (b @ m0, b @ m1, b @ m2), [b @ m for m in means])
 
 
 def apply_on_grid(
@@ -382,6 +402,6 @@ def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int
     The power functions are total, so no domain declaration is involved; the
     order-2 value is nonnegative up to quadrature truncation.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    return float(evaluate_on_grid(config, pq, (), float(x)).central[order - 1])
+    if type(order) is not int or order not in (1, 2):
+        raise ValueError(f"order must be the int 1 or 2, got {order!r}")
+    return float(evaluate_on_grid(config, pq, (), _check_point(x)).central[order - 1])

@@ -10,7 +10,8 @@ of a top-level row and kept as null inside a nested group.
 CSV dialect: comma separator, '.' decimal, up to 17 significant digits,
 LF line endings, mandatory header row; None is an empty cell.  Each column
 is formatted with one format: a column of plain floats goes through
-``%.17g`` as a whole, any other column cell by cell through ``fmt_float``.
+``%.17g`` as a whole, an all-None column is literal empty cells, and any
+other column goes cell by cell through ``fmt_float``.
 
 JSON documents start with ``schema_version`` and ``kind`` and carry no
 timestamps.  Their fields are indented by two spaces.  A list that holds
@@ -47,19 +48,28 @@ def fmt_float(v) -> str:
     return f"{v:.17g}"
 
 
-def _column_format(cells: list) -> tuple[str, Sequence]:
-    """The %-format of one CSV column and the values it substitutes."""
+def _all_none(cells: list) -> bool:
+    # the first cell settles most columns without a scan
+    return not cells or (cells[0] is None and cells.count(None) == len(cells))
+
+
+def _column_format(cells: list) -> tuple[str, Sequence | None]:
+    """The %-format of one CSV column and the values it substitutes (None: none)."""
     if set(map(type, cells)) == {float}:
         if not all(map(math.isfinite, cells)):
             raise ValueError("non-finite value in CSV output")
         return "%.17g", cells
+    if _all_none(cells):
+        return "", None
     return "%s", list(map(fmt_float, cells))
 
 
 def csv_text(columns: Mapping[str, list]) -> str:
     lines = [",".join(columns)]
     formats, values = zip(*map(_column_format, columns.values()))
-    lines += map(",".join(formats).__mod__, zip(*values))
+    values = [v for v in values if v is not None]
+    rows = zip(*values) if values else [()] * len(next(iter(columns.values())))
+    lines += map(",".join(formats).__mod__, rows)
     return "\n".join(lines) + "\n"
 
 
@@ -74,7 +84,10 @@ def json_rows(template: Mapping, columns: Mapping[str, list]) -> list[dict]:
             for row in zip(*cells)
         ]
 
-    return group(template, False)
+    # an all-None column leaves the template once instead of every row; a
+    # template of nothing else keeps its rows, each one empty
+    top = {k: v for k, v in template.items() if not isinstance(v, str) or not _all_none(columns[v])}
+    return group(top or template, False)
 
 
 def _element_lines(items: list, kinds: set, pad: str) -> str:

@@ -368,9 +368,11 @@ class TestCentralMoments:
         assert value > 0.0
         assert value == pytest.approx(classical, rel=0.05)
 
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            apply_central_moment(SchurerConfig(n=4), PQ, 0.5, 3)
+    # 2.0 used to fail on the tuple index and True to pass as order 1
+    @pytest.mark.parametrize("order", [3, 0, 2.0, 1.0, True, False, "2", None], ids=repr)
+    def test_invalid_order(self, order):
+        with pytest.raises(ValueError, match="order must be the int 1 or 2"):
+            apply_central_moment(SchurerConfig(n=4), PQ, 0.5, order)
 
 
 class TestConfigValidation:

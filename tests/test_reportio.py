@@ -20,7 +20,7 @@ from pqbernstein.experiments import (
 )
 from pqbernstein.operator_eval import SchurerConfig
 from pqbernstein.pq_core import PQPair
-from pqbernstein.reportio import SCHEMA_VERSION, csv_text, json_text
+from pqbernstein.reportio import SCHEMA_VERSION, csv_text, json_rows, json_text
 
 CONFIG, PQ = SchurerConfig(n=20, ell=1), PQPair(0.95, 0.9)
 
@@ -177,6 +177,16 @@ class TestJsonRows:
         undefined = [row for row in rows if "ratio_t34" not in row]
         assert len(undefined) == _build("t34_degenerate").extras["degenerate_rows"]
         assert all(tuple(row) == BOUND_ROW_KEYS["t34"][:-1] for row in undefined)
+
+    def test_all_none_columns_leave_top_level_rows_and_stay_null_in_groups(self):
+        columns = {"x": [0.0, 0.5], "gone": [None, None], "some": [None, 1.0], "g": [None, None]}
+        template = {"x": "x", "gone": "gone", "some": "some", "group": {"g": "g", "x": "x"}}
+        assert json_rows(template, columns) == [
+            {"x": 0.0, "group": {"g": None, "x": 0.0}},
+            {"x": 0.5, "some": 1.0, "group": {"g": None, "x": 0.5}},
+        ]
+        assert json_rows({"a": "gone", "b": "g"}, columns) == [{}, {}]
+        assert json_rows({"a": "gone"}, {"gone": []}) == []
 
     def test_korovkin_first_row_keeps_null_flags(self):
         first, *rest = json.loads(_build("korovkin").to_json_text())["rows"]

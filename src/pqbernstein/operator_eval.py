@@ -25,18 +25,19 @@ ufuncs give a 1-D row, so a point costs its arithmetic and no broadcasting.
 One entry of _tables keeps all there is of an operator (config, pq): its
 O(N) basis coefficients, then from first use its K-node rule and argument
 coefficients, O(N + K), its Gauss rules and the means of each function.
-Every argument is an affine image of the same nodes, so one Gauss rule of the
-rule's discrete measure (pq_quadrature.gauss_rules, s = 16 and s + 4 = 20
-points) serves every k: the analytic built-ins (functions.ANALYTIC_BUILTINS,
-f_fig) cost (N+1)(2s + 4) evaluations instead of (N+1)(K+1), on operators
-where that saving outweighs the build, and keep the Gauss means only where
-the two rules agree within quad_tol.  Every other function, and any that
-fails that check, takes the K-node rule, which stays the definition: the
-arguments c0_k + c1_k t are formed one row block of MEANS_BLOCK values at a
-time, sized to stay in a core's L2 cache, and reduced against the weights at
-once, so the (N+1) x K argument table never exists.  The raw moments of t^0,
-t^1, t^2 expand over the K-node rule's node moments and give the central
-moments.
+Every argument is an affine image of the same nodes, so one set of Gauss
+rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
+s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
+truncation) serves every k: the analytic built-ins
+(functions.ANALYTIC_BUILTINS, f_fig) cost (N+1)(3s + 8) evaluations instead
+of (N+1)(K+1), on operators where that saving outweighs the build, and keep
+the Gauss means only where the two rules agree within quad_tol.  Every other
+function, and any that fails that check, takes the K-node rule, which stays
+the definition: the arguments c0_k + c1_k t are formed one row block of
+MEANS_BLOCK values at a time, sized to stay in a core's L2 cache, and
+reduced against the weights at once, so the (N+1) x K argument table never
+exists.  The raw moments of t^0, t^1, t^2 expand over the K-node rule's node
+moments and give the central moments.
 
 Where [N k]_r overflows (from N = 1234 along the classic and q-only
 schedules, never for q/p below about 0.997) or the argument means do (small
@@ -124,19 +125,17 @@ class NumericalRangeError(ArithmeticError):
 # relative to 2**17: 2**14 0.84, 2**15 0.82, 2**16 0.86, 2**18 1.26.
 MEANS_BLOCK = BLOCK_VALUES
 
-# The Gauss path pays for itself when the evaluations it saves,
-# (N+1)(K+1 - (2s+4)), outweigh the build of its rules, which costs about
-# GAUSS_BUILD_FIXED + GAUSS_BUILD_PER_NODE (K+1) K-node evaluations of f_fig.
-# Timed on a 2-vCPU Xeon, cold, medians of 21 to 25: a K-node evaluation of
-# f_fig costs about 13 ns and a build about 0.40 ms + 0.08 us per node
-# (0.45 ms at K+1 = 196, 0.63 ms at 2,292, 2.0 ms at 23,614), which the
-# constants round to 0.35 ms + 0.13 us.  The crossover in N+1 is therefore
-# 177 at K+1 = 200, 39 at 1,000, 20 at 3,000 and 12 at 23,614.  Timed
-# directly, the Gauss path first won at N+1 = 25 at K+1 = 2,982 (17 lost),
-# at 41 at K+1 = 1,140 (33 tied), and at 9, the smallest tried, at
-# K+1 = 23,614.  An operator with N+1 <= 28 needs K+1 >= 1,556 to cross it.
-# The crossover depends on (N, K) alone, so the path, and with it every
-# result, does not depend on what is cached.
+# The Gauss path pays for itself when the evaluations it saves outweigh the
+# build of its rules, which cost about GAUSS_BUILD_FIXED +
+# GAUSS_BUILD_PER_NODE (K+1) K-node evaluations of f_fig.  Both were timed
+# (2-vCPU Xeon, cold, medians of 21 to 25) against an earlier build, a
+# discrete Stieltjes pass over the K+1 nodes of 0.40 ms + 0.08 us per node,
+# with f_fig at 13 ns an evaluation.  The closed-form build takes about
+# 0.17 ms whatever K is, so they are now conservative; re-timing them would
+# move small operators onto the Gauss path and needs its own measurement.
+# The crossover in N+1 is 177 at K+1 = 200, 39 at 1,000, 20 at 3,000 and 12
+# at 23,614; N+1 <= 28 needs K+1 >= 1,556.  It depends on (N, K) alone, so
+# the path, and with it every result, does not depend on what is cached.
 GAUSS_BUILD_FIXED = 27_000
 GAUSS_BUILD_PER_NODE = 10
 
@@ -334,9 +333,12 @@ def _check_point(x) -> float:
 
 def _check_points(xs) -> float | np.ndarray:
     """The points as evaluated, each in [0, 1]: a float for one point, else a float array."""
-    x = xs if type(xs) is float else np.asarray(xs, dtype=float)
+    x = xs if type(xs) is float else np.asarray(xs)
     if type(x) is float or x.ndim == 0:
         return _check_point(x)
+    if x.dtype.kind not in "iuf":  # strings, bytes, bools, complex, objects
+        raise TypeError(f"x must be real numbers, got an array of dtype {x.dtype}")
+    x = x.astype(float, copy=False)
     if x.size:
         _check_point(float(x.min()))
         _check_point(float(x.max()))

@@ -10,14 +10,15 @@ and the retained weights sum exactly to 1 - (q/p)^{K+1}.  A rule is applied
 as weights @ f(nodes).  Note the largest node is 1/p, which exceeds 1
 whenever p < 1; integrands must be defined there.
 
-The truncated rule is a discrete measure on K+1 points, so it has Gauss
-rules of its own: s nodes in (0, 1/p] that sum every polynomial of degree
-below 2s exactly as the K+1 nodes do (Golub & Welsch, Math. Comp. 23, 1969;
-Gautschi, Orthogonal Polynomials: Computation and Approximation, OUP 2004,
-section 2.2).  gauss_rules builds a rule's GAUSS_POINTS- and
-GAUSS_POINTS+4-point Gauss rules from one discrete Stieltjes pass over its
-K+1 nodes; their recurrence coefficients are nested, so the pass costs
-O(K (s+4)).
+With r = q/p the untruncated rule is the Jackson measure in base r, weight
+(1 - r) r^j at node r^j/p.  Its orthogonal polynomials are little q-Legendre
+(little q-Jacobi with a = b = 1; Koekoek, Lesky & Swarttouw, Hypergeometric
+Orthogonal Polynomials and Their q-Analogues, Springer 2010, section 14.12),
+so its Gauss rules come from a closed-form Jacobi matrix (Golub & Welsch,
+Math. Comp. 23, 1969).  The measure is self-similar, so the K+1-node sum of
+f is exactly G(f) - r^(K+1) G(f(r^(K+1) .)), G the untruncated Gauss sum:
+gauss_rules builds GAUSS_POINTS- and GAUSS_POINTS+4-point rules of the
+truncated rule that way, in O(s^3) whatever K is.
 """
 
 from __future__ import annotations
@@ -93,76 +94,59 @@ def build_rule(pq: PQPair, tol: float) -> QuadratureRule:
 class GaussRules:
     """The s- and (s+4)-point Gauss rules of one truncated rule, s = GAUSS_POINTS.
 
-    nodes holds the s nodes and then the s + 4 nodes.  Column 0 of weights
-    carries the s-point weights on the first s rows, column 1 the
-    (s+4)-point weights on the last s + 4, and every other entry is 0, so
-    f(nodes) @ weights is both rules' sums of f at once.
+    nodes holds the s nodes, the s + 4 nodes, and then the s + 4 nodes
+    scaled by r^(K+1), the tail.  Column 0 of weights carries the s-point
+    weights on the first s rows, column 1 the (s+4)-point weights on the
+    next s + 4, both columns carry -r^(K+1) times the (s+4)-point weights on
+    the tail rows, and every other entry is 0, so f(nodes) @ weights is both
+    rules' sums of f at once.  The tail weights are negative because they
+    subtract the part of the untruncated measure that the K+1 nodes leave
+    out; they are at most tol times the others.
     """
 
-    nodes: np.ndarray    # shape (2s + 4,), each rule's nodes ascending in (0, 1/p]
-    weights: np.ndarray  # shape (2s + 4, 2)
-
-
-def _stieltjes(nodes: np.ndarray, weights: np.ndarray, steps: int):
-    """Recurrence coefficients alpha_k, beta_k (k < steps) of sum_j weights_j delta(t - nodes_j).
-
-    The discrete Stieltjes procedure in orthonormal form: cur holds
-    sqrt(weights) times the k-th orthonormal polynomial at the nodes, so
-    alpha_k = sum nodes cur^2 and beta_{k+1} is the squared norm of the next
-    unnormalized vector.  beta_0 is the total weight.  Needs more than
-    `steps` nodes of positive weight.
-
-    The inner products are einsum, not BLAS dot: above about 10^4 nodes
-    OpenBLAS spreads a dot over threads, which sleep during the elementwise
-    steps in between.  At K+1 = 23,614 on 2 vCPUs a pass took 3.6 ms with
-    dot (87 ms averaged over one series of ten) and 1.8 to 2.2 ms with einsum.
-    """
-    alpha, beta = np.empty(steps), np.empty(steps)
-    cur = np.sqrt(weights)
-    beta[0] = np.einsum("i,i", cur, cur)
-    cur /= math.sqrt(beta[0])
-    prev, nxt = np.zeros_like(cur), np.empty_like(cur)
-    for k in range(steps):
-        np.multiply(nodes, cur, out=nxt)
-        alpha[k] = np.einsum("i,i", nxt, cur)
-        nxt -= alpha[k] * cur
-        if k:
-            nxt -= math.sqrt(beta[k]) * prev
-        if k + 1 < steps:
-            beta[k + 1] = np.einsum("i,i", nxt, nxt)
-            nxt /= math.sqrt(beta[k + 1])
-            prev, cur, nxt = cur, nxt, prev
-    return alpha, beta
+    nodes: np.ndarray    # shape (3s + 8,), each block ascending in (0, 1/p]
+    weights: np.ndarray  # shape (3s + 8, 2)
 
 
 def _golub_welsch(alpha: np.ndarray, beta: np.ndarray, s: int):
-    """Nodes and weights of the s-point Gauss rule from the first s coefficients."""
-    off = np.sqrt(beta[1:s])
+    """Nodes and weights of the s-point Gauss rule of a unit measure.
+
+    alpha[:s] are its monic recurrence coefficients alpha_0..alpha_{s-1},
+    beta[:s-1] its beta_1..beta_{s-1}.
+    """
+    off = np.sqrt(beta[: s - 1])
     jacobi = np.diag(alpha[:s]) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vectors = np.linalg.eigh(jacobi)
-    return nodes, beta[0] * vectors[0] ** 2
+    return nodes, vectors[0] ** 2
 
 
 def gauss_rules(rule: QuadratureRule) -> GaussRules:
     """Gauss rules of a truncated rule, exact on its sums of polynomials of degree < 2s.
 
     Not cached here: operator_eval keeps the rules of each operator's rule
-    beside it.  Raises ValueError if the rule has no more than 2s + 4 nodes:
-    its Gauss rules would then evaluate an integrand as often as it does.
+    beside it.
     """
-    s = GAUSS_POINTS
-    if rule.nodes.size <= 2 * s + 4:
-        pq = rule.pq
-        raise ValueError(
-            f"the rule at p={pq.p!r}, q={pq.q!r} with {rule.nodes.size} nodes is too small: "
-            f"Gauss rules of {s} and {s + 4} points need more than {2 * s + 4}"
-        )
-    alpha, beta = _stieltjes(rule.nodes, rule.weights, s + 4)
+    s, pq = GAUSS_POINTS, rule.pq
+    # little q-Legendre in base r: with A_n = r^n (1-r^(n+1))^2 /
+    # ((1-r^(2n+1))(1-r^(2n+2))) and C_n = r^n (1-r^n)^2 / ((1-r^(2n))(1-r^(2n+1))),
+    # C_0 = 0, alpha_n = A_n + C_n and beta_n = A_(n-1) C_n.  Every 1 - r^j is
+    # -expm1(j log r), with log r from log1p as in operator_eval.
+    log_r = math.log1p(pq.q - 1.0) - math.log1p(pq.p - 1.0)
+    one_minus = -np.expm1(log_r * np.arange(2 * s + 9))  # 1 - r^j, j <= 2s + 8
+    n, m = np.arange(s + 4), np.arange(1, s + 4)
+    a = np.exp(log_r * n) * one_minus[n + 1] ** 2 / (one_minus[2 * n + 1] * one_minus[2 * n + 2])
+    c = np.exp(log_r * m) * one_minus[m] ** 2 / (one_minus[2 * m] * one_minus[2 * m + 1])
+    alpha, beta = a + np.concatenate([[0.0], c]), a[:-1] * c
     small, large = _golub_welsch(alpha, beta, s), _golub_welsch(alpha, beta, s + 4)
-    weights = np.zeros((2 * s + 4, 2))
-    weights[:s, 0], weights[s:, 1] = small[1], large[1]
+    # the K+1 nodes are the untruncated measure less r^(K+1) times itself: the
+    # (s+4)-point rule, scaled and negated, sums that tail for both columns
+    tail = rule.tail_bound
+    weights = np.zeros((3 * s + 8, 2))
+    weights[:s, 0], weights[s : 2 * s + 4, 1] = small[1], large[1]
+    weights[2 * s + 4 :] = -tail * large[1][:, None]
     # eigh may round a node a few ulps past the rule's hull; pin it inside, so
     # every argument stays in the operator's required domain
-    nodes = np.clip(np.concatenate([small[0], large[0]]), 0.0, rule.top_node)
+    nodes = np.concatenate([small[0], large[0], tail * large[0]]) / pq.p
+    nodes = np.clip(nodes, 0.0, rule.top_node)
     nodes.flags.writeable = weights.flags.writeable = False
     return GaussRules(nodes=nodes, weights=weights)

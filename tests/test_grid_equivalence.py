@@ -38,7 +38,7 @@ from pqbernstein.operator_eval import (
     required_domain,
 )
 from pqbernstein.pq_core import PQPair, pq_integer
-from pqbernstein.pq_quadrature import GAUSS_POINTS, build_rule
+from pqbernstein.pq_quadrature import build_rule
 
 # (n, ell, p, q); the last two reach N = 130 along the classic schedule
 CASES = [
@@ -178,6 +178,32 @@ def test_grid_rejects_points_outside_unit_interval():
     assert apply_on_grid(config, pq, f, np.array([])).shape == (0,)
 
 
+@pytest.mark.parametrize(
+    "xs",
+    [
+        ["0.25", "0.5"], [True, False], np.array([0.5, None]), [b"0.5"], [0.5j],
+        "0.5", np.array("0.5"),
+    ],
+    ids=repr,
+)
+def test_grid_refuses_points_that_are_not_real_numbers(xs):
+    config, pq = SchurerConfig(n=5), PQPair(0.9, 0.8)
+    f = make_function("e1", *required_domain(config, pq))
+    with pytest.raises(TypeError, match="must be (one )?real number"):
+        apply_on_grid(config, pq, f, xs)
+    with pytest.raises(TypeError, match="must be (one )?real number"):
+        evaluate_on_grid(config, pq, (), xs)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint8])
+def test_grid_takes_real_dtypes_as_float64(dtype):
+    config, pq = SchurerConfig(n=5), PQPair(0.9, 0.8)
+    xs = np.array([0, 1], dtype=dtype)
+    got = evaluate_on_grid(config, pq, (), xs)
+    assert got.x.dtype == np.float64
+    np.testing.assert_array_equal(got.raw[1], evaluate_on_grid(config, pq, (), [0.0, 1.0]).raw[1])
+
+
 # the Gaussian binomials in r = q/p first overflow at N = 1234 along the
 # classic and q-only schedules
 @pytest.mark.parametrize(
@@ -284,10 +310,10 @@ def test_distinct_closures_never_share_means():
 
 
 def test_t32_and_t34_evaluate_f_fig_over_the_arguments_once(monkeypatch):
-    # f_fig takes the Gauss path here, (N+1)(2s + 4) arguments; holder_half
+    # f_fig takes the Gauss path here, one argument per Gauss node; holder_half
     # takes the K-node rule's argument blocks, (N+1)(K+1) arguments
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
-    gauss_nodes = 2 * GAUSS_POINTS + 4
+    gauss_nodes = _tables(config, pq).gauss.nodes.size
     sizes = {"f_fig": [], "holder_half": []}
 
     def counting(name):
@@ -478,7 +504,7 @@ def test_f_fig_takes_the_gauss_path_above_the_crossover(monkeypatch):
     spied = gauss_attempts(fig, seen)
     declare_analytic(monkeypatch, spied)
     got = apply_on_grid(config, pq, RealFunction(spied, lo, hi), XS)
-    assert seen == [2 * GAUSS_POINTS + 4]
+    assert seen == [_tables(config, pq).gauss.nodes.size]
     want = basis_matrix(config, pq, XS) @ k_node_means(config, pq, fig)
     assert np.abs(got - want).max() <= 1e-13
     # f_fig itself, through the public path, the same
@@ -539,7 +565,7 @@ def test_a_rough_function_declared_analytic_falls_back_bit_identically(rough, mo
     declare_analytic(monkeypatch, spied)
     got = apply_on_grid(config, pq, RealFunction(spied, lo, hi), XS)
     k1 = _tables(config, pq).rule.nodes.size
-    assert seen[0] == 2 * GAUSS_POINTS + 4  # tried, failed the s / s+4 check
+    assert seen[0] == _tables(config, pq).gauss.nodes.size  # tried, failed the s / s+4 check
     assert set(seen[1:]) == {k1}
     np.testing.assert_array_equal(got, apply_on_grid(config, pq, RealFunction(rough, lo, hi), XS))
 

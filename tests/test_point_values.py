@@ -82,7 +82,7 @@ FROZEN = {
         "0x1.4990218df3e0dp-11 0x1.15fe5cd537ef9p-13",
     ),
     ("normalized", 60): (
-        ("0x1.ffffffff276f9p-1", "0x1.39c69b8066767p+0",
+        ("0x1.ffffffff276f9p-1", "0x1.39c69b8066770p+0",
          "0x1.28df6a1e20720p-7", "0x1.a24fd98e5f360p-8"),
         "0x1.7d54324cc76b9p-35 0x1.1cb32a100a14ap-30 0x1.a9f940b9b37cep-27 "
         "0x1.a9abcc9c60e33p-24 0x1.3f893a22e06a4p-21 0x1.804f1ffd1c761p-19 "
@@ -153,7 +153,7 @@ FROZEN = {
         "0x1.b0297c72611eap-12 0x1.15fe5cd537ef9p-13",
     ),
     ("printed", 60): (
-        ("0x1.55dcb07bd4c12p-1", "0x1.9f81a3e22e82dp-1",
+        ("0x1.55dcb07bd4c12p-1", "0x1.9f81a3e22e839p-1",
          "0x1.ebdee2761b440p-8", "0x1.1a6ccb5fdfba0p-8"),
         "0x1.d9eef679dbb42p-36 0x1.61d69e3362ae5p-31 0x1.08c7fb5c3959ep-27 "
         "0x1.08bc426d5cbf8p-24 0x1.8dc67e4cc480ep-22 0x1.deec42bd51dffp-20 "

@@ -18,6 +18,15 @@ and per (n, G), with the operator's entry and means already kept:
 - basis: the (G, N+1) basis matrix;
 - apply_on_grid_warm: f_fig on the grid.
 
+The theorems_bundle cases are one operator's check bundle, as the benchmark's
+theorems workload serves it: the moment report and t32 (f_fig), t33
+(holder_half) and t34 (f_fig) at G = 101, classic n = 16, 64 and 128.  Per n:
+
+- compute: the four reports, from a cold operator cache;
+- csv: to_csv_text of each report, fresh from compute;
+- json: to_json_text of each report after its to_csv_text, the order in
+  which the benchmark serializes.
+
 Each stage reports the median and quartiles of --repeats timed calls, in
 seconds.  peak_rss_mb is the peak resident size of a fresh child process
 that imports the package and makes one cold f_fig apply_on_grid of the case;
@@ -49,13 +58,22 @@ from pathlib import Path
 
 import numpy as np
 
-from pqbernstein import PQPair, SchurerConfig
+from pqbernstein import PQPair, SchurerConfig, run_bounds, run_moments
 from pqbernstein.functions import make_function
-from pqbernstein.operator_eval import _Operator, apply_on_grid, basis_matrix, required_domain
+from pqbernstein.operator_eval import (
+    _Operator,
+    _tables,
+    apply_on_grid,
+    basis_matrix,
+    required_domain,
+)
 from pqbernstein.pq_quadrature import build_rule, gauss_rules
 
 DEGREES = (128, 512, 1024)
 GRID_SIZES = (101, 1001)
+BUNDLE_DEGREES = (16, 64, 128)
+BUNDLE_GRID = 101
+BUNDLE = (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
 
 CHILD = """
 import sys
@@ -85,6 +103,30 @@ def timed(call, repeats: int, fresh=None) -> dict:
         times.append(time.perf_counter() - start)
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "repeats": repeats}
+
+
+def theorems_bundle(n: int, repeats: int) -> dict:
+    """Compute, CSV and JSON times of one operator's check bundle at classic n."""
+    config, pq = classic(n)
+
+    def compute(_=None) -> list:
+        reports = [run_moments(config, pq, grid_size=BUNDLE_GRID)]
+        for theorem, name in BUNDLE:
+            reports.append(run_bounds(theorem, config, pq, name, grid_size=BUNDLE_GRID))
+        return reports
+
+    def after_csv() -> list:
+        reports = compute()
+        for report in reports:
+            report.to_csv_text()
+        return reports
+
+    stages = {
+        "compute": timed(compute, repeats, _tables.cache_clear),
+        "csv": timed(lambda reports: [r.to_csv_text() for r in reports], repeats, compute),
+        "json": timed(lambda reports: [r.to_json_text() for r in reports], repeats, after_csv),
+    }
+    return {"case": "theorems_bundle", "n": n, "grid": BUNDLE_GRID, "stages": stages}
 
 
 LAUNCHER = """
@@ -149,6 +191,9 @@ def main() -> int:
             }
             cases.append({"n": n, "grid": g, "stages": stages, "peak_rss_mb": peak_rss_mb(n, g)})
         print(f"n = {n}: done", file=sys.stderr)
+    for n in BUNDLE_DEGREES:
+        cases.append(theorems_bundle(n, args.repeats))
+    print("theorems_bundle: done", file=sys.stderr)
 
     out = {
         "label": args.label,

@@ -163,7 +163,7 @@ class BoundReport(Report):
             "slack": self.slack,
             "all_passed": self.all_passed,
             "extras": self.extras,
-            "rows": json_rows(JSON_ROW, self.columns),
+            "rows": json_rows(JSON_ROW, self.texts),
         }
 
 

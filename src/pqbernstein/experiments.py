@@ -29,7 +29,7 @@ from .operator_eval import (
 from .pq_core import PQPair, pq_integer
 from .pq_quadrature import build_rule
 from .qreference import q_kantorovich_schurer
-from .reportio import Report, json_rows
+from .reportio import Report, json_array, json_rows
 
 KOROVKIN_FUNCTIONS = ("e0", "e1", "e2", "f_fig")
 CONVERGENCE_FLAGGED = ("e1", "e2", "f_fig")
@@ -178,7 +178,7 @@ class KorovkinResult(Report):
             "basis_variant": self.basis_variant.value,
             "converged": self.converged,
             "e0_within_budget": self.e0_within_budget,
-            "rows": json_rows(KOROVKIN_JSON_ROW, self.columns),
+            "rows": json_rows(KOROVKIN_JSON_ROW, self.texts),
         }
 
 
@@ -246,7 +246,8 @@ class FigureTable(Report):
     kind = "figure_data"
 
     def json_fields(self) -> dict:
-        _, _, *curves = self.columns.items()  # after x and f, one column per label
+        arrays = {name: json_array(texts) for name, texts in self.texts.items()}
+        _, _, *curves = arrays.items()  # after x and f, one column per label
         return {
             "function": "f_fig",
             "ell": self.ell,
@@ -254,8 +255,8 @@ class FigureTable(Report):
             "quad_tol": self.quad_tol,
             "basis_variant": self.basis_variant.value,
             "params": [list(t) for t in self.params],
-            "x": self.columns["x"],
-            "f": self.columns["f"],
+            "x": arrays["x"],
+            "f": arrays["f"],
             "columns": dict(curves),
         }
 

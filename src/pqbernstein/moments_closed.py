@@ -140,7 +140,7 @@ class MomentReport(Report):
                 "max_c1_dev": self.max_c1_consistency,
                 "max_c2_dev": self.max_c2_consistency,
             },
-            "rows": json_rows(JSON_ROW, self.columns),
+            "rows": json_rows(JSON_ROW, self.texts),
         }
 
 

@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
-from .pq_core import BLOCK_VALUES, PQPair
+from .pq_core import BLOCK_VALUES, PQPair, log_parameter
 from .pq_quadrature import GAUSS_POINTS, GaussRules, QuadratureRule, build_rule, gauss_rules
 
 
@@ -164,8 +164,9 @@ class _Operator:
         p, q = pq.p, pq.q
         big_n = config.degree
         k = np.arange(big_n + 1)
-        # log r from log1p: rounding r = q/p itself would cost eps/(1-r) relative
-        log_r = math.log1p(q - 1.0) - math.log1p(p - 1.0)
+        # log r from the logs of p and q: rounding r = q/p itself would cost
+        # eps/(1-r) relative
+        log_r = log_parameter(q) - log_parameter(p)
         one_minus = -np.expm1(log_r * np.arange(1, big_n + 2))
         with np.errstate(over="ignore", invalid="ignore"):
             ratios = one_minus[big_n - 1 :: -1] / one_minus[:big_n]

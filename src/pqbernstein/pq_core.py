@@ -43,6 +43,17 @@ class PQPair:
         return self._hash
 
 
+def log_parameter(v: float) -> float:
+    """log v for a parameter 0 < v <= 1, finite down to the least subnormal.
+
+    From 0.5 up, v - 1.0 is exact (Sterbenz), so log1p(v - 1.0) is as
+    accurate as log(v) and keeps the values the operator has always had
+    there.  Below 0.5, v - 1.0 rounds, to -1.0 for v below about 1.1e-16,
+    so log(v) is taken instead.
+    """
+    return math.log(v) if v < 0.5 else math.log1p(v - 1.0)
+
+
 def pq_integer(n: int, pq: PQPair) -> float:
     """[n]_{p,q} = sum_{i=0}^{n-1} p^(n-1-i) q^i, with [0] = 0.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pq_core import PQPair
+from .pq_core import PQPair, log_parameter
 
 DEFAULT_HARD_CAP = 10**6
 
@@ -130,8 +130,8 @@ def gauss_rules(rule: QuadratureRule) -> GaussRules:
     # little q-Legendre in base r: with A_n = r^n (1-r^(n+1))^2 /
     # ((1-r^(2n+1))(1-r^(2n+2))) and C_n = r^n (1-r^n)^2 / ((1-r^(2n))(1-r^(2n+1))),
     # C_0 = 0, alpha_n = A_n + C_n and beta_n = A_(n-1) C_n.  Every 1 - r^j is
-    # -expm1(j log r), with log r from log1p as in operator_eval.
-    log_r = math.log1p(pq.q - 1.0) - math.log1p(pq.p - 1.0)
+    # -expm1(j log r), with log r as in operator_eval.
+    log_r = log_parameter(pq.q) - log_parameter(pq.p)
     one_minus = -np.expm1(log_r * np.arange(2 * s + 9))  # 1 - r^j, j <= 2s + 8
     n, m = np.arange(s + 4), np.arange(1, s + 4)
     a = np.exp(log_r * n) * one_minus[n + 1] ** 2 / (one_minus[2 * n + 1] * one_minus[2 * n + 2])

@@ -1,27 +1,16 @@
 """The one serializer behind every report type.
 
 A report is its document fields plus one table, ``columns``: an ordered
-mapping from CSV column name to the list of that column's cells.  The CSV is
-that table; the JSON ``rows`` are the same table laid out by a template that
-maps each JSON key to a column name or to a nested template (a group such as
-``oracle`` or ``sup_errors``).  One rule covers None: a None cell is left out
-of a top-level row and kept as null inside a nested group.
-
-CSV dialect: comma separator, '.' decimal, up to 17 significant digits,
-LF line endings, mandatory header row; None is an empty cell.  Each column
-is formatted with one format: a column of plain floats goes through
-``%.17g`` as a whole, an all-None column is literal empty cells, and any
-other column goes cell by cell through ``fmt_float``.
-
-JSON documents start with ``schema_version`` and ``kind`` and carry no
-timestamps.  Their fields are indented by two spaces.  A list that holds
-dicts or lists, such as a report's ``rows``, is written one compact element
-per line; any other list, such as the figure's number arrays ``x``, ``f``
-and each entry of ``columns``, on one compact line.  The compact parts come
-from one reused C encoder, one call per list.
-
-Both formats reject NaN and infinity with ValueError, so identical inputs
-give byte-identical, strictly valid files.
+mapping from CSV column name to the list of that column's cells.  Each cell
+becomes text once, in ``cell_texts``: a float its shortest round-trip
+``repr`` (``0.1``, ``1e-05``), an int its digits, a bool ``true``/``false``,
+None the empty text.  The CSV is those texts, comma-separated under a header
+row, LF-ended.  The JSON ``rows`` lay the same texts out by a template that
+maps JSON keys to column names or to nested templates (groups such as
+``oracle``); a None cell leaves a top-level row and stays null in a group.
+JSON documents start with ``schema_version`` and ``kind``, carry no
+timestamps, indent fields by two spaces and write a list of dicts, lists or
+rows one element per line.  Both formats reject NaN and infinity.
 """
 
 from __future__ import annotations
@@ -29,75 +18,83 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping
 
 SCHEMA_VERSION = "1"
 
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def fmt_float(v) -> str:
+class JsonText(str):
+    """JSON text that json_text writes as it stands."""
+
+
+def _cell_text(v) -> str:
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        return int.__repr__(v)
     if not math.isfinite(v):
-        raise ValueError(f"non-finite value {v!r} in CSV output")
-    return f"{v:.17g}"
+        raise ValueError(f"non-finite value {v!r} in a report table")
+    return float.__repr__(v)
 
 
-def _all_none(cells: list) -> bool:
-    # the first cell settles most columns without a scan
-    return not cells or (cells[0] is None and cells.count(None) == len(cells))
+def cell_texts(columns: Mapping[str, list]) -> dict[str, list[str]]:
+    """Each column's cells as the text both formats write, None as ""."""
+    texts = {}
+    for name, cells in columns.items():
+        floats = set(map(type, cells)) == {float} and all(map(math.isfinite, cells))
+        texts[name] = list(map(float.__repr__ if floats else _cell_text, cells))
+    return texts
 
 
-def _column_format(cells: list) -> tuple[str, Sequence | None]:
-    """The %-format of one CSV column and the values it substitutes (None: none)."""
-    if set(map(type, cells)) == {float}:
-        if not all(map(math.isfinite, cells)):
-            raise ValueError("non-finite value in CSV output")
-        return "%.17g", cells
-    if _all_none(cells):
-        return "", None
-    return "%s", list(map(fmt_float, cells))
+def csv_text(texts: Mapping[str, list[str]]) -> str:
+    return "\n".join([",".join(texts), *map(",".join, zip(*texts.values())), ""])
 
 
-def csv_text(columns: Mapping[str, list]) -> str:
-    lines = [",".join(columns)]
-    formats, values = zip(*map(_column_format, columns.values()))
-    values = [v for v in values if v is not None]
-    rows = zip(*values) if values else [()] * len(next(iter(columns.values())))
-    lines += map(",".join(formats).__mod__, rows)
-    return "\n".join(lines) + "\n"
+def _nulls(texts: list[str]) -> list[str]:
+    return [t or "null" for t in texts] if "" in texts else texts
 
 
-def json_rows(template: Mapping, columns: Mapping[str, list]) -> list[dict]:
-    """The table's rows as JSON objects laid out by template, by the None rule above."""
-
-    def group(template: Mapping, keep_none: bool) -> list[dict]:
-        keys = tuple(template)
-        cells = [columns[v] if isinstance(v, str) else group(v, True) for v in template.values()]
-        return [
-            {key: cell for key, cell in zip(keys, row) if keep_none or cell is not None}
-            for row in zip(*cells)
-        ]
-
-    # an all-None column leaves the template once instead of every row; a
-    # template of nothing else keeps its rows, each one empty
-    top = {k: v for k, v in template.items() if not isinstance(v, str) or not _all_none(columns[v])}
-    return group(top or template, False)
+def json_array(texts: list[str]) -> JsonText:
+    """One column as a compact JSON array; a None cell is null."""
+    return JsonText("[" + ", ".join(_nulls(texts)) + "]")
 
 
-def _element_lines(items: list, kinds: set, pad: str) -> str:
-    """The elements of items as compact JSON, joined by a comma, newline and pad."""
-    text = _encode(items)[1:-1]
-    for kind, boundary in ((dict, "}, {"), (list, "], [")):
-        # one boundary between each pair of elements and none inside one
-        if kinds == {kind} and text.count(boundary) == len(items) - 1:
-            return text.replace(boundary, boundary[0] + ",\n" + pad + boundary[-1])
-    return (",\n" + pad).join(map(_encode, items))
+def _layout(template: Mapping, texts: Mapping[str, list[str]], nested: bool = False):
+    """The %-format of a JSON object laid out by template, and the texts it takes in order."""
+    parts, columns = [], []
+    for key, value in template.items():
+        if isinstance(value, str):
+            # a nested group keeps a None cell as null
+            value, inner = "%s", [_nulls(texts[value]) if nested else texts[value]]
+        else:
+            value, inner = _layout(value, texts, True)
+        parts.append(_encode(key).replace("%", "%%") + ": " + value)
+        columns += inner
+    return "{" + ", ".join(parts) + "}", columns
+
+
+def json_rows(template: Mapping, texts: Mapping[str, list[str]]) -> list[JsonText]:
+    """The table's rows as JSON texts laid out by template, by the None rule above."""
+    # an all-None column leaves the template once instead of every row
+    top = {k: v for k, v in template.items() if not isinstance(v, str) or any(texts[v])} or template
+    row_format, columns = _layout(top, texts)
+    rows = list(map(row_format.__mod__, zip(*columns)))
+    # any other top-level None cell leaves its own row (each row, if no key is left)
+    partial = [texts[v] for v in top.values() if isinstance(v, str) and "" in texts[v]]
+    for i in {i for cells in partial for i, text in enumerate(cells) if not text}:
+        kept = {k: v for k, v in top.items() if not isinstance(v, str) or texts[v][i]}
+        row_format, columns = _layout(kept, texts)
+        rows[i] = row_format % tuple(cells[i] for cells in columns)
+    return list(map(JsonText, rows))
+
+
+def _compact(value) -> str:
+    return value if isinstance(value, JsonText) else _encode(value)
 
 
 def _json_value(value, pad: str) -> str:
@@ -110,11 +107,9 @@ def _json_value(value, pad: str) -> str:
                 raise TypeError(f"JSON keys must be str, got {key!r}")
             fields.append(f"{inner}{_encode(key)}: {_json_value(item, inner)}")
         return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-    if isinstance(value, list):
-        kinds = set(map(type, value))
-        if kinds & {dict, list}:
-            return "[\n" + inner + _element_lines(value, kinds, inner) + "\n" + pad + "]"
-    return _encode(value)
+    if isinstance(value, list) and set(map(type, value)) & {dict, list, JsonText}:
+        return "[\n" + inner + (",\n" + inner).join(map(_compact, value)) + "\n" + pad + "]"
+    return _compact(value)
 
 
 def json_text(doc: dict) -> str:
@@ -146,14 +141,19 @@ class Report:
     """A table of named columns plus document fields, written as CSV and as JSON.
 
     Subclasses set ``kind``, hold the table as ``columns`` and define
-    ``json_fields()``, the JSON document after ``kind``.
+    ``json_fields()``, the JSON document after ``kind``.  The cell texts are
+    made on first use and kept, so the table is not to change after that.
     """
 
     kind: str
     columns: dict[str, list]
 
+    @cached_property
+    def texts(self) -> dict[str, list[str]]:
+        return cell_texts(self.columns)
+
     def to_csv_text(self) -> str:
-        return csv_text(self.columns)
+        return csv_text(self.texts)
 
     def to_json_text(self) -> str:
         return json_text(

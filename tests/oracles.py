@@ -4,20 +4,27 @@ Each evaluates one definition term by term in plain floats: the
 (p,q)-factorial, binomial, falling power and rising two-term product, a
 single basis value, one Kantorovich argument, a quadrature rule applied
 to a function, the moduli of continuity of a function, the modulus tables
-built in full over every lag, and the CSV writer that formats cell by cell.  ``exact_basis_rows`` is the exception: it evaluates
-the basis exactly in rational arithmetic.
+built in full over every lag, the CSV writer that formats cell by cell, and
+the JSON writer that builds each row as a dict and encodes it with ``json``.
+``exact_basis_rows`` is the exception: it evaluates the basis exactly in
+rational arithmetic.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from pqbernstein.error_bounds import JSON_ROW as BOUND_JSON_ROW
 from pqbernstein.error_bounds import MODULUS_GRID_DIV, ModulusGrid
+from pqbernstein.experiments import KOROVKIN_JSON_ROW
 from pqbernstein.functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
+from pqbernstein.moments_closed import JSON_ROW as MOMENT_JSON_ROW
 from pqbernstein.operator_eval import SchurerConfig, basis_row
 from pqbernstein.pq_core import PQPair, pq_integer
 from pqbernstein.pq_quadrature import QuadratureRule
+from pqbernstein.reportio import SCHEMA_VERSION
 
 
 def pq_factorial(n: int, pq: PQPair) -> float:
@@ -191,7 +198,7 @@ def csv_text_per_cell(columns, rows) -> str:
     """The CSV writer that formats each cell through the full type test.
 
     None is an empty cell, a bool true/false, an int its digits and any
-    other value ``.17g``; it checks no finiteness.
+    other value its ``repr``; it checks no finiteness.
     """
 
     def cell(v) -> str:
@@ -201,8 +208,66 @@ def csv_text_per_cell(columns, rows) -> str:
             return "true" if v else "false"
         if isinstance(v, int):
             return str(v)
-        return f"{v:.17g}"
+        return repr(v)
 
     lines = [",".join(columns)]
     lines += [",".join(map(cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def json_rows_per_row(template, columns) -> list[dict]:
+    """A table's JSON rows as dicts, one row and one key at a time.
+
+    A None cell is left out of a top-level row and kept inside a nested
+    group; a row whose top-level cells are all None and that has no group
+    is empty.
+    """
+
+    def row(template, i, nested):
+        out = {}
+        for key, value in template.items():
+            cell = columns[value][i] if isinstance(value, str) else row(value, i, True)
+            if nested or cell is not None:
+                out[key] = cell
+        return out
+
+    size = len(next(iter(columns.values()), ()))
+    return [row(template, i, False) for i in range(size)]
+
+
+def json_text_by_encoder(value, pad: str = "") -> str:
+    """A JSON document in the report layout, every compact part from json's encoder.
+
+    Fields are indented by two spaces; a list holding dicts or lists is
+    written one compact element per line, any other value on one line.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        fields = [f"{inner}{_encode(k)}: {json_text_by_encoder(v, inner)}" for k, v in value.items()]
+        text = "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+    elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        text = "[\n" + inner + (",\n" + inner).join(map(_encode, value)) + "\n" + pad + "]"
+    else:
+        text = _encode(value)
+    return text + "\n" if pad == "" else text
+
+
+ROW_TEMPLATES = {
+    "bound_report": BOUND_JSON_ROW,
+    "moment_report": MOMENT_JSON_ROW,
+    "korovkin_run": KOROVKIN_JSON_ROW,
+}
+
+
+def report_json_doc(report) -> dict:
+    """The report's JSON document with its table laid out as plain dicts and lists."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": report.kind, **report.json_fields()}
+    if report.kind in ROW_TEMPLATES:
+        doc["rows"] = json_rows_per_row(ROW_TEMPLATES[report.kind], report.columns)
+    else:
+        (x, xs), (f, fs), *curves = report.columns.items()
+        doc.update({x: xs, f: fs, "columns": dict(curves)})
+    return doc

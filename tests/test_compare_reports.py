@@ -53,3 +53,21 @@ def test_flips_and_mismatches_fail(compare, tmp_path, capsys):
     assert any("only in the new" in m for m in compare.compare_dirs(a, b).mismatches)
     assert compare.main([str(a), str(b), "--max-abs", "1"]) == 1
     capsys.readouterr()
+
+
+def test_a_17_digit_csv_and_a_repr_csv_of_the_same_values_agree(compare, tmp_path, capsys):
+    # the CSV dialect changed from %.17g to repr; the values did not
+    values = [0.1, 1e16, -2.5e-05, 5e-324, 1.7976931348623157e308, 0.0, 123456789.0, 1 / 3]
+    texts = {"a": [f"{v:.17g}" for v in values], "b": [repr(v) for v in values]}
+    assert texts["a"] != texts["b"]
+    for name, cells in texts.items():
+        root = tmp_path / name
+        root.mkdir()
+        lines = ["x,err,n,passed", *(f"{cell},{cell},{i},true" for i, cell in enumerate(cells))]
+        (root / "r.csv").write_text("\n".join(lines) + "\n")
+    cmp = compare.compare_dirs(tmp_path / "a", tmp_path / "b")
+    assert cmp.cells == 4 * len(values)
+    assert set(cmp.drift.values()) == {0.0}
+    assert not cmp.flips and not cmp.mismatches
+    assert compare.main([str(tmp_path / "a"), str(tmp_path / "b"), "--max-abs", "0"]) == 0
+    assert "0 flips, 0 mismatches: OK" in capsys.readouterr().out

@@ -129,6 +129,17 @@ class TestWideRange:
             config = SchurerConfig(n=big_n, basis_variant=variant)
             assert_basis_sound(config, PQPair(p, ratio * p), XS_WIDE)
 
+    @pytest.mark.parametrize("q", [1e-17, 1e-200, 5e-324])
+    def test_tiny_q_is_a_finite_partition_of_unity(self, q):
+        # q - 1.0 rounds to -1.0 below about 1.1e-16, so log q cannot come
+        # from log1p(q - 1.0) there
+        pq = PQPair(0.9, q)
+        for variant in BasisVariant:
+            assert_basis_sound(SchurerConfig(n=3, basis_variant=variant), pq, XS_WIDE)
+        config = SchurerConfig(n=3)
+        e0 = make_function("e0", *required_domain(config, pq))
+        assert apply(config, pq, e0, 0.5) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("big_n", [6, 141, 200])
     @pytest.mark.parametrize(
         "p, q",

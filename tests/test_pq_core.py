@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pqbernstein import pq_core
-from pqbernstein.pq_core import PQPair, pq_integer, pq_rising_two_term
+from pqbernstein.pq_core import PQPair, log_parameter, pq_integer, pq_rising_two_term
 
 from oracles import pq_binomial, pq_factorial, pq_power_falling, rising_two_term_loop
 
@@ -63,6 +64,22 @@ class TestPQPair:
         assert moved == PQPair(0.9, 0.7) and hash(moved) == hash(PQPair(0.9, 0.7))
         # NumPy floats become plain floats, so they hash as the equal pair
         assert hash(PQPair(np.float64(0.9), np.float32(0.5))) == hash(PQPair(0.9, 0.5))
+
+
+class TestLogParameter:
+    @given(st.floats(min_value=1e-300, max_value=0.5, exclude_max=True), st.floats(0.0, 1.0))
+    def test_log_ratio_matches_the_plain_logs(self, q, u):
+        # log1p(q - 1.0) is off by 2.7e-10 relative at q = 1e-8 and fails
+        # below q = 1.1e-16, where q - 1.0 rounds to -1.0
+        p = q + u * (1.0 - q)
+        want = math.log(q) - math.log(p)
+        # |log q| >= |log p|: a few ulps of the larger term
+        assert abs(log_parameter(q) - log_parameter(p) - want) <= 4.0 * math.ulp(math.log(q))
+
+    @given(st.floats(min_value=0.5, max_value=1.0))
+    def test_log1p_from_one_half_up(self, v):
+        # v - 1.0 is exact here: the values the operator always had from 0.5 up
+        assert log_parameter(v) == math.log1p(v - 1.0)
 
 
 class TestPQInteger:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import csv_text_per_cell
+from oracles import csv_text_per_cell, json_rows_per_row, json_text_by_encoder, report_json_doc
 from pqbernstein import cli
 from pqbernstein.experiments import (
     run_bounds,
@@ -20,10 +20,23 @@ from pqbernstein.experiments import (
 )
 from pqbernstein.operator_eval import SchurerConfig
 from pqbernstein.pq_core import PQPair
-from pqbernstein.reportio import SCHEMA_VERSION, csv_text, json_rows, json_text
+from pqbernstein.reportio import (
+    SCHEMA_VERSION,
+    Report,
+    cell_texts,
+    csv_text,
+    json_rows,
+    json_text,
+)
 
 CONFIG, PQ = SchurerConfig(n=20, ell=1), PQPair(0.95, 0.9)
 
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+)
 
 @functools.lru_cache(maxsize=None)
 def _build(name: str):
@@ -49,8 +62,8 @@ def report(request):
     return _build(request.param)
 
 
-def _doc(report) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "kind": report.kind, **report.json_fields()}
+def _csv(columns) -> str:
+    return csv_text(cell_texts(columns))
 
 
 # the cell _with_value replaces, by kind; the bound reports' ratio_t34 column
@@ -140,14 +153,44 @@ def _expected_rows(name: str, c: dict) -> list[list]:
     ]
 
 
+class _Table(Report):
+    """A bare report: the given columns, and JSON rows laid out by the given template."""
+
+    kind = "table"
+
+    def __init__(self, template: dict, columns: dict):
+        self.template, self.columns = template, columns
+
+    def json_fields(self) -> dict:
+        return {"rows": json_rows(self.template, self.texts)}
+
+
+def _table_rows(template: dict, columns: dict) -> list[dict]:
+    """The rows of the JSON text written for columns laid out by template."""
+    return json.loads(_Table(template, columns).to_json_text())["rows"]
+
+
 def _strip(line: str) -> str:
     return line[:-1] if line.endswith(",") else line
 
 
 class TestReportEquivalence:
     def test_json_parses_equal_to_the_indented_dump(self, report):
-        old = json.dumps(_doc(report), indent=2, allow_nan=False) + "\n"
+        old = json.dumps(report_json_doc(report), indent=2, allow_nan=False) + "\n"
         assert json.loads(report.to_json_text()) == json.loads(old)
+
+    def test_json_matches_the_encoder_writer_byte_for_byte(self, report):
+        assert report.to_json_text() == json_text_by_encoder(report_json_doc(report))
+
+    def test_csv_float_cells_are_repr_and_read_back(self, report):
+        header, *lines = report.to_csv_text().splitlines()
+        assert header.split(",") == list(report.columns)
+        texts = zip(*(line.split(",") for line in lines))
+        for (name, cells), column_texts in zip(report.columns.items(), texts, strict=True):
+            assert len(column_texts) == len(cells)
+            for value, text in zip(cells, column_texts):
+                if isinstance(value, float):
+                    assert text == repr(value) and float(text) == value, name
 
     def test_csv_matches_the_per_cell_writer(self, report):
         expected = csv_text_per_cell(list(report.columns), zip(*report.columns.values()))
@@ -181,12 +224,24 @@ class TestJsonRows:
     def test_all_none_columns_leave_top_level_rows_and_stay_null_in_groups(self):
         columns = {"x": [0.0, 0.5], "gone": [None, None], "some": [None, 1.0], "g": [None, None]}
         template = {"x": "x", "gone": "gone", "some": "some", "group": {"g": "g", "x": "x"}}
-        assert json_rows(template, columns) == [
+        assert _table_rows(template, columns) == [
             {"x": 0.0, "group": {"g": None, "x": 0.0}},
             {"x": 0.5, "some": 1.0, "group": {"g": None, "x": 0.5}},
         ]
-        assert json_rows({"a": "gone", "b": "g"}, columns) == [{}, {}]
-        assert json_rows({"a": "gone"}, {"gone": []}) == []
+        assert _table_rows({"a": "gone", "b": "g"}, columns) == [{}, {}]
+        assert _table_rows({"a": "gone"}, {"gone": []}) == []
+
+    @given(st.lists(st.tuples(CELLS, CELLS, CELLS), max_size=6))
+    def test_rows_match_the_per_row_writer(self, rows):
+        columns = _columns(("a", "b", "c"), rows) if rows else {"a": [], "b": [], "c": []}
+        for template in (
+            {"a": "a", "b": "b", "c": "c"},
+            {"c": "c", "group": {"b": "b", "a": "a"}},
+            {"group": {"a": "a"}, "b": "b", "inner": {"c": "c", "deeper": {"b": "b"}}},
+        ):
+            doc = {"schema_version": SCHEMA_VERSION, "kind": "table"}
+            doc["rows"] = json_rows_per_row(template, columns)
+            assert _Table(template, columns).to_json_text() == json_text_by_encoder(doc)
 
     def test_korovkin_first_row_keeps_null_flags(self):
         first, *rest = json.loads(_build("korovkin").to_json_text())["rows"]
@@ -221,7 +276,7 @@ class TestJsonLayout:
     @pytest.mark.parametrize("name", WITH_ROWS)
     def test_one_row_per_line(self, name):
         report = _build(name)
-        doc = _doc(report)
+        doc = report_json_doc(report)
         lines = report.to_json_text().splitlines()
         start = lines.index('  "rows": [') + 1
         row_lines = lines[start : start + len(doc["rows"])]
@@ -269,9 +324,9 @@ class TestNonFinite:
 
     def test_csv_text_rejects_non_finite_floats(self):
         with pytest.raises(ValueError):
-            csv_text({"a": [math.nan], "b": [math.inf]})
+            _csv({"a": [math.nan], "b": [math.inf]})
         with pytest.raises(ValueError):
-            csv_text({"a": [None, math.inf]})
+            _csv({"a": [None, math.inf]})
 
     def test_json_rejects_a_non_finite_field(self):
         with pytest.raises(ValueError):
@@ -296,14 +351,6 @@ class TestNonFinite:
         assert list(tmp_path.iterdir()) == []
 
 
-CELLS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.none(),
-    st.booleans(),
-    st.integers(),
-)
-
-
 class TestCsvColumns:
     @given(
         st.integers(1, 5).flatmap(
@@ -315,12 +362,12 @@ class TestCsvColumns:
     )
     def test_float_columns_match_per_cell(self, rows):
         names = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
-        assert csv_text(_columns(names, rows)) == csv_text_per_cell(names, rows)
+        assert _csv(_columns(names, rows)) == csv_text_per_cell(names, rows)
 
     @given(st.lists(st.tuples(CELLS, CELLS, CELLS), max_size=8))
     def test_mixed_columns_match_per_cell(self, rows):
         names = ("a", "b", "c")
-        assert csv_text(_columns(names, rows)) == csv_text_per_cell(names, rows)
+        assert _csv(_columns(names, rows)) == csv_text_per_cell(names, rows)
 
     def test_edge_floats_and_none_columns(self):
         rows = [
@@ -328,6 +375,6 @@ class TestCsvColumns:
             (0.1, 1e16, -2.5e-5, None, 123456789.0),
         ]
         names = ("a", "b", "c", "d", "e")
-        assert csv_text(_columns(names, rows)) == csv_text_per_cell(names, rows)
-        assert csv_text({"a": [None, None], "b": [None, None]}) == "a,b\n,\n,\n"
-        assert csv_text({"a": [], "b": []}) == "a,b\n"
+        assert _csv(_columns(names, rows)) == csv_text_per_cell(names, rows)
+        assert _csv({"a": [None, None], "b": [None, None]}) == "a,b\n,\n,\n"
+        assert _csv({"a": [], "b": []}) == "a,b\n"

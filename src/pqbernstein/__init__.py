@@ -48,7 +48,6 @@ from .operator_eval import (
 )
 from .pq_core import (
     PQPair,
-    pq_integer,
     pq_rising_two_term,
 )
 from .pq_quadrature import QuadratureRule, TruncationError, build_rule
@@ -86,7 +85,6 @@ __all__ = [
     "custom_schedule",
     "evaluate_on_grid",
     "make_function",
-    "pq_integer",
     "pq_rising_two_term",
     "required_domain",
     "run_bounds",

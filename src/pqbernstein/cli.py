@@ -95,6 +95,8 @@ def _cmd_korovkin(args) -> int:
         if args.p_list is None or args.q_list is None:
             raise ConfigError("--schedule custom needs --p-list and --q-list")
         sched = custom_schedule(args.n_list, args.p_list, args.q_list)
+    elif args.p_list is not None or args.q_list is not None:
+        raise ConfigError("--p-list and --q-list need --schedule custom")
     else:
         sched = schedule(args.schedule)
     result = run_korovkin(

@@ -26,7 +26,7 @@ from .operator_eval import (
     evaluate_on_grid,
     required_domain,
 )
-from .pq_core import PQPair, pq_integer
+from .pq_core import PQPair, pq_integers
 from .pq_quadrature import build_rule
 from .qreference import q_kantorovich_schurer
 from .reportio import Report, json_array, json_rows
@@ -384,9 +384,10 @@ def check_quadrature_monomials(pairs: Sequence[PQPair]) -> SelftestCheck:
     worst = 0.0
     for pq in pairs:
         rule = build_rule(pq, 1e-12)
+        ints = pq_integers(pq, 7)
         for m in range(7):
             value = rule.weights @ rule.nodes**m
-            worst = max(worst, abs(value - 1.0 / pq_integer(m + 1, pq)))
+            worst = max(worst, abs(value - 1.0 / ints[m + 1]))
     return SelftestCheck("quadrature-monomials", worst <= 1e-11, f"max_err={worst:.3e}")
 
 

@@ -14,11 +14,11 @@ exact for N = n + ell = 1 and drift for larger N.
 
 closed_moments gives all four closed forms in one pass, for one x or a whole
 x-grid (a NumPy array), the values on a grid identical to pointwise calls.  Per
-call it computes each (p,q)-integer, bracket coefficient and rising product
-once; a rising product is one blocked product over the grid
-(pq_rising_two_term).  (p x + 1 - x)^N is (p x + 1 - x)^{N-1} times its last
-factor, the order the product itself multiplies in, so it equals the full
-product bit for bit.
+call it takes the (p,q)-integers as one vector (pq_core.pq_integers) and
+computes each bracket coefficient and rising product once; a rising product
+is one blocked product over the grid (pq_rising_two_term).  (p x + 1 - x)^N
+is (p x + 1 - x)^{N-1} times its last factor, the order the product itself
+multiplies in, so it equals the full product bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .operator_eval import (
     evaluate_on_grid,
     required_domain,
 )
-from .pq_core import PQPair, pq_integer, pq_rising_two_term
+from .pq_core import PQPair, pq_integers, pq_rising_two_term
 from .reportio import Report, config_block, json_rows
 
 INTERPRETATION_TAG = (
@@ -76,10 +76,9 @@ def closed_moments(
     """
     p, q = pq.p, pq.q
     big_n = config.degree
-    two, three = pq_integer(2, pq), pq_integer(3, pq)
-    np1 = pq_integer(config.n + 1, pq)
+    ints = pq_integers(pq, max(3, big_n, config.n + 1))
+    two, three, np1, int_n, int_n_less = ints[[2, 3, config.n + 1, big_n, big_n - 1]].tolist()
     denom, np1_sq = two * np1, np1**2
-    int_n, int_n_less = pq_integer(big_n, pq), pq_integer(big_n - 1, pq)
     slope = p + 2.0 * q - 1.0
     mid_coef = 1.0 + 2.0 * q / two + (q * q - 1.0) / three
     tail_coef = 1.0 + 2.0 * (q - 1.0) / two + (q - 1.0) ** 2 / three

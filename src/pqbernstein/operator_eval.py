@@ -34,7 +34,7 @@ of (N+1)(K+1), on operators where that saving outweighs the build, and keep
 the Gauss means only where the two rules agree within quad_tol.  Every other
 function, and any that fails that check, takes the K-node rule, which stays
 the definition: the arguments c0_k + c1_k t are formed one row block of
-MEANS_BLOCK values at a time, sized to stay in a core's L2 cache, and
+pq_core.BLOCK_VALUES values at a time, sized to stay in a core's L2 cache, and
 reduced against the weights at once, so the (N+1) x K argument table never
 exists.  The raw moments of t^0, t^1, t^2 expand over the K-node rule's node
 moments and give the central moments.
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
-from .pq_core import BLOCK_VALUES, PQPair, log_parameter
+from .pq_core import BLOCK_VALUES, PQPair, pq_integers, ratio_powers
 from .pq_quadrature import GAUSS_POINTS, GaussRules, QuadratureRule, build_rule, gauss_rules
 
 
@@ -117,14 +117,6 @@ class NumericalRangeError(ArithmeticError):
     """The basis coefficients of this (config, pq) overflow double precision."""
 
 
-# float64 elements per row block of the integral means (256 KB): the argument
-# values c0_k + c1_k t and f of them exist one block of rows at a time.  A
-# block and the four or so temporaries of f_fig (1 + cos(5 t^2)) fit in a
-# 2 MB per-core L2 cache; at 2**17 (1 MB) they spill to L3.  Timed on a
-# 2-vCPU Xeon on sweep-shaped means (n = 8..128, K up to about 3,000),
-# relative to 2**17: 2**14 0.84, 2**15 0.82, 2**16 0.86, 2**18 1.26.
-MEANS_BLOCK = BLOCK_VALUES
-
 # The Gauss path pays for itself when the evaluations it saves outweigh the
 # build of its rules, which cost about GAUSS_BUILD_FIXED +
 # GAUSS_BUILD_PER_NODE (K+1) K-node evaluations of f_fig.  Both were timed
@@ -164,12 +156,9 @@ class _Operator:
         p, q = pq.p, pq.q
         big_n = config.degree
         k = np.arange(big_n + 1)
-        # log r from the logs of p and q: rounding r = q/p itself would cost
-        # eps/(1-r) relative
-        log_r = log_parameter(q) - log_parameter(p)
-        one_minus = -np.expm1(log_r * np.arange(1, big_n + 2))
+        r_powers, one_minus = ratio_powers(pq, big_n)  # r^j and 1 - r^j, j = 0..N
         with np.errstate(over="ignore", invalid="ignore"):
-            ratios = one_minus[big_n - 1 :: -1] / one_minus[:big_n]
+            ratios = one_minus[big_n:0:-1] / one_minus[1:]
             coef = np.concatenate([[1.0], np.cumprod(ratios)])
             if config.basis_variant is BasisVariant.AS_PRINTED:
                 # an entry that underflows to 0 is the correctly rounded value
@@ -181,14 +170,8 @@ class _Operator:
             )
         self.coef = coef                    # [N k]_r, times p^{(N(N-1) - k(k-1))/2} if printed
         self.powers = k.astype(float)       # exponents k = 0..N of x^k
-        self.fall = np.exp(log_r * k[:-1])  # r^s, s < N, of prod_{s<N-k} (1 - r^s x)
-        self.one_minus = one_minus          # 1 - r^j, j = 1..N+1
+        self.fall = r_powers[:-1]           # r^s, s < N, of prod_{s<N-k} (1 - r^s x)
         self.means: dict = {}               # fn -> its integral means, see integral_means
-
-    def pq_integers(self) -> np.ndarray:
-        """[j]_{p,q} = p^{j-1} (1 - r^j) / (1 - r) for j = 0..N+1, from 1 - r^j."""
-        powers = np.power(self.pq.p, np.arange(self.one_minus.size))
-        return np.concatenate([[0.0], powers * (self.one_minus / self.one_minus[0])])
 
     @cached_property
     def rule(self) -> QuadratureRule:
@@ -197,7 +180,7 @@ class _Operator:
     @cached_property
     def arguments(self) -> _Arguments:
         p, q = self.pq.p, self.pq.q
-        ints = self.pq_integers()  # j = 0..N+1, which covers [n+1]
+        ints = pq_integers(self.pq, self.config.degree + 1)  # [k], k <= N, and [n+1]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             denom = ints[self.config.n + 1]
             c0 = ints[:-1] / denom
@@ -275,7 +258,7 @@ class _Operator:
                     rest.append(i)
                 else:
                     out[i] = means
-            rows = max(1, MEANS_BLOCK // nodes.size)
+            rows = max(1, BLOCK_VALUES // nodes.size)
             # every fn took the Gauss path: no argument block either
             for start in range(0, c0.size, rows) if rest else ():
                 block = slice(start, start + rows)

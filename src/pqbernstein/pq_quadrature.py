@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pq_core import PQPair, log_parameter
+from .pq_core import PQPair, ratio_powers
 
 DEFAULT_HARD_CAP = 10**6
 
@@ -129,13 +129,11 @@ def gauss_rules(rule: QuadratureRule) -> GaussRules:
     s, pq = GAUSS_POINTS, rule.pq
     # little q-Legendre in base r: with A_n = r^n (1-r^(n+1))^2 /
     # ((1-r^(2n+1))(1-r^(2n+2))) and C_n = r^n (1-r^n)^2 / ((1-r^(2n))(1-r^(2n+1))),
-    # C_0 = 0, alpha_n = A_n + C_n and beta_n = A_(n-1) C_n.  Every 1 - r^j is
-    # -expm1(j log r), with log r as in operator_eval.
-    log_r = log_parameter(pq.q) - log_parameter(pq.p)
-    one_minus = -np.expm1(log_r * np.arange(2 * s + 9))  # 1 - r^j, j <= 2s + 8
+    # C_0 = 0, alpha_n = A_n + C_n and beta_n = A_(n-1) C_n
+    r_powers, one_minus = ratio_powers(pq, 2 * s + 8)
     n, m = np.arange(s + 4), np.arange(1, s + 4)
-    a = np.exp(log_r * n) * one_minus[n + 1] ** 2 / (one_minus[2 * n + 1] * one_minus[2 * n + 2])
-    c = np.exp(log_r * m) * one_minus[m] ** 2 / (one_minus[2 * m] * one_minus[2 * m + 1])
+    a = r_powers[n] * one_minus[n + 1] ** 2 / (one_minus[2 * n + 1] * one_minus[2 * n + 2])
+    c = r_powers[m] * one_minus[m] ** 2 / (one_minus[2 * m] * one_minus[2 * m + 1])
     alpha, beta = a + np.concatenate([[0.0], c]), a[:-1] * c
     small, large = _golub_welsch(alpha, beta, s), _golub_welsch(alpha, beta, s + 4)
     # the K+1 nodes are the untruncated measure less r^(K+1) times itself: the

@@ -1,11 +1,12 @@
 """Scalar reference formulas the tests compare the package against.
 
 Each evaluates one definition term by term in plain floats: the
-(p,q)-factorial, binomial, falling power and rising two-term product, a
-single basis value, one Kantorovich argument, a quadrature rule applied
-to a function, the moduli of continuity of a function, the modulus tables
-built in full over every lag, the CSV writer that formats cell by cell, and
-the JSON writer that builds each row as a dict and encodes it with ``json``.
+(p,q)-integer as a correctly rounded sum of its terms, the (p,q)-factorial,
+binomial, falling power and rising two-term product, a single basis value,
+one Kantorovich argument, a quadrature rule applied to a function, the
+moduli of continuity of a function, the modulus tables built in full over
+every lag, the CSV writer that formats cell by cell, and the JSON writer
+that builds each row as a dict and encodes it with ``json``.
 ``exact_basis_rows`` is the exception: it evaluates the basis exactly in
 rational arithmetic.
 """
@@ -22,9 +23,21 @@ from pqbernstein.experiments import KOROVKIN_JSON_ROW
 from pqbernstein.functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
 from pqbernstein.moments_closed import JSON_ROW as MOMENT_JSON_ROW
 from pqbernstein.operator_eval import SchurerConfig, basis_row
-from pqbernstein.pq_core import PQPair, pq_integer
+from pqbernstein.pq_core import PQPair
 from pqbernstein.pq_quadrature import QuadratureRule
 from pqbernstein.reportio import SCHEMA_VERSION
+
+
+def pq_integer(n: int, pq: PQPair) -> float:
+    """[n]_{p,q} = sum_{i=0}^{n-1} p^(n-1-i) q^i, with [0] = 0.
+
+    The summation form equals (p^n - q^n)/(p - q) algebraically but does not
+    cancel catastrophically as p -> q.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    p, q = pq.p, pq.q
+    return math.fsum(p ** (n - 1 - i) * q**i for i in range(n))
 
 
 def pq_factorial(n: int, pq: PQPair) -> float:

@@ -287,6 +287,22 @@ class TestCLI:
         assert main(["korovkin", "--n", "4,8"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--p-list", "0.5,0.4", "--q-list", "0.1,0.2"],
+            ["--schedule", "q-only", "--p-list", "0.5"],
+            ["--schedule", "classic", "--q-list", "0.1,0.2"],
+        ],
+    )
+    def test_korovkin_lists_without_custom_schedule_exit_two(self, extra, tmp_path, capsys):
+        # a built-in schedule would silently ignore the lists
+        argv = ["korovkin", "--n", "8,16", "--grid", "5", "--guard", "0.2",
+                "--out", str(tmp_path / "k")]
+        assert main(argv + extra) == 2
+        assert "--schedule custom" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_moments_writes_both_formats(self, tmp_path, capsys):
         base = tmp_path / "mom"
         code = main(

@@ -37,8 +37,10 @@ from pqbernstein.operator_eval import (
     evaluate_on_grid,
     required_domain,
 )
-from pqbernstein.pq_core import PQPair, pq_integer
+from pqbernstein.pq_core import PQPair
 from pqbernstein.pq_quadrature import build_rule
+
+from oracles import pq_integer
 
 # (n, ell, p, q); the last two reach N = 130 along the classic schedule
 CASES = [
@@ -142,7 +144,7 @@ def test_argument_table_lies_inside_required_domain(config, pq):
     nodes = _tables(config, pq).rule.nodes.size
     arguments = (config.degree + 1) * nodes
     assert sum(size for _, _, size in blocks) == arguments
-    rows = max(1, operator_eval.MEANS_BLOCK // nodes)
+    rows = max(1, operator_eval.BLOCK_VALUES // nodes)
     assert all(size == rows * nodes for _, _, size in blocks[:-1])
     assert lo <= min(b[0] for b in blocks) and max(b[1] for b in blocks) <= hi
 
@@ -232,16 +234,6 @@ def test_non_finite_argument_means_raise_typed_error():
 
 def classic(n):
     return PQPair(1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1))
-
-
-@pytest.mark.parametrize(
-    "n, pq", [(1024, PQPair(1.0, 1.0 - 1.0 / 1025)), (1024, classic(1024)), (200, PQPair(0.9, 0.8))]
-)
-def test_pq_integers_match_the_summation_form(n, pq):
-    ints = _tables(SchurerConfig(n=n), pq).pq_integers()
-    want = np.array([pq_integer(j, pq) for j in range(n + 2)])
-    assert ints[0] == 0.0
-    assert np.abs(ints[1:] / want[1:] - 1.0).max() <= 4e-15
 
 
 def test_many_functions_match_single_calls():
@@ -376,7 +368,7 @@ def test_means_do_not_depend_on_the_block_size(config, pq, block, monkeypatch):
     _tables.cache_clear()
     default = np.array(_tables(config, pq).integral_means(fns))
     _tables.cache_clear()
-    monkeypatch.setattr(operator_eval, "MEANS_BLOCK", block)
+    monkeypatch.setattr(operator_eval, "BLOCK_VALUES", block)
     try:
         patched = np.array(_tables(config, pq).integral_means(fns))
     finally:
@@ -385,7 +377,7 @@ def test_means_do_not_depend_on_the_block_size(config, pq, block, monkeypatch):
 
 
 def test_no_functions_build_no_argument_block():
-    # one block at classic n = 128 (K about 3,000) holds MEANS_BLOCK floats
+    # one block at classic n = 128 (K about 3,000) holds BLOCK_VALUES floats
     config, pq = SchurerConfig(n=128), classic(128)
     _tables.cache_clear()
     op = _tables(config, pq)
@@ -397,7 +389,7 @@ def test_no_functions_build_no_argument_block():
     finally:
         tracemalloc.stop()
     assert means == [] and op.means == {}
-    assert peak < 8 * operator_eval.MEANS_BLOCK / 4  # a quarter of one block's bytes
+    assert peak < 8 * operator_eval.BLOCK_VALUES / 4  # a quarter of one block's bytes
     assert evaluate_on_grid(config, pq, [], XS).values == []
 
 

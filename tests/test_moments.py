@@ -11,9 +11,9 @@ from pqbernstein.error_bounds import check_t34
 from pqbernstein.functions import make_function
 from pqbernstein.moments_closed import CSV_COLUMNS, build_moment_report, closed_moments
 from pqbernstein.operator_eval import BasisVariant, SchurerConfig, required_domain
-from pqbernstein.pq_core import PQPair, pq_integer, pq_rising_two_term
+from pqbernstein.pq_core import PQPair, pq_integers, pq_rising_two_term
 
-from oracles import rising_two_term_loop
+from oracles import pq_integer, rising_two_term_loop
 
 PQ = PQPair(0.9, 0.8)
 
@@ -116,11 +116,12 @@ class TestClosedFormsAgainstTheFactorLoop:
         for a, b in zip(new, old):
             assert np.array_equal(a, b)
         # m1 as transcribed, from the full N-factor loop product rather than
-        # N - 1 factors times the last one
+        # N - 1 factors times the last one, on the same (p,q)-integers
         p, q, big_n = pq.p, pq.q, config.degree
-        denom = pq_integer(2, pq) * pq_integer(config.n + 1, pq)
+        ints = pq_integers(pq, big_n + 1).tolist()
+        denom = ints[2] * ints[config.n + 1]
         head = rising_two_term_loop(p, 1.0, xs, 1.0 - xs, big_n, pq)
-        m1 = head / denom + (p + 2.0 * q - 1.0) * pq_integer(big_n, pq) * xs / denom
+        m1 = head / denom + (p + 2.0 * q - 1.0) * ints[big_n] * xs / denom
         assert np.array_equal(new[0], m1)
 
     @pytest.mark.parametrize("big_n", [1, 2, 131, 400])

@@ -22,11 +22,19 @@ from pqbernstein.operator_eval import (
     basis_row,
     required_domain,
 )
-from pqbernstein.pq_core import PQPair, pq_integer
+from pqbernstein.pq_core import PQPair
 from pqbernstein.pq_quadrature import build_rule
 from pqbernstein.qreference import q_kantorovich_schurer
 
-from oracles import argument, basis, exact_basis_rows, integrate, pq_binomial, pq_power_falling
+from oracles import (
+    argument,
+    basis,
+    exact_basis_rows,
+    integrate,
+    pq_binomial,
+    pq_integer,
+    pq_power_falling,
+)
 
 PQ = PQPair(0.9, 0.8)
 

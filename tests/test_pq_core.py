@@ -4,15 +4,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pqbernstein import pq_core
-from pqbernstein.pq_core import PQPair, log_parameter, pq_integer, pq_rising_two_term
+from pqbernstein.pq_core import PQPair, log_parameter, pq_integers, pq_rising_two_term
 
-from oracles import pq_binomial, pq_factorial, pq_power_falling, rising_two_term_loop
+from oracles import (
+    pq_binomial,
+    pq_factorial,
+    pq_integer,
+    pq_power_falling,
+    rising_two_term_loop,
+)
 
 PQ = PQPair(0.9, 0.8)
+EPS = np.finfo(float).eps
 
 
 def pq_pairs(min_p=0.4):
@@ -110,6 +117,55 @@ class TestPQInteger:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             pq_integer(-1, PQ)
+
+
+def classic(n):
+    return PQPair(1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1))
+
+
+def pairs_near_and_far():
+    """p = 1, p below and above 0.5, and the classic pairs up to n = 1233;
+    q/p = 1 - 10^e runs from about 0.1 to 1 - 1e-12."""
+    ratio = st.floats(min_value=-12.0, max_value=-0.05).map(lambda e: 1.0 - 10.0**e)
+    p = st.one_of(
+        st.just(1.0),
+        st.floats(min_value=0.01, max_value=0.5, exclude_max=True),
+        st.floats(min_value=0.5, max_value=1.0),
+    )
+    return st.one_of(
+        st.builds(lambda p, r: PQPair(p, p * r), p, ratio),
+        st.integers(min_value=1, max_value=1233).map(classic),
+    )
+
+
+class TestPQIntegers:
+    @given(pairs_near_and_far(), st.integers(min_value=1, max_value=1234))
+    @example(PQPair(1.0, 1.0 - 1.0 / 1025), 1025)
+    @example(classic(1024), 1025)
+    @example(PQPair(0.9, 0.8), 201)
+    @example(PQPair(0.49, 0.49 * (1.0 - 1e-6)), 900)
+    def test_match_the_summation_form(self, pq, top):
+        ints = pq_integers(pq, top)
+        assert ints.shape == (top + 1,) and np.isfinite(ints).all()
+        assert ints[0] == 0.0 and ints[1] == 1.0
+        js = np.unique(np.concatenate([[2, 3, top], np.linspace(1, top, 13).astype(int)]))
+        js = js[js <= top]
+        want = np.array([pq_integer(int(j), pq) for j in js])
+        # log p and log q each round to an ulp before log r = log q - log p,
+        # and [j] carries that error (j - 1)/2 times while q/p -> 1, up to
+        # r/(1 - r) times: below p = 0.5 that reaches 1.5e-14 at
+        # p = 0.49, q/p = 1 - 1e-6, j <= 900; at p = 1 and on the classic
+        # pairs it is below 1e-15
+        r = pq.q / pq.p
+        spread = np.minimum((js - 1) / 2.0, r / (1.0 - r))
+        rel = 1e-14 + 2.0 * EPS * abs(math.log(pq.q)) * spread
+        # below 1e-280 the terms of the reference underflow
+        assert np.all(np.abs(ints[js] - want) <= rel * want + 1e-280)
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_rejects_top_below_one(self, top):
+        with pytest.raises(ValueError):
+            pq_integers(PQ, top)
 
 
 class TestPQFactorial:

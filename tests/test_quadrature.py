@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pqbernstein.functions import DomainError, RealFunction
-from pqbernstein.pq_core import PQPair, pq_integer
+from pqbernstein.pq_core import PQPair
 from pqbernstein.pq_quadrature import (
     DEFAULT_HARD_CAP,
     GAUSS_POINTS,
@@ -17,7 +17,7 @@ from pqbernstein.pq_quadrature import (
 )
 from pqbernstein.qreference import jackson_integral
 
-from oracles import integrate
+from oracles import integrate, pq_integer
 
 PAIRS = [PQPair(1.0, 0.5), PQPair(0.9, 0.8), PQPair(0.99, 0.98)]
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .functions import RealFunction
 from .moments_closed import closed_moments
-from .operator_eval import SchurerConfig, evaluate_on_grid
+from .operator_eval import SchurerConfig, evaluate_on_grid, report_grid
 from .pq_core import PQPair
 from .reportio import Report, config_block, json_rows
 
@@ -198,7 +198,7 @@ def _errors_and_deltas(
     config: SchurerConfig, pq: PQPair, f: RealFunction, grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The grid, |K(f;x) - f(x)|, delta_n(x) and K(t;x) on it, from one basis matrix."""
-    xs = np.asarray(grid, dtype=float)
+    xs = report_grid(grid)
     op = evaluate_on_grid(config, pq, (f,), xs)
     errors = np.abs(op.values[0] - f(xs))
     return xs, errors, np.maximum(op.central[1], 0.0), op.raw[1]

@@ -33,6 +33,7 @@ from .operator_eval import (
     BasisVariant,
     SchurerConfig,
     evaluate_on_grid,
+    report_grid,
     required_domain,
 )
 from .pq_core import PQPair, pq_integers, pq_rising_two_term
@@ -145,12 +146,7 @@ class MomentReport(Report):
 
 def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport:
     """Oracle moments vs closed forms over an x-grid in [0, 1]."""
-    xs = np.asarray(grid, dtype=float)
-    if xs.size == 0:
-        raise ValueError("empty x grid")
-    if xs.min() < 0.0 or xs.max() > 1.0:
-        raise ValueError("moment grid must lie inside [0, 1]")
-
+    xs = report_grid(grid)
     # the raw moments by direct quadrature of t^j, independent of the raw
     # means the central moments expand from, so the consistency fields below
     # compare two evaluations

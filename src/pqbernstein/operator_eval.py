@@ -30,7 +30,7 @@ rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
 s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
 truncation) serves every k: the analytic built-ins
 (functions.ANALYTIC_BUILTINS, f_fig) cost (N+1)(3s + 8) evaluations instead
-of (N+1)(K+1), on operators where that saving outweighs the build, and keep
+of (N+1)(K+1) where that saving reaches GAUSS_BUILD, and keep
 the Gauss means only where the two rules agree within quad_tol.  Every other
 function, and any that fails that check, takes the K-node rule, which stays
 the definition: the arguments c0_k + c1_k t are formed one row block of
@@ -58,7 +58,7 @@ import numpy as np
 
 from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
 from .pq_core import BLOCK_VALUES, PQPair, pq_integers, ratio_powers
-from .pq_quadrature import GAUSS_POINTS, GaussRules, QuadratureRule, build_rule, gauss_rules
+from .pq_quadrature import GAUSS_NODES, GaussRules, QuadratureRule, build_rule, gauss_rules
 
 
 # one ulp of 1: a smaller tolerance asks the quadrature for less error than
@@ -117,19 +117,11 @@ class NumericalRangeError(ArithmeticError):
     """The basis coefficients of this (config, pq) overflow double precision."""
 
 
-# The Gauss path pays for itself when the evaluations it saves outweigh the
-# build of its rules, which cost about GAUSS_BUILD_FIXED +
-# GAUSS_BUILD_PER_NODE (K+1) K-node evaluations of f_fig.  Both were timed
-# (2-vCPU Xeon, cold, medians of 21 to 25) against an earlier build, a
-# discrete Stieltjes pass over the K+1 nodes of 0.40 ms + 0.08 us per node,
-# with f_fig at 13 ns an evaluation.  The closed-form build takes about
-# 0.17 ms whatever K is, so they are now conservative; re-timing them would
-# move small operators onto the Gauss path and needs its own measurement.
-# The crossover in N+1 is 177 at K+1 = 200, 39 at 1,000, 20 at 3,000 and 12
-# at 23,614; N+1 <= 28 needs K+1 >= 1,556.  It depends on (N, K) alone, so
-# the path, and with it every result, does not depend on what is cached.
-GAUSS_BUILD_FIXED = 27_000
-GAUSS_BUILD_PER_NODE = 10
+# The Gauss path runs where the evaluations it saves, (N+1)(K+1 - GAUSS_NODES),
+# reach its build and means counted in K-node f_fig evaluations (the two paths
+# break even at 13,000 to 18,000: 2-vCPU Xeon, one BLAS thread).  That depends
+# on (N, K) alone, so no result depends on what is cached.
+GAUSS_BUILD = 15_000
 
 
 class _Arguments(NamedTuple):
@@ -232,9 +224,8 @@ class _Operator:
         arg = self.arguments.c0[:, None] + self.arguments.c1[:, None] * self.gauss.nodes
         small, large = (np.asarray(fn(arg), dtype=float) @ self.gauss.weights).T
         # written so that a NaN fails too
-        if np.all(np.abs(small - large) <= self.config.quad_tol * np.maximum(1.0, np.abs(large))):
-            return large
-        return None
+        agree = np.abs(small - large) <= self.config.quad_tol * np.maximum(1.0, np.abs(large))
+        return large if agree.all() else None
 
     def integral_means(self, fns) -> list[np.ndarray]:
         """sum_t w_t fn(c0_k + c1_k t), k = 0..N, per fn; kept in self.means, read-only.
@@ -249,8 +240,7 @@ class _Operator:
             c0, c1, _, _ = self.arguments
             nodes, weights = self.rule.nodes, self.rule.weights
             out = np.empty((len(missing), c0.size))
-            saved = c0.size * (nodes.size - 2 * GAUSS_POINTS - 4)
-            gauss_pays = saved >= GAUSS_BUILD_FIXED + GAUSS_BUILD_PER_NODE * nodes.size
+            gauss_pays = c0.size * (nodes.size - GAUSS_NODES) >= GAUSS_BUILD
             rest = []
             for i, fn in enumerate(missing):
                 means = self.gauss_means(fn) if gauss_pays and fn in ANALYTIC_BUILTINS else None
@@ -281,7 +271,7 @@ def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     Term k is coef_k x^k prod_{s<N-k} (1 - r^s x).  A scalar x gives one
     row, which equals the matching row of any grid that contains x.
     """
-    return _tables(config, pq).basis(xs)
+    return _tables(config, pq).basis(_check_points(xs))
 
 
 def basis_row(config: SchurerConfig, pq: PQPair, x: float) -> np.ndarray:
@@ -327,6 +317,14 @@ def _check_points(xs) -> float | np.ndarray:
         _check_point(float(x.min()))
         _check_point(float(x.max()))
     return x
+
+
+def report_grid(grid) -> np.ndarray:
+    """A report's x-grid as evaluated: _check_points' rule, one axis, at least one point."""
+    xs = _check_points(grid)
+    if np.ndim(xs) != 1 or xs.size == 0:
+        raise ValueError(f"a report grid is a non-empty 1-D sequence of points, got {grid!r}")
+    return xs
 
 
 def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float:

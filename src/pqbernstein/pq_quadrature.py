@@ -39,6 +39,7 @@ DEFAULT_HARD_CAP = 10**6
 # 1.5e-13 at s = 12 and 1.5e-15 at s = 16; at classic n = 128 and 1024
 # every s from 8 up is within 7e-15.
 GAUSS_POINTS = 16
+GAUSS_NODES = 3 * GAUSS_POINTS + 8  # of a GaussRules: both rules and the tail
 
 
 class TruncationError(RuntimeError):
@@ -139,7 +140,7 @@ def gauss_rules(rule: QuadratureRule) -> GaussRules:
     # the K+1 nodes are the untruncated measure less r^(K+1) times itself: the
     # (s+4)-point rule, scaled and negated, sums that tail for both columns
     tail = rule.tail_bound
-    weights = np.zeros((3 * s + 8, 2))
+    weights = np.zeros((GAUSS_NODES, 2))
     weights[:s, 0], weights[s : 2 * s + 4, 1] = small[1], large[1]
     weights[2 * s + 4 :] = -tail * large[1][:, None]
     # eigh may round a node a few ulps past the rule's hull; pin it inside, so

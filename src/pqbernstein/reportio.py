@@ -46,7 +46,11 @@ def cell_texts(columns: Mapping[str, list]) -> dict[str, list[str]]:
     """Each column's cells as the text both formats write, None as ""."""
     texts = {}
     for name, cells in columns.items():
-        floats = set(map(type, cells)) == {float} and all(map(math.isfinite, cells))
+        kinds = set(map(type, cells))
+        if kinds == {type(None)}:  # a column a report leaves out
+            texts[name] = [""] * len(cells)
+            continue
+        floats = kinds == {float} and all(map(math.isfinite, cells))
         texts[name] = list(map(float.__repr__ if floats else _cell_text, cells))
     return texts
 

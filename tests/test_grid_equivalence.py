@@ -197,6 +197,46 @@ def test_grid_refuses_points_that_are_not_real_numbers(xs):
         evaluate_on_grid(config, pq, (), xs)
 
 
+def report_makers():
+    """Each report of an x-grid, and basis_matrix, as a function of the grid alone."""
+    config, pq = SchurerConfig(n=5), PQPair(0.9, 0.8)
+    f = make_function("e1", *required_domain(config, pq))
+    return {
+        "t32": lambda xs: check_t32(config, pq, f, xs),
+        "t33": lambda xs: check_t33(config, pq, f, 1.0, 1.0, xs),
+        "t34": lambda xs: check_t34(config, pq, f, xs),
+        "moments": lambda xs: build_moment_report(config, pq, xs),
+        "basis_matrix": lambda xs: basis_matrix(config, pq, xs),
+    }
+
+
+@pytest.mark.parametrize("name", list(report_makers()))
+def test_reports_and_basis_matrix_check_points_as_the_grid_functions_do(name):
+    make = report_makers()[name]
+    for xs in (["0.25", "0.5"], [True, False], [0.5j], np.array([0.5, None])):
+        with pytest.raises(TypeError, match="must be real numbers"):
+            make(xs)
+    for xs in ([2.0], [0.0, 1.5], [-0.1], [0.5, np.nan]):
+        with pytest.raises(ValueError, match=r"evaluated on \[0, 1\]"):
+            make(xs)
+
+
+@pytest.mark.parametrize("name", ["t32", "t33", "t34", "moments"])
+def test_reports_refuse_scalar_and_empty_grids(name):
+    make = report_makers()[name]
+    for xs in (0.5, np.float64(0.5), np.array(0.5), [], np.array([]), [[0.0, 0.5]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            make(xs)
+    # int grids are evaluated as float, as everywhere
+    assert make([0, 1]).to_csv_text() == make([0.0, 1.0]).to_csv_text()
+
+
+def test_basis_matrix_takes_one_point_and_an_empty_grid():
+    config, pq = SchurerConfig(n=5), PQPair(0.9, 0.8)
+    np.testing.assert_array_equal(basis_matrix(config, pq, 0.3), basis_row(config, pq, 0.3))
+    assert basis_matrix(config, pq, []).shape == (0, 6)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint8])
 def test_grid_takes_real_dtypes_as_float64(dtype):
     config, pq = SchurerConfig(n=5), PQPair(0.9, 0.8)
@@ -473,8 +513,7 @@ def k_node_means(config, pq, fn):
 )
 def test_gauss_and_k_node_means_of_the_smooth_builtins_agree(n, ell, u, ratio):
     # p within 1/(n+1) of 1 keeps the arguments [k]/[n+1] below about e, and
-    # n >= 10 keeps each argument's range short: the Gauss path never runs
-    # below N+1 = 11 (see GAUSS_BUILD_FIXED), and at n = 1, p = 0.5 the
+    # n >= 10 keeps each argument's range short: at n = 1, p = 0.5 the
     # s / s+4 check rightly refuses f_fig over arguments spanning [0, 2]
     p = 1.0 - u / (n + 1)
     config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, p * ratio)
@@ -529,19 +568,52 @@ def test_gauss_rules_are_built_once_per_operator():
     assert tb.gauss.nodes.max() <= tb.rule.top_node
 
 
-@pytest.mark.parametrize(
-    "n, ell, p, q",
-    [(24, 3, 1.0, 0.98), (24, 3, 0.9, 0.9 * 0.98), (24, 0, 0.99, 0.5), (1, 0, 0.9, 0.8)],
-)
-def test_small_operators_keep_the_k_node_rule(n, ell, p, q, monkeypatch):
-    # every operator of N+1 <= 28 arguments and q/p <= 0.98 stays below the crossover
-    config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, q)
+def f_fig_attempts(config, pq, nodes, monkeypatch):
+    """f_fig over XS on an operator of K+1 = nodes: the argument widths it met, and its means."""
+    assert _tables(config, pq).rule.nodes.size == nodes
     lo, hi = required_domain(config, pq)
     seen = []
     spied = gauss_attempts(functions._BUILTINS["f_fig"], seen)
     declare_analytic(monkeypatch, spied)
     apply_on_grid(config, pq, RealFunction(spied, lo, hi), XS)
-    assert set(seen) == {_tables(config, pq).rule.nodes.size}
+    return seen, _tables(config, pq).means[spied]
+
+
+# (N+1)(K+1 - 56) evaluations saved against operator_eval.GAUSS_BUILD = 15,000
+@pytest.mark.parametrize(
+    "n, ell, p, q, nodes",
+    [
+        (24, 3, 1.0, 0.96175, 591),     # 28 x 535 = 14,980
+        (24, 3, 0.9, 0.865575, 591),
+        (98, 1, 1.0, 0.8935, 205),      # 100 x 149 = 14,900
+        (1000, 0, 1.0, 0.5, 34),        # fewer nodes than the Gauss rules, at any N
+        (24, 0, 0.99, 0.5, 34),
+        (1, 0, 0.9, 0.8, 196),
+    ],
+)
+def test_small_operators_keep_the_k_node_rule(n, ell, p, q, nodes, monkeypatch):
+    # small in what the Gauss path would save: below GAUSS_BUILD
+    config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, q)
+    seen, _ = f_fig_attempts(config, pq, nodes, monkeypatch)
+    assert set(seen) == {nodes}
+
+
+@pytest.mark.parametrize(
+    "n, ell, p, q, nodes",
+    [
+        (24, 3, 1.0, 0.9618, 592),      # 28 x 536 = 15,008
+        (98, 1, 1.0, 0.894, 206),       # 100 x 150 = 15,000
+        (24, 3, 1.0, 0.98, 1140),       # 28 x 1,084: 2.3 to 2.5 times faster on this path
+        (24, 3, 0.9, 0.9 * 0.98, 1140),
+    ],
+)
+def test_operators_from_the_crossover_take_the_gauss_path(n, ell, p, q, nodes, monkeypatch):
+    config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, q)
+    seen, means = f_fig_attempts(config, pq, nodes, monkeypatch)
+    # one Gauss pass that passed the s / s+4 check, and no K-node pass
+    assert seen == [_tables(config, pq).gauss.nodes.size]
+    want = k_node_means(config, pq, functions._BUILTINS["f_fig"])
+    assert np.abs(means - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,8 @@ from pqbernstein.operator_eval import (
 )
 from pqbernstein.pq_core import PQPair
 
-# n: (ell, p, q, x); the last operator, classic n = 60, takes the Gauss path for f_fig
+# n: (ell, p, q, x); two operators take the Gauss path for f_fig: n = 40
+# ((N+1, K+1) = (44, 559)) and the last, classic n = 60
 CASES = {
     1: (0, 0.9, 0.8, 0.0),
     6: (2, 0.9, 0.8, 0.3),
@@ -134,7 +135,7 @@ FROZEN = {
         "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000001p+0",
     ),
     ("printed", 40): (
-        ("0x1.125bb0b70864bp-6", "0x1.45685a47db960p-6",
+        ("0x1.125bb0b70864bp-6", "0x1.45685a47db95fp-6",
          "0x1.84dd05fe6f1bcp-9", "0x1.16cf06d7f1af0p-11"),
         "0x1.3b5741a815e15p-48 0x1.8049ba3abb57bp-44 0x1.e20b6278c7d96p-41 "
         "0x1.9ed681e4cd890p-38 0x1.137916a98ad61p-35 0x1.2d0d0d7dfad48p-33 "

@@ -208,8 +208,9 @@ class TestGaussRules:
     def test_rational_pairs_match_fraction_moments(self, p, q, nodes):
         # dyadic p and q are exact floats, so the truncated moments
         # (1 - r)(1 - r^((m+1)(K+1)))/(1 - r^(m+1)) are exact fractions.  The
-        # 34-node rule has fewer nodes than its 56 Gauss nodes: the crossover
-        # keeps its operators on the K-node rule, but its Gauss rules are exact
+        # 34-node rule has fewer nodes than its 56 Gauss nodes, so the Gauss
+        # path saves nothing and its operators keep the K-node rule at every
+        # N; its Gauss rules are exact all the same
         pq = PQPair(p, q)
         rule = build_rule(pq, 1e-10)
         assert rule.nodes.size == nodes

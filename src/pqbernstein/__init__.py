@@ -42,7 +42,6 @@ from .operator_eval import (
     apply_central_moment,
     apply_on_grid,
     basis_matrix,
-    basis_row,
     evaluate_on_grid,
     required_domain,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "apply_central_moment",
     "apply_on_grid",
     "basis_matrix",
-    "basis_row",
     "build_moment_report",
     "build_rule",
     "check_t32",

@@ -14,6 +14,7 @@ import sys
 
 from .error_bounds import DEFAULT_RATIO_CAP
 from .experiments import (
+    DEFAULT_GRID_SIZE,
     DEFAULT_SCHEDULE_GUARD,
     FIGURE_DEFAULT_PARAMS,
     ConfigError,
@@ -171,13 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
     basis.add_argument(
         "--basis",
         choices=("printed", "normalized"),
-        default="normalized",
+        default=SchurerConfig.basis_variant.value,
         help="basis convention (printed is not a partition of unity for p<1)",
     )
     common = argparse.ArgumentParser(add_help=False, parents=[basis])
-    common.add_argument("--ell", type=int, default=0, help="Schurer shift (default 0)")
-    common.add_argument("--grid", type=int, default=101, help="x-grid size on [0,1]")
-    common.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    common.add_argument(
+        "--ell", type=int, default=SchurerConfig.ell, help="Schurer shift (default %(default)s)"
+    )
+    common.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="x-grid size on [0,1]")
+    common.add_argument(
+        "--tol", type=float, default=SchurerConfig.quad_tol, help="quadrature tolerance"
+    )
     common.add_argument(
         "--out",
         default=None,

@@ -37,7 +37,7 @@ from .operator_eval import SchurerConfig, evaluate_on_grid, report_grid
 from .pq_core import PQPair
 from .reportio import Report, config_block, json_rows
 
-# outer sampling: domain_length / MODULUS_GRID_DIV points
+# outer sampling: MODULUS_GRID_DIV + 1 points, domain_length / MODULUS_GRID_DIV apart
 MODULUS_GRID_DIV = 2000
 
 DEFAULT_RATIO_CAP = 50.0
@@ -73,15 +73,9 @@ class ModulusGrid:
     largest lag queried so far, and no lag is computed twice.
     """
 
-    def __init__(self, f: RealFunction, grid_step: float | None = None):
-        length = f.hi - f.lo
-        if grid_step is None:
-            grid_step = length / MODULUS_GRID_DIV
-        if not 0.0 < grid_step <= length:
-            raise ValueError(f"grid_step must be in (0, {length:g}], got {grid_step!r}")
-        m = int(round(length / grid_step)) + 1
-        self._vals = f(np.linspace(f.lo, f.hi, m))
-        self.step = length / (m - 1)
+    def __init__(self, f: RealFunction):
+        self._vals = f(np.linspace(f.lo, f.hi, MODULUS_GRID_DIV + 1))
+        self.step = (f.hi - f.lo) / MODULUS_GRID_DIV
         # table of order k covers lags 0..len-1 (lag 0 gives 0), up to (m-1)//k
         self._tables = {1: np.zeros(1), 2: np.zeros(1)}
 
@@ -120,17 +114,15 @@ class ModulusGrid:
         return self._lookup(2, self._lag_sup2, delta)
 
 
-def verify_lipschitz(
-    f: RealFunction, m_const: float, alpha: float, samples: int = 201, tol: float = 1e-9
-) -> None:
-    """Reject f unless |f(s) - f(t)| <= M |s - t|^alpha on a sampled pair grid."""
-    xs = np.linspace(f.lo, f.hi, samples)
+def verify_lipschitz(f: RealFunction, m_const: float, alpha: float) -> None:
+    """Reject f unless |f(s) - f(t)| <= M |s - t|^alpha + 1e-9 on 201 x 201 sampled pairs."""
+    xs = np.linspace(f.lo, f.hi, 201)
     vals = f(xs)
     gaps = np.abs(vals[:, None] - vals[None, :])
     dist = np.abs(xs[:, None] - xs[None, :])
     excess = gaps - m_const * dist**alpha
     worst = float(excess.max())
-    if worst > tol:
+    if worst > 1e-9:
         i, j = np.unravel_index(int(excess.argmax()), excess.shape)
         raise NotLipschitzError(
             f"{f.name} is not Lipschitz(M={m_const:g}, alpha={alpha:g}) at sampled pairs: "

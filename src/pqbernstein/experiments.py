@@ -40,6 +40,9 @@ FIGURE_DEFAULT_PARAMS = ((0.95, 0.90, 10), (0.98, 0.95, 30), (0.999, 0.99, 100))
 
 DEFAULT_SCHEDULE_GUARD = 0.01
 
+# x-grid size of every run; the other run defaults are SchurerConfig's fields
+DEFAULT_GRID_SIZE = 101
+
 
 class ConfigError(ValueError):
     """A run configuration violates its invariants."""
@@ -56,21 +59,26 @@ class KorovkinSchedule:
         p, q = self.pair_fn(n)
         try:
             return PQPair(p, q)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"schedule {self.name!r} invalid at n={n}: {exc}") from exc
 
-    def validate(self, n_list: Sequence[int], guard: float = DEFAULT_SCHEDULE_GUARD) -> None:
+    def validate(
+        self, n_list: Sequence[int], guard: float = DEFAULT_SCHEDULE_GUARD
+    ) -> list[PQPair]:
+        """The pair of each n in n_list, once the pair of the largest n is within guard of 1."""
         # a NaN or +inf guard would let every schedule pass the test below
         if not math.isfinite(guard):
             raise ConfigError(f"schedule guard must be finite, got {guard!r}")
-        for n in n_list:
-            self.pair(n)
-        top = self.pair(max(n_list))
+        if not n_list:
+            raise ConfigError("a schedule is validated on at least one degree n")
+        pairs = [self.pair(n) for n in n_list]
+        top_n, top = max(zip(n_list, pairs), key=lambda entry: entry[0])
         if 1.0 - top.p >= guard or 1.0 - top.q >= guard:
             raise ConfigError(
-                f"schedule {self.name!r} not close enough to 1 at n={max(n_list)}: "
+                f"schedule {self.name!r} not close enough to 1 at n={top_n}: "
                 f"p={top.p:.6g}, q={top.q:.6g} (guard {guard:g})"
             )
+        return pairs
 
 
 def schedule(name: str) -> KorovkinSchedule:
@@ -99,7 +107,7 @@ def custom_schedule(
             f"{len(p_list)} p's, {len(q_list)} q's"
         )
     ns = [_integer(n, "degree n") for n in n_list]
-    table = {n: (float(p), float(q)) for n, p, q in zip(ns, p_list, q_list)}
+    table = {n: (p, q) for n, p, q in zip(ns, p_list, q_list)}
     if len(table) < len(ns):
         raise ConfigError(f"custom schedule degrees must be distinct, got {ns}")
 
@@ -185,17 +193,16 @@ class KorovkinResult(Report):
 def run_korovkin(
     sched: KorovkinSchedule,
     n_list: Sequence[int],
-    ell: int = 0,
-    grid_size: int = 101,
-    quad_tol: float = 1e-10,
-    basis_variant: BasisVariant = BasisVariant.NORMALIZED,
+    ell: int = SchurerConfig.ell,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    quad_tol: float = SchurerConfig.quad_tol,
+    basis_variant: BasisVariant = SchurerConfig.basis_variant,
     guard: float = DEFAULT_SCHEDULE_GUARD,
 ) -> KorovkinResult:
     """Sup-norm errors of K(f) - f over the grid, per n and per test function."""
     ns = _validate_n_list(n_list)
-    sched.validate(ns, guard=guard)
+    pairs = sched.validate(ns, guard=guard)
     xs = _validate_run_grid(grid_size)
-    pairs = [sched.pair(n) for n in ns]
     sup_errors: dict[str, list[float]] = {name: [] for name in KOROVKIN_FUNCTIONS}
     e0_ok = True
     for n, pq in zip(ns, pairs):
@@ -273,26 +280,26 @@ def _figure_label(p: float, q: float, n: int) -> str:
 
 def run_figure(
     params: Sequence[tuple[float, float, int]] = FIGURE_DEFAULT_PARAMS,
-    ell: int = 0,
-    grid_size: int = 101,
-    quad_tol: float = 1e-10,
-    basis_variant: BasisVariant = BasisVariant.NORMALIZED,
+    ell: int = SchurerConfig.ell,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    quad_tol: float = SchurerConfig.quad_tol,
+    basis_variant: BasisVariant = SchurerConfig.basis_variant,
 ) -> FigureTable:
     """Columns of K(f_fig) for each (p, q, n) triple next to f_fig itself."""
     if not params:
         raise ConfigError("figure needs at least one (p, q, n) triple")
-    triples = tuple((float(p), float(q), _integer(n, "degree n")) for p, q, n in params)
+    operators = [(PQPair(p, q), _integer(n, "degree n")) for p, q, n in params]
+    triples = tuple((pq.p, pq.q, n) for pq, n in operators)
     if len(set(triples)) < len(triples):
         raise ConfigError("figure (p, q, n) triples must be distinct")
     xs = _validate_run_grid(grid_size)
     columns = {"x": xs.tolist()}
-    for p, q, n in triples:
-        pq = PQPair(p, q)
+    for pq, n in operators:
         config = SchurerConfig(n=n, ell=ell, basis_variant=basis_variant, quad_tol=quad_tol)
         f = _hull_function("f_fig", config, pq)
         if "f" not in columns:
             columns["f"] = f(xs).tolist()
-        columns[_figure_label(p, q, n)] = apply_on_grid(config, pq, f, xs).tolist()
+        columns[_figure_label(pq.p, pq.q, n)] = apply_on_grid(config, pq, f, xs).tolist()
     return FigureTable(
         ell=ell,
         grid_size=xs.size,
@@ -304,7 +311,7 @@ def run_figure(
 
 
 def run_moments(
-    config: SchurerConfig, pq: PQPair, grid_size: int = 101
+    config: SchurerConfig, pq: PQPair, grid_size: int = DEFAULT_GRID_SIZE
 ) -> MomentReport:
     xs = _validate_run_grid(grid_size)
     return build_moment_report(config, pq, xs)
@@ -315,7 +322,7 @@ def run_bounds(
     config: SchurerConfig,
     pq: PQPair,
     function_name: str = "f_fig",
-    grid_size: int = 101,
+    grid_size: int = DEFAULT_GRID_SIZE,
     ratio_cap: float | None = None,
     lipschitz: tuple[float, float] | None = None,
 ) -> BoundReport:
@@ -441,9 +448,7 @@ def check_p1_reduction(cases: Sequence[tuple]) -> SelftestCheck:
     return SelftestCheck("p1-reduction-vs-reference", worst <= 1e-9, f"max_err={worst:.3e}")
 
 
-def run_selftest(
-    basis_variant: BasisVariant = BasisVariant.NORMALIZED,
-) -> SelftestResult:
+def run_selftest(basis_variant: BasisVariant = SchurerConfig.basis_variant) -> SelftestResult:
     """Quadrature identities, partition of unity, constant reproduction, p=1 reduction.
 
     Each check is a function of its case list; the acceptance tests call the

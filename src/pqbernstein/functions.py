@@ -70,8 +70,8 @@ LIPSCHITZ_DATA: dict[str, tuple[float, float]] = {
 # Built-ins whose integral means the operator may take with a Gauss rule (see
 # operator_eval): f_fig is entire.  holder_half has a kink at 1/2.  e0, e1
 # and e2 keep the K-node rule, so their means stay the same sums, to
-# rounding, as the node-moment means the Korovkin and moment reports compare
-# them with.
+# rounding, as the node-moment means the moment report's consistency fields
+# compare them with.
 ANALYTIC_BUILTINS = frozenset({_BUILTINS["f_fig"]})
 
 FUNCTION_NAMES = tuple(_BUILTINS)

@@ -274,11 +274,6 @@ def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     return _tables(config, pq).basis(_check_points(xs))
 
 
-def basis_row(config: SchurerConfig, pq: PQPair, x: float) -> np.ndarray:
-    """All N+1 basis values at one x, nonnegative on [0, 1]."""
-    return _tables(config, pq).basis(_check_point(x))
-
-
 def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
     """Interval every integrand argument lands in; f passed to apply must cover it.
 

@@ -11,6 +11,7 @@ and [j]_{p,q} from ratio_powers and pq_integers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class PQPair:
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
+        # operator_eval._check_point's rule: a bool or a string is not a parameter
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (p, q)):
+            raise TypeError(f"p, q must be real numbers, got p={p!r}, q={q!r}")
         if not (math.isfinite(p) and math.isfinite(q)):
             raise ValueError(f"p, q must be finite numbers, got p={p!r}, q={q!r}")
         if not 0.0 < q < p <= 1.0:

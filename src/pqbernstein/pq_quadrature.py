@@ -51,7 +51,6 @@ class QuadratureRule:
     """Immutable truncated rule; safe to share across threads."""
 
     pq: PQPair
-    trunc_index: int
     nodes: np.ndarray
     weights: np.ndarray
     tail_bound: float
@@ -84,7 +83,6 @@ def build_rule(pq: PQPair, tol: float) -> QuadratureRule:
     weights = (p - q) * rj / p
     return QuadratureRule(
         pq=pq,
-        trunc_index=k,
         nodes=nodes,
         weights=weights,
         tail_bound=r ** (k + 1),

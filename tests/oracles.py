@@ -22,7 +22,7 @@ from pqbernstein.error_bounds import MODULUS_GRID_DIV, ModulusGrid
 from pqbernstein.experiments import KOROVKIN_JSON_ROW
 from pqbernstein.functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
 from pqbernstein.moments_closed import JSON_ROW as MOMENT_JSON_ROW
-from pqbernstein.operator_eval import SchurerConfig, basis_row
+from pqbernstein.operator_eval import SchurerConfig, basis_matrix
 from pqbernstein.pq_core import PQPair
 from pqbernstein.pq_quadrature import QuadratureRule
 from pqbernstein.reportio import SCHEMA_VERSION
@@ -89,7 +89,7 @@ def basis(config: SchurerConfig, pq: PQPair, k: int, x: float) -> float:
     """Single basis value; k outside [0, n+ell] gives 0."""
     if k < 0 or k > config.degree:
         return 0.0
-    return float(basis_row(config, pq, x)[k])
+    return float(basis_matrix(config, pq, x)[k])
 
 
 def exact_basis_rows(

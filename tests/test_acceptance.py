@@ -25,7 +25,7 @@ from pqbernstein.experiments import (
 )
 from pqbernstein.functions import make_function
 from pqbernstein.moments_closed import build_moment_report
-from pqbernstein.operator_eval import BasisVariant, SchurerConfig, basis_row, required_domain
+from pqbernstein.operator_eval import BasisVariant, SchurerConfig, basis_matrix, required_domain
 from pqbernstein.pq_core import PQPair
 
 ACCEPTANCE_PAIRS = [PQPair(1.0, 0.5), PQPair(0.9, 0.8), PQPair(0.99, 0.98)]
@@ -96,7 +96,7 @@ def test_criterion_03_printed_basis_witness():
     config = SchurerConfig(n=2, ell=0, basis_variant=BasisVariant.AS_PRINTED)
     worst = 0.0
     for x in np.linspace(0.0, 1.0, 101):
-        total = basis_row(config, pq, float(x)).sum()
+        total = basis_matrix(config, pq, float(x)).sum()
         worst = max(worst, abs(total - (0.9 + 0.1 * x * x)))
     report(
         3,

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,8 +48,10 @@ class TestModulus:
 
     def test_oscillatory_against_dense_reference(self):
         f = make_function("f_fig", 0.0, 1.0)
-        dense = ModulusGrid(f, grid_step=1e-4)
+        with mock.patch.object(error_bounds, "MODULUS_GRID_DIV", 10_000):
+            dense = ModulusGrid(f)
         coarse = ModulusGrid(f)
+        assert (dense.step, coarse.step) == (1e-4, 5e-4)
         for delta in (0.05, 0.1, 0.3):
             ref = dense.omega(delta)
             assert coarse.omega(delta) <= ref + 1e-12  # grid search underestimates
@@ -100,7 +103,8 @@ class TestModulus2:
 
     def test_oscillatory_against_dense_reference(self):
         f = make_function("f_fig", 0.0, 1.0)
-        dense = ModulusGrid(f, grid_step=1e-4)
+        with mock.patch.object(error_bounds, "MODULUS_GRID_DIV", 10_000):
+            dense = ModulusGrid(f)
         coarse = ModulusGrid(f)
         for delta in (0.05, 0.15):
             assert coarse.omega2(delta) == pytest.approx(dense.omega2(delta), abs=0.02)
@@ -108,7 +112,7 @@ class TestModulus2:
 
 @st.composite
 def modulus_cases(draw):
-    """A function on a random domain, a grid step, and a random query sequence."""
+    """A function on a random domain, a grid division, and a random query sequence."""
     lo = draw(st.floats(-1.0, 0.5))
     hi = lo + draw(st.floats(0.05, 2.5))
     name = draw(st.sampled_from((*FUNCTION_NAMES, "jagged")))
@@ -119,7 +123,7 @@ def modulus_cases(draw):
     else:
         f = make_function(name, lo, hi)
     length = f.hi - f.lo
-    grid_step = draw(st.none() | st.floats(length / 2500, length))
+    div = draw(st.just(error_bounds.MODULUS_GRID_DIV) | st.integers(1, 2500))
     delta = st.floats(0.0, 1.5 * length)  # beyond the domain length too
     query = (
         delta
@@ -128,15 +132,17 @@ def modulus_cases(draw):
         | st.just(np.empty((0, 3)))
     )
     queries = draw(st.lists(st.tuples(st.sampled_from(("omega", "omega2")), query), max_size=8))
-    return f, grid_step, queries
+    return f, div, queries
 
 
 class TestModulusTables:
     @settings(max_examples=100)
     @given(modulus_cases())
     def test_on_demand_equals_full_build(self, case):
-        f, grid_step, queries = case
-        mg, ref = ModulusGrid(f, grid_step), FullModulusGrid(f, grid_step)
+        f, div, queries = case
+        with mock.patch.object(error_bounds, "MODULUS_GRID_DIV", div):
+            mg = ModulusGrid(f)
+        ref = FullModulusGrid(f, (f.hi - f.lo) / div)
         assert mg.step == ref.step
         for name, delta in queries:
             got, want = getattr(mg, name)(delta), getattr(ref, name)(delta)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ except ImportError:  # not on every platform
     resource = None
 
 from pqbernstein import experiments
-from pqbernstein.cli import main
+from pqbernstein.cli import build_parser, main
 from pqbernstein.error_bounds import DEFAULT_RATIO_CAP
 from pqbernstein.experiments import (
     CONVERGENCE_FLAGGED,
@@ -65,6 +66,35 @@ class TestSchedules:
         assert sched.pair(8) == PQPair(0.99, 0.95)
         with pytest.raises(ConfigError):
             sched.pair(5)
+
+    def test_validate_returns_each_pair_built_once(self):
+        built = []
+
+        def pair_fn(n):
+            built.append(n)
+            return 1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1)
+
+        sched = experiments.KorovkinSchedule("counted", pair_fn)
+        assert sched.validate([8, 128, 16]) == [schedule("classic").pair(n) for n in (8, 128, 16)]
+        assert built == [8, 128, 16]
+        built.clear()
+        result = run_korovkin(sched, [8, 16, 32, 64, 128], grid_size=5)
+        assert built == [8, 16, 32, 64, 128]
+        assert result.columns["p"] == [schedule("classic").pair(n).p for n in built]
+
+    def test_validate_rejects_an_empty_list(self):
+        # max() of no degrees used to raise a bare ValueError
+        with pytest.raises(ConfigError, match="at least one degree"):
+            schedule("classic").validate([])
+
+    @pytest.mark.parametrize("p, q", [("0.99", "0.9"), (True, 0.9), (0.99, np.array(0.9))])
+    def test_custom_passes_parameters_to_pq_pair_unconverted(self, p, q):
+        # float() used to turn the string "0.99" and True into parameters
+        sched = custom_schedule([8], [p], [q])  # lazy: checked per pair
+        with pytest.raises(ConfigError, match="real numbers"):
+            sched.pair(8)
+        with pytest.raises(ConfigError, match="real numbers"):
+            run_korovkin(sched, [8], grid_size=5, guard=0.2)
 
     def test_custom_rejects_bad_order(self):
         sched = custom_schedule([4], [0.9], [0.95])  # q > p
@@ -189,6 +219,11 @@ class TestRunFigure:
         with pytest.raises(ConfigError, match="integer"):
             run_figure([(0.95, 0.9, n)], grid_size=5)
 
+    @pytest.mark.parametrize("p, q", [("0.95", "0.9"), (True, 0.9), (0.95, np.array(0.9))])
+    def test_rejects_parameters_that_are_not_real_numbers(self, p, q):
+        with pytest.raises(TypeError, match="real numbers"):
+            run_figure([(p, q, 10)], grid_size=5)
+
     def test_integral_float_degree_labels_as_int(self):
         table = run_figure([(0.95, 0.9, 6.0)], grid_size=5)
         assert table.params == ((0.95, 0.9, 6),)
@@ -263,6 +298,26 @@ class TestSelftest:
 
 
 class TestCLI:
+    def test_run_defaults_are_the_config_defaults(self):
+        want = {
+            "ell": SchurerConfig.ell,
+            "grid_size": experiments.DEFAULT_GRID_SIZE,
+            "quad_tol": SchurerConfig.quad_tol,
+            "basis_variant": SchurerConfig.basis_variant,
+        }
+        runs = (run_korovkin, run_figure, experiments.run_moments, run_bounds, run_selftest)
+        for run in runs:
+            params = inspect.signature(run).parameters
+            got = {name: params[name].default for name in want if name in params}
+            assert got == {name: want[name] for name in got}
+        parser = build_parser()
+        for argv in (["korovkin"], ["figure"], ["moments", "--n", "3"],
+                     ["bounds", "--theorem", "t32", "--n", "3"]):
+            args = parser.parse_args(argv)
+            got = (args.ell, args.grid, args.tol, BasisVariant(args.basis))
+            assert got == tuple(want.values())
+        assert BasisVariant(parser.parse_args(["selftest"]).basis) is want["basis_variant"]
+
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0
         assert "selftest: 5 checks, 0 failures" in capsys.readouterr().out

@@ -33,7 +33,6 @@ from pqbernstein.operator_eval import (
     apply_central_moment,
     apply_on_grid,
     basis_matrix,
-    basis_row,
     evaluate_on_grid,
     required_domain,
 )
@@ -126,7 +125,7 @@ def test_basis_row_is_exactly_a_grid_row(config, pq):
     grid = basis_matrix(config, pq, XS)
     assert grid.shape == (XS.size, config.degree + 1)
     for i, x in enumerate(XS):
-        np.testing.assert_array_equal(basis_row(config, pq, float(x)), grid[i])
+        np.testing.assert_array_equal(basis_matrix(config, pq, float(x)), grid[i])
 
 
 @pytest.mark.parametrize("config, pq", OPERATORS, ids=IDS)
@@ -233,7 +232,9 @@ def test_reports_refuse_scalar_and_empty_grids(name):
 
 def test_basis_matrix_takes_one_point_and_an_empty_grid():
     config, pq = SchurerConfig(n=5), PQPair(0.9, 0.8)
-    np.testing.assert_array_equal(basis_matrix(config, pq, 0.3), basis_row(config, pq, 0.3))
+    row = basis_matrix(config, pq, 0.3)
+    assert row.shape == (6,)
+    np.testing.assert_array_equal(row, basis_matrix(config, pq, [0.3])[0])
     assert basis_matrix(config, pq, []).shape == (0, 6)
 
 
@@ -323,7 +324,7 @@ def test_basis_alone_builds_no_rule(monkeypatch):
     monkeypatch.setattr(operator_eval, "build_rule", spy)
     _tables.cache_clear()
     basis_matrix(config, pq, XS)
-    basis_row(config, pq, 0.5)
+    basis_matrix(config, pq, 0.5)
     assert rules == []
     required_domain(config, pq)
     assert rules == [(pq, config.quad_tol)]
@@ -543,8 +544,8 @@ def test_f_fig_takes_the_gauss_path_above_the_crossover(monkeypatch):
 
 
 def test_only_f_fig_among_the_builtins_tries_the_gauss_rule(monkeypatch):
-    # above the crossover too, e0, e1 and e2 keep the K-node rule, whose sums
-    # the Korovkin and moment reports compare their direct means with
+    # above the crossover too, e0, e1 and e2 keep the K-node rule: the moment
+    # report's consistency fields compare their direct means with the node moments'
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
     tried, gauss_means = [], _Operator.gauss_means
 

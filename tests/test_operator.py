@@ -19,7 +19,6 @@ from pqbernstein.operator_eval import (
     apply_central_moment,
     apply_on_grid,
     basis_matrix,
-    basis_row,
     required_domain,
 )
 from pqbernstein.pq_core import PQPair
@@ -78,11 +77,11 @@ class TestBasis:
         for variant in BasisVariant:
             config = SchurerConfig(n=6, ell=1, basis_variant=variant)
             for x in np.linspace(0.0, 1.0, 21):
-                assert (basis_row(config, PQ, float(x)) >= 0.0).all()
+                assert (basis_matrix(config, PQ, float(x)) >= 0.0).all()
 
     def test_at_zero_only_first_survives(self):
         config = SchurerConfig(n=5, ell=2)
-        row = basis_row(config, PQ, 0.0)
+        row = basis_matrix(config, PQ, 0.0)
         assert row[0] == pytest.approx(1.0, rel=1e-14)
         assert row[1:] == pytest.approx(np.zeros(config.degree), abs=0.0)
 

@@ -1,10 +1,12 @@
 """Point evaluation: frozen values and the one scalar check of its arguments.
 
-``apply``, ``basis_row`` and ``apply_central_moment`` take one point x.  The
-FROZEN values below are exact: any change that moves a single bit of a point
-value fails here, so a faster point path must keep the arithmetic as it is.
-The argument tests cover what one point may be (an int, a float, a NumPy real
-scalar or a 0-d array, all giving the same bits) and what is refused.
+``apply`` and ``apply_central_moment`` take one point x, and ``basis_matrix``
+at one point gives the basis row there.  The FROZEN values below are exact:
+any change that moves a single bit of a point value fails here, so a faster
+point path must keep the arithmetic as it is.  The argument tests cover what
+one point may be (an int, a float, a NumPy real scalar or a 0-d array, all
+giving the same bits) and what is refused; ``basis_matrix`` takes an array of
+points as a grid, so only the two point functions refuse one.
 """
 
 import math
@@ -18,7 +20,7 @@ from pqbernstein.operator_eval import (
     SchurerConfig,
     apply,
     apply_central_moment,
-    basis_row,
+    basis_matrix,
     required_domain,
 )
 from pqbernstein.pq_core import PQPair
@@ -35,7 +37,7 @@ CASES = {
 }
 
 # FROZEN: float.hex() of K(e0; x), K(f_fig; x), K((t-x); x), K((t-x)^2; x) and
-# then of every basis_row entry, space separated, per (basis variant, n)
+# then of every entry of the basis row at x, space separated, per (basis variant, n)
 FROZEN = {
     ("normalized", 1): (
         ("0x1.ffffffff30d3cp-1", "0x1.8f82746008153p+0",
@@ -188,7 +190,7 @@ def point_values(config, pq, x) -> tuple[list[float], np.ndarray]:
     lo, hi = required_domain(config, pq)
     values = [apply(config, pq, make_function(name, lo, hi), x) for name in ("e0", "f_fig")]
     values += [apply_central_moment(config, pq, x, order) for order in (1, 2)]
-    return values, basis_row(config, pq, x)
+    return values, basis_matrix(config, pq, x)
 
 
 @pytest.mark.parametrize("variant, n", list(FROZEN), ids=[f"{v}-n{n}" for v, n in FROZEN])
@@ -214,18 +216,20 @@ def test_every_kind_of_real_scalar_gives_the_same_bits(variant, x, same):
 
 POINT_FUNCTIONS = {
     "apply": lambda config, pq, x: apply(config, pq, make_function("e0", -1.0, 2.0), x),
-    "basis_row": basis_row,
+    "basis_row": basis_matrix,  # at one point
     "apply_central_moment": lambda config, pq, x: apply_central_moment(config, pq, x, 2),
 }
+NOT_REAL = ["0.5", None, True, np.True_, np.array(True), np.array("0.5"), 0.5j]
+ARRAYS = [np.array([0.5]), [0.5]]  # basis_matrix evaluates these as grids
 
 
-@pytest.mark.parametrize("name", list(POINT_FUNCTIONS))
 @pytest.mark.parametrize(
-    "x",
-    ["0.5", None, True, np.True_, np.array(True), np.array([0.5]), [0.5], np.array("0.5"), 0.5j],
-    ids=repr,
+    "x, name",
+    [(x, name) for name in POINT_FUNCTIONS
+     for x in NOT_REAL + (ARRAYS if name != "basis_row" else [])],
+    ids=lambda v: v if isinstance(v, str) and v in POINT_FUNCTIONS else repr(v),
 )
-def test_point_functions_refuse_what_is_not_one_real_number(name, x):
+def test_point_functions_refuse_what_is_not_one_real_number(x, name):
     config, pq = SchurerConfig(n=5, ell=1), PQPair(0.9, 0.8)
     with pytest.raises(TypeError, match="apply_on_grid or evaluate_on_grid"):
         POINT_FUNCTIONS[name](config, pq, x)

@@ -59,6 +59,17 @@ class TestPQPair:
         with pytest.raises(ValueError):
             PQPair(float("nan"), 0.5)
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [(True, 0.5), (np.True_, 0.5), (0.9, False), ("0.95", "0.9"), (0.9, None),
+         (np.array(0.9), 0.5), (0.9, 0.5 + 0j)],
+        ids=repr,
+    )
+    def test_rejects_what_is_not_a_real_number(self, p, q):
+        # True used to become p = 1.0, as it is refused for n, ell, quad_tol and x
+        with pytest.raises(TypeError, match="real numbers"):
+            PQPair(p, q)
+
     def test_hashable_by_value(self):
         assert PQPair(0.9, 0.8) == PQPair(0.9, 0.8)
         assert hash(PQPair(0.9, 0.8)) == hash(PQPair(0.9, 0.8))

@@ -30,11 +30,12 @@ class TestBuildRule:
     def test_truncation_index_formula(self):
         pq = PQPair(0.9, 0.8)
         rule = build_rule(pq, 1e-12)
-        assert rule.trunc_index == math.ceil(math.log(1e-12) / math.log(8 / 9)) - 1
+        k = rule.nodes.size - 1
+        assert k == math.ceil(math.log(1e-12) / math.log(8 / 9)) - 1
         r = pq.q / pq.p
         assert rule.tail_bound <= 1e-12
         # minimality: one fewer node would breach the tolerance
-        assert 1.0 * r**rule.trunc_index > 1e-12
+        assert 1.0 * r**k > 1e-12
 
     def test_weight_sum_is_exact_partial_geometric(self):
         for pq in PAIRS:
@@ -50,7 +51,7 @@ class TestBuildRule:
 
     def test_p1_classical_jackson_rule(self):
         rule = build_rule(PQPair(1.0, 0.5), 1e-10)
-        j = np.arange(rule.trunc_index + 1)
+        j = np.arange(rule.nodes.size)
         assert rule.nodes == pytest.approx(0.5**j)
         assert rule.weights == pytest.approx(0.5 ** (j + 1))
 

@@ -18,6 +18,10 @@ and per (n, G), with the operator's entry and means already kept:
 - basis: the (G, N+1) basis matrix;
 - apply_on_grid_warm: f_fig on the grid.
 
+The build_rule_long cases time build_rule alone on two long rules: K+1 =
+167,880 (p = 0.9999983126586219, q = 0.999787914476763, tol 4.55e-16) and
+K+1 = 967,069 (p = 1, q = 1 - 1/28,000, tol 1e-15).
+
 The theorems_bundle cases are one operator's check bundle, as the benchmark's
 theorems workload serves it: the moment report and t32 (f_fig), t33
 (holder_half) and t34 (f_fig) at G = 101, classic n = 16, 64 and 128.  Per n:
@@ -74,6 +78,10 @@ GRID_SIZES = (101, 1001)
 BUNDLE_DEGREES = (16, 64, 128)
 BUNDLE_GRID = 101
 BUNDLE = (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
+LONG_RULES = (
+    (0.9999983126586219, 0.999787914476763, 4.553867464572494e-16),
+    (1.0, 1.0 - 1.0 / 28_000, 1e-15),
+)
 
 CHILD = """
 import sys
@@ -191,6 +199,13 @@ def main() -> int:
             }
             cases.append({"n": n, "grid": g, "stages": stages, "peak_rss_mb": peak_rss_mb(n, g)})
         print(f"n = {n}: done", file=sys.stderr)
+    for p, q, tol in LONG_RULES:
+        pq = PQPair(p, q)
+        stages = {"build_rule": timed(lambda _: build_rule(pq, tol), args.repeats)}
+        nodes = build_rule(pq, tol).nodes.size
+        cases.append({"case": "build_rule_long", "p": p, "q": q, "tol": tol, "nodes": nodes,
+                      "stages": stages})
+    print("build_rule_long: done", file=sys.stderr)
     for n in BUNDLE_DEGREES:
         cases.append(theorems_bundle(n, args.repeats))
     print("theorems_bundle: done", file=sys.stderr)

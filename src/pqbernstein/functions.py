@@ -59,6 +59,8 @@ _BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "f_fig": lambda t: 1.0 + np.cos(5.0 * t**2),
     "holder_half": lambda t: np.sqrt(np.abs(t - 0.5)),
 }
+for _name, _fn in _BUILTINS.items():
+    _fn.__name__ = _name  # so an error about a built-in's values can name it
 
 # (M, alpha) witnesses for the Lipschitz-class bound checks.
 LIPSCHITZ_DATA: dict[str, tuple[float, float]] = {

@@ -40,8 +40,8 @@ exists.  The raw moments of t^0, t^1, t^2 expand over the K-node rule's node
 moments and give the central moments.
 
 Where [N k]_r overflows (from N = 1234 along the classic and q-only
-schedules, never for q/p below about 0.997) or the argument means do (small
-p at large N), NumericalRangeError is raised instead of returning NaN.
+schedules, never for q/p below about 0.997) or the means of t^2 or of a
+function do, NumericalRangeError is raised instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class SchurerConfig:
 
 
 class NumericalRangeError(ArithmeticError):
-    """The basis coefficients of this (config, pq) overflow double precision."""
+    """The basis coefficients or integral means of this (config, pq) leave double precision."""
 
 
 # The Gauss path runs where the evaluations it saves, (N+1)(K+1 - GAUSS_NODES),
@@ -190,13 +190,16 @@ class _Operator:
             )
         # [n+1]_{p,q} is about p^n / (1 - q/p), so at small p the arguments
         # [k]/[n+1] grow like p^-n while the basis stays finite
-        if not np.isfinite(raw_means).all():
-            raise NumericalRangeError(
-                f"integral means of t^2 are not finite in double precision at N = n + ell = "
-                f"{self.config.degree}, p={p!r}, q={q!r} "
-                f"(arguments reach {max(-domain[0], domain[1]):.3g})"
-            )
+        self.check_finite("t^2", raw_means, domain)
         return _Arguments(c0, c1, raw_means, domain)
+
+    def check_finite(self, name: str, means, domain: tuple[float, float]) -> None:
+        if not np.isfinite(means).all():
+            raise NumericalRangeError(
+                f"integral means of {name} are not finite in double precision at N = n + ell = "
+                f"{self.config.degree}, p={self.pq.p!r}, q={self.pq.q!r} "
+                f"(arguments' hull [{domain[0]:.3g}, {domain[1]:.3g}])"
+            )
 
     @cached_property
     def gauss(self) -> GaussRules:
@@ -255,6 +258,9 @@ class _Operator:
                 arg = c0[block, None] + c1[block, None] * nodes
                 for i in rest:
                     out[i, block] = np.asarray(missing[i](arg), dtype=float) @ weights
+            # after both paths: a NaN fails the Gauss check and falls through to here
+            for fn, means in zip(missing, out):
+                self.check_finite(getattr(fn, "__name__", fn), means, self.arguments.domain)
             out.flags.writeable = False
             self.means.update(zip(missing, out))
         return [self.means[fn] for fn in fns]

@@ -4,8 +4,8 @@ Everything here is a pure function over an immutable :class:`PQPair` and runs
 in ordinary double precision.  With 0 < q < p <= 1 each [k]_{p,q} <= k.  The
 operator's basis is evaluated in r = q/p (see operator_eval), not from
 (p,q)-factorials, which leave the double range from degree 142 to 235.  The
-operator, the Gauss rules and the closed-form moments all take r^j, 1 - r^j
-and [j]_{p,q} from ratio_powers and pq_integers.
+operator, the quadrature rule, the Gauss rules and the closed-form moments
+all take r^j, 1 - r^j and [j]_{p,q} from the one log r of log_ratio.
 """
 
 from __future__ import annotations
@@ -52,25 +52,38 @@ class PQPair:
         return self._hash
 
 
-def log_parameter(v: float) -> float:
-    """log v for a parameter 0 < v <= 1, finite down to the least subnormal.
+def log_ratio(pq: PQPair) -> float:
+    """log r, r = q/p, to a few ulps relative while q/p is a normal float.
 
-    From 0.5 up, v - 1.0 is exact (Sterbenz), so log1p(v - 1.0) is as
-    accurate as log(v) and keeps the values the operator has always had
-    there.  Below 0.5, v - 1.0 rounds, to -1.0 for v below about 1.1e-16,
-    so log(v) is taken instead.
+    From q = p/2 up, q - p is exact (Sterbenz); below, |log r| > 0.69.  The
+    log of a rounded r would cost eps/(1 - r) relative near r = 1, and
+    log q - log p carries each log's rounding, eps |log q| absolute.
     """
-    return math.log(v) if v < 0.5 else math.log1p(v - 1.0)
+    p, q = pq.p, pq.q
+    return math.log1p((q - p) / p) if q >= 0.5 * p else math.log(q / p)
 
 
 def ratio_powers(pq: PQPair, top: int) -> tuple[np.ndarray, np.ndarray]:
     """r^j and 1 - r^j, r = q/p, for j = 0..top: exp(j log r) and -expm1(j log r).
 
-    log r comes from the logs of p and q: rounding r = q/p itself would cost
-    eps/(1-r) relative, and 1 - r^j by subtraction would cancel as r -> 1.
+    1 - r^j by subtraction would cancel as r -> 1.
     """
-    j_log_r = (log_parameter(pq.q) - log_parameter(pq.p)) * np.arange(top + 1)
+    j_log_r = log_ratio(pq) * np.arange(top + 1)
     return np.exp(j_log_r), -np.expm1(j_log_r)
+
+
+def ratio_cutoff(pq: PQPair, tol: float, cap: int) -> tuple[int, float]:
+    """The least K >= 0 with r^(K+1) = exp((K+1) log r) <= tol, and that float as compared.
+
+    A K above cap says only that no K up to cap will do.
+    """
+    log_r = log_ratio(pq)
+    k = max(0, math.ceil(math.log(tol) / log_r) - 1)  # a step off at most
+    while 0 < k <= cap + 1 and math.exp(log_r * k) <= tol:
+        k -= 1
+    while k <= cap and math.exp(log_r * (k + 1)) > tol:
+        k += 1
+    return k, math.exp(log_r * (k + 1))
 
 
 def pq_integers(pq: PQPair, top: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pq_core import PQPair, ratio_powers
+from .pq_core import PQPair, ratio_cutoff, ratio_powers
 
 DEFAULT_HARD_CAP = 10**6
 
@@ -61,32 +61,17 @@ class QuadratureRule:
 
 
 def build_rule(pq: PQPair, tol: float) -> QuadratureRule:
-    """Smallest-K rule with certified tail (q/p)^(K+1) <= tol."""
+    """Smallest-K rule with certified tail r^(K+1) <= tol: K, tail and r^j all from pq_core."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    p, q = pq.p, pq.q
-    r = q / p
-    k = max(0, math.ceil(math.log(tol) / math.log(r)) - 1)
-    # correct for log round-off so the bound holds in float arithmetic
-    while r ** (k + 1) > tol:
-        k += 1
-        if k > DEFAULT_HARD_CAP:
-            break
+    k, tail = ratio_cutoff(pq, tol, DEFAULT_HARD_CAP)
     if k > DEFAULT_HARD_CAP:
         raise TruncationError(
-            f"truncation infeasible: tol={tol:g} at q/p={r:.12g} needs more than "
+            f"truncation infeasible: tol={tol:g} at p={pq.p!r}, q={pq.q!r} needs more than "
             f"{DEFAULT_HARD_CAP} nodes"
         )
-    j = np.arange(k + 1)
-    rj = np.power(r, j)
-    nodes = rj / p
-    weights = (p - q) * rj / p
-    return QuadratureRule(
-        pq=pq,
-        nodes=nodes,
-        weights=weights,
-        tail_bound=r ** (k + 1),
-    )
+    r_powers = ratio_powers(pq, k)[0]
+    return QuadratureRule(pq, r_powers / pq.p, (pq.p - pq.q) * r_powers / pq.p, tail)
 
 
 @dataclass(frozen=True, eq=False)

@@ -495,6 +495,19 @@ class TestCLI:
         assert "NumericalRangeError" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # f_fig's overflow, then the error
+    def test_non_finite_means_exit_three(self, tmp_path, capsys):
+        # the arguments reach 8.1e153, where f_fig's t^2 overflows and its
+        # means are NaN; this exited 2 for a NaN in the report table
+        out = tmp_path / "report"
+        argv = ["bounds", "--theorem", "t32", "--function", "f_fig", "--n", "979", "--ell", "3",
+                "--tol", "1.1711911695041253e-4", "--p", "0.6961011500744568",
+                "--q", "0.32288160198390276", "--out", str(out)]
+        assert main(argv) == 3
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "NumericalRangeError" in errors[0] and "f_fig" in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from pqbernstein.functions import DomainError, RealFunction, make_function
 from pqbernstein.operator_eval import (
     BasisVariant,
+    NumericalRangeError,
     SchurerConfig,
     apply,
     apply_central_moment,
@@ -181,6 +182,17 @@ class TestWideRange:
                     if normalized:
                         want *= pq.p ** ((k * (k - 1) - big_n * (big_n - 1)) / 2.0)
                     assert value == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_non_finite_means_raise_and_name_the_function(self):
+        # the arguments reach 8.1e153: f_fig's t^2 overflows, so its means are
+        # NaN, while holder_half stays finite there, as the contract allows
+        config = SchurerConfig(n=979, ell=3, quad_tol=1.1711911695041253e-4)
+        pq = PQPair(0.6961011500744568, 0.32288160198390276)
+        lo, hi = required_domain(config, pq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalRangeError, match=r"f_fig .*\[0, 8\.1\d*e\+153\]"):
+                apply(config, pq, make_function("f_fig", lo, hi), 0.5)
+        assert math.isfinite(apply(config, pq, make_function("holder_half", lo, hi), 0.5))
 
 
 class TestArgument:

@@ -1,14 +1,16 @@
 import dataclasses
+import decimal
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pqbernstein import pq_core
-from pqbernstein.pq_core import PQPair, log_parameter, pq_integers, pq_rising_two_term
+from pqbernstein.pq_core import PQPair, log_ratio, pq_integers, pq_rising_two_term
 
 from oracles import (
     pq_binomial,
@@ -84,20 +86,45 @@ class TestPQPair:
         assert hash(PQPair(np.float64(0.9), np.float32(0.5))) == hash(PQPair(0.9, 0.5))
 
 
-class TestLogParameter:
-    @given(st.floats(min_value=1e-300, max_value=0.5, exclude_max=True), st.floats(0.0, 1.0))
-    def test_log_ratio_matches_the_plain_logs(self, q, u):
-        # log1p(q - 1.0) is off by 2.7e-10 relative at q = 1e-8 and fails
-        # below q = 1.1e-16, where q - 1.0 rounds to -1.0
-        p = q + u * (1.0 - q)
-        want = math.log(q) - math.log(p)
-        # |log q| >= |log p|: a few ulps of the larger term
-        assert abs(log_parameter(q) - log_parameter(p) - want) <= 4.0 * math.ulp(math.log(q))
+def log_ratio_reference(pq):
+    """log q - log p in 40 digits, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return float(decimal.Decimal(pq.q).ln() - decimal.Decimal(pq.p).ln())
 
-    @given(st.floats(min_value=0.5, max_value=1.0))
-    def test_log1p_from_one_half_up(self, v):
-        # v - 1.0 is exact here: the values the operator always had from 0.5 up
-        assert log_parameter(v) == math.log1p(v - 1.0)
+
+# p = 1, p anywhere in (0, 1] on a log scale, and p just below 1
+PARAMETERS = st.one_of(
+    st.just(1.0),
+    st.floats(min_value=-300.0, max_value=0.0).map(lambda e: 10.0**e),
+    st.floats(min_value=-16.0, max_value=-1.0).map(lambda e: 1.0 - 10.0**e),
+)
+
+
+class TestLogRatio:
+    @given(PARAMETERS, st.one_of(
+        st.floats(min_value=0.5, max_value=1.0),
+        st.floats(min_value=-16.0, max_value=-1.0).map(lambda e: 1.0 - 10.0**e),
+    ))
+    @example(1.0, 1.0 - 2.0**-53)
+    @example(0.9999983126586219, 0.999787914476763 / 0.9999983126586219)
+    def test_a_few_ulps_relative_from_one_half_up(self, p, ratio):
+        # q - p is exact here, so log r keeps a relative error of a few ulps
+        # however close r is to 1; log q - log p would carry each log's
+        # rounding, eps |log q| absolute
+        q = p * ratio
+        assume(0.5 * p <= q < p)
+        want = log_ratio_reference(PQPair(p, q))
+        assert abs(log_ratio(PQPair(p, q)) - want) <= 4.0 * math.ulp(want)
+
+    @given(PARAMETERS, st.floats(min_value=-300.0, max_value=math.log10(0.5)))
+    @example(1.0, -300.0)
+    @example(0.9, math.log10(1e-17 / 0.9))
+    def test_a_few_ulps_of_log_q_below(self, p, exponent):
+        q = p * 10.0**exponent
+        assume(0.0 < q < 0.5 * p and q / p >= sys.float_info.min)
+        want = log_ratio_reference(PQPair(p, q))
+        assert abs(log_ratio(PQPair(p, q)) - want) <= 4.0 * math.ulp(math.log(q))
 
 
 class TestPQInteger:

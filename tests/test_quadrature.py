@@ -68,6 +68,33 @@ class TestBuildRule:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_weights_and_tail_sum_to_one_within_tol(self):
+        # 360 seeded draws: p = 1, p in (0.05, 1) or p = 1 - 10^U(-8,-1);
+        # 1 - q/p = 10^U(-5,-1); tol = 10^U(log10 2.2e-16, -8).  About 320
+        # fit under the cap, up to K+1 near 10^6.  The sum is exact (fsum),
+        # so only the rule's own rounding counts: r^j from the rounded q/p
+        # missed by up to 1,970 tol here, the difference of the logs of q and p
+        # by up to 600 tol
+        rng = np.random.default_rng(21)
+        feasible, worst = 0, 0.0
+        for _ in range(360):
+            kind = rng.integers(3)
+            p = 1.0 if kind == 0 else (
+                rng.uniform(0.05, 1.0) if kind == 1 else 1.0 - 10.0 ** rng.uniform(-8, -1)
+            )
+            q = p * (1.0 - 10.0 ** rng.uniform(-5, -1))
+            tol = 10.0 ** rng.uniform(math.log10(2.2e-16), -8)
+            try:
+                rule = build_rule(PQPair(p, q), tol)
+            except TruncationError:
+                continue
+            feasible += 1
+            assert rule.tail_bound <= tol
+            miss = abs(math.fsum([*rule.weights.tolist(), rule.tail_bound, -1.0]))
+            worst = max(worst, miss / tol)
+        assert feasible >= 300
+        assert worst <= 1.0
+
     @pytest.mark.parametrize("tol", [0.0, -1e-3, math.inf, math.nan])
     def test_rejects_bad_inputs(self, tol):
         with pytest.raises(ValueError):

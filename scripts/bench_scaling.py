@@ -26,7 +26,8 @@ The theorems_bundle cases are one operator's check bundle, as the benchmark's
 theorems workload serves it: the moment report and t32 (f_fig), t33
 (holder_half) and t34 (f_fig) at G = 101, classic n = 16, 64 and 128.  Per n:
 
-- compute: the four reports, from a cold operator cache;
+- moments, t32, t33 and t34: each report alone, in the bundle's order, after
+  a cold operator cache and the reports before it (untimed);
 - csv: to_csv_text of each report, fresh from compute;
 - json: to_json_text of each report after its to_csv_text, the order in
   which the benchmark serializes.
@@ -58,6 +59,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -114,14 +116,25 @@ def timed(call, repeats: int, fresh=None) -> dict:
 
 
 def theorems_bundle(n: int, repeats: int) -> dict:
-    """Compute, CSV and JSON times of one operator's check bundle at classic n."""
+    """Per-report compute, CSV and JSON times of one operator's check bundle at classic n."""
     config, pq = classic(n)
+    steps = {"moments": partial(run_moments, config, pq, grid_size=BUNDLE_GRID)}
+    for theorem, name in BUNDLE:
+        steps[theorem] = partial(run_bounds, theorem, config, pq, name, grid_size=BUNDLE_GRID)
 
-    def compute(_=None) -> list:
-        reports = [run_moments(config, pq, grid_size=BUNDLE_GRID)]
-        for theorem, name in BUNDLE:
-            reports.append(run_bounds(theorem, config, pq, name, grid_size=BUNDLE_GRID))
-        return reports
+    def compute() -> list:
+        _tables.cache_clear()
+        return [step() for step in steps.values()]
+
+    def before(report: str):
+        """A cold operator cache, then the reports the bundle makes before this one."""
+
+        def fresh() -> None:
+            _tables.cache_clear()
+            for name in list(steps)[: list(steps).index(report)]:
+                steps[name]()
+
+        return fresh
 
     def after_csv() -> list:
         reports = compute()
@@ -129,8 +142,9 @@ def theorems_bundle(n: int, repeats: int) -> dict:
             report.to_csv_text()
         return reports
 
-    stages = {
-        "compute": timed(compute, repeats, _tables.cache_clear),
+    stages = {name: timed(lambda _, step=step: step(), repeats, before(name))
+              for name, step in steps.items()}
+    stages |= {
         "csv": timed(lambda reports: [r.to_csv_text() for r in reports], repeats, compute),
         "json": timed(lambda reports: [r.to_json_text() for r in reports], repeats, after_csv),
     }

@@ -42,6 +42,11 @@ MODULUS_GRID_DIV = 2000
 
 DEFAULT_RATIO_CAP = 50.0
 
+# rows per block of verify_lipschitz's pair table: at most 51 x 201 floats
+# (80 KB) per temporary, below glibc's 128 KB mmap threshold, so the blocks
+# reuse heap memory where one 201 x 201 table was mapped and faulted in anew
+LIPSCHITZ_ROWS = 51
+
 # denominators below this are float-cancellation artifacts (second differences
 # of smooth O(1) functions carry ~1e-16 noise), treated as exactly zero
 DENOMINATOR_FLOOR = 1e-13
@@ -114,16 +119,45 @@ class ModulusGrid:
         return self._lookup(2, self._lag_sup2, delta)
 
 
+def _worst_pair(xs: np.ndarray, vals: np.ndarray, m_const: float, alpha: float):
+    """The largest |f_i - f_j| - M |x_i - x_j|^alpha over sample pairs, and its first (i, j).
+
+    The excess is symmetric in the pair, so only pairs j >= i are formed,
+    LIPSCHITZ_ROWS rows of them at a time; the first worst pair in row-major
+    order is that of the full table.
+    """
+    worst, i, j = -math.inf, 0, 0
+    for start in range(0, xs.size, LIPSCHITZ_ROWS):
+        rows = slice(start, start + LIPSCHITZ_ROWS)
+        # |f_i - f_j| - M |x_i - x_j|^alpha in place: two block temporaries
+        excess = vals[rows, None] - vals[None, start:]
+        dist = xs[rows, None] - xs[None, start:]
+        np.abs(excess, out=excess)
+        np.abs(dist, out=dist)
+        dist **= alpha
+        dist *= m_const
+        excess -= dist
+        at = int(excess.argmax())
+        if excess.flat[at] > worst:
+            worst = float(excess.flat[at])
+            i, j = start + at // excess.shape[1], start + at % excess.shape[1]
+    return worst, i, j
+
+
 def verify_lipschitz(f: RealFunction, m_const: float, alpha: float) -> None:
-    """Reject f unless |f(s) - f(t)| <= M |s - t|^alpha + 1e-9 on 201 x 201 sampled pairs."""
+    """Reject f unless |f(s) - f(t)| <= M |s - t|^alpha + 1e-9 on 201 x 201 sampled pairs.
+
+    A non-finite sample is rejected too.
+    """
     xs = np.linspace(f.lo, f.hi, 201)
     vals = f(xs)
-    gaps = np.abs(vals[:, None] - vals[None, :])
-    dist = np.abs(xs[:, None] - xs[None, :])
-    excess = gaps - m_const * dist**alpha
-    worst = float(excess.max())
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise NotLipschitzError(
+            f"{f.name} is {float(vals[bad[0]])!r} at the sampled point {xs[bad[0]]:.6g}, not finite"
+        )
+    worst, i, j = _worst_pair(xs, vals, m_const, alpha)
     if worst > 1e-9:
-        i, j = np.unravel_index(int(excess.argmax()), excess.shape)
         raise NotLipschitzError(
             f"{f.name} is not Lipschitz(M={m_const:g}, alpha={alpha:g}) at sampled pairs: "
             f"|f({xs[i]:.6g}) - f({xs[j]:.6g})| exceeds the bound by {worst:.3g}"

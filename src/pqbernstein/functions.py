@@ -70,11 +70,12 @@ LIPSCHITZ_DATA: dict[str, tuple[float, float]] = {
 }
 
 # Built-ins whose integral means the operator may take with a Gauss rule (see
-# operator_eval): f_fig is entire.  holder_half has a kink at 1/2.  e0, e1
-# and e2 keep the K-node rule, so their means stay the same sums, to
-# rounding, as the node-moment means the moment report's consistency fields
-# compare them with.
-ANALYTIC_BUILTINS = frozenset({_BUILTINS["f_fig"]})
+# operator_eval): e1 and e2 are polynomials the rules sum exactly, f_fig is
+# entire.  holder_half has a kink at 1/2.  e0 keeps the K-node rule: its
+# Gauss means sum to 1 less accurately than the weights do, and at classic
+# n = 60 they would move the FROZEN K(e0) of tests/test_point_values.py from
+# 4.5 to 10.5 ulp of its 50-digit reference (printed basis: 2.5 to 6.5 ulp).
+ANALYTIC_BUILTINS = frozenset(_BUILTINS[name] for name in ("e1", "e2", "f_fig"))
 
 FUNCTION_NAMES = tuple(_BUILTINS)
 

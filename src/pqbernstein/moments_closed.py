@@ -147,14 +147,16 @@ class MomentReport(Report):
 def build_moment_report(config: SchurerConfig, pq: PQPair, grid) -> MomentReport:
     """Oracle moments vs closed forms over an x-grid in [0, 1]."""
     xs = report_grid(grid)
-    # the raw moments by direct quadrature of t^j, independent of the raw
-    # means the central moments expand from, so the consistency fields below
-    # compare two evaluations
+    # m1 and m2 by direct means of t and t^2 (the Gauss rules wherever they
+    # pay), independent of the node-moment expansion the central moments
+    # come from, so the consistency fields below compare two routes; m0 is
+    # the node-moment K(1; x) itself
     lo, hi = required_domain(config, pq)
     oracle = evaluate_on_grid(
-        config, pq, [make_function(name, lo, hi) for name in ("e0", "e1", "e2")], xs
+        config, pq, [make_function(name, lo, hi) for name in ("e1", "e2")], xs
     )
-    oracle_m0, oracle_m1, oracle_m2 = oracle.values
+    oracle_m0 = oracle.raw[0]
+    oracle_m1, oracle_m2 = oracle.values
     oracle_c1, oracle_c2 = oracle.central
     closed_m1, closed_m2, closed_c1, closed_c2 = closed_moments(config, pq, xs)
     table = {"x": xs, "oracle_m0": oracle_m0}

@@ -29,15 +29,15 @@ Every argument is an affine image of the same nodes, so one set of Gauss
 rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
 s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
 truncation) serves every k: the analytic built-ins
-(functions.ANALYTIC_BUILTINS, f_fig) cost (N+1)(3s + 8) evaluations instead
-of (N+1)(K+1) where that saving reaches GAUSS_BUILD, and keep
-the Gauss means only where the two rules agree within quad_tol.  Every other
-function, and any that fails that check, takes the K-node rule, which stays
-the definition: the arguments c0_k + c1_k t are formed one row block of
-pq_core.BLOCK_VALUES values at a time, sized to stay in a core's L2 cache, and
-reduced against the weights at once, so the (N+1) x K argument table never
-exists.  The raw moments of t^0, t^1, t^2 expand over the K-node rule's node
-moments and give the central moments.
+(functions.ANALYTIC_BUILTINS: e1, e2 and f_fig) cost (N+1)(3s + 8)
+evaluations instead of (N+1)(K+1) where that saving reaches GAUSS_BUILD,
+and keep the Gauss means only where the two rules agree within quad_tol.
+Every other function (e0 among them), and any that fails that check, takes
+the K-node rule, which stays the definition: the arguments c0_k + c1_k t
+are formed one row block of pq_core.BLOCK_VALUES values at a time, sized to
+stay in a core's L2 cache, and reduced against the weights at once, so the
+(N+1) x K argument table never exists.  The raw moments of t^0, t^1, t^2
+expand over the K-node rule's node moments and give the central moments.
 
 Where [N k]_r overflows (from N = 1234 along the classic and q-only
 schedules, never for q/p below about 0.997) or the means of t^2 or of a
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
-from .pq_core import BLOCK_VALUES, PQPair, pq_integers, ratio_powers
+from .pq_core import BLOCK_VALUES, PQPair, pq_integers, ratio_complements, ratio_powers
 from .pq_quadrature import GAUSS_NODES, GaussRules, QuadratureRule, build_rule, gauss_rules
 
 
@@ -148,7 +148,7 @@ class _Operator:
         p, q = pq.p, pq.q
         big_n = config.degree
         k = np.arange(big_n + 1)
-        r_powers, one_minus = ratio_powers(pq, big_n)  # r^j and 1 - r^j, j = 0..N
+        r_powers, one_minus = ratio_powers(pq, big_n), ratio_complements(pq, big_n)  # j <= N
         with np.errstate(over="ignore", invalid="ignore"):
             ratios = one_minus[big_n:0:-1] / one_minus[1:]
             coef = np.concatenate([[1.0], np.cumprod(ratios)])

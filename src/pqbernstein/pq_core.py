@@ -63,13 +63,17 @@ def log_ratio(pq: PQPair) -> float:
     return math.log1p((q - p) / p) if q >= 0.5 * p else math.log(q / p)
 
 
-def ratio_powers(pq: PQPair, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """r^j and 1 - r^j, r = q/p, for j = 0..top: exp(j log r) and -expm1(j log r).
+def ratio_powers(pq: PQPair, top: int) -> np.ndarray:
+    """r^j = exp(j log r), r = q/p, for j = 0..top."""
+    return np.exp(log_ratio(pq) * np.arange(top + 1))
+
+
+def ratio_complements(pq: PQPair, top: int) -> np.ndarray:
+    """1 - r^j = -expm1(j log r), r = q/p, for j = 0..top, from ratio_powers' j log r.
 
     1 - r^j by subtraction would cancel as r -> 1.
     """
-    j_log_r = log_ratio(pq) * np.arange(top + 1)
-    return np.exp(j_log_r), -np.expm1(j_log_r)
+    return -np.expm1(log_ratio(pq) * np.arange(top + 1))
 
 
 def ratio_cutoff(pq: PQPair, tol: float, cap: int) -> tuple[int, float]:
@@ -94,7 +98,7 @@ def pq_integers(pq: PQPair, top: int) -> np.ndarray:
     """
     if top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
-    one_minus = ratio_powers(pq, top)[1]
+    one_minus = ratio_complements(pq, top)
     ints = np.power(pq.p, np.arange(top)) * (one_minus[1:] / one_minus[1])
     return np.concatenate([[0.0], ints])
 

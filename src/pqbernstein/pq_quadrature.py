@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pq_core import PQPair, ratio_cutoff, ratio_powers
+from .pq_core import PQPair, ratio_complements, ratio_cutoff, ratio_powers
 
 DEFAULT_HARD_CAP = 10**6
 
@@ -70,7 +70,7 @@ def build_rule(pq: PQPair, tol: float) -> QuadratureRule:
             f"truncation infeasible: tol={tol:g} at p={pq.p!r}, q={pq.q!r} needs more than "
             f"{DEFAULT_HARD_CAP} nodes"
         )
-    r_powers = ratio_powers(pq, k)[0]
+    r_powers = ratio_powers(pq, k)
     return QuadratureRule(pq, r_powers / pq.p, (pq.p - pq.q) * r_powers / pq.p, tail)
 
 
@@ -114,7 +114,7 @@ def gauss_rules(rule: QuadratureRule) -> GaussRules:
     # little q-Legendre in base r: with A_n = r^n (1-r^(n+1))^2 /
     # ((1-r^(2n+1))(1-r^(2n+2))) and C_n = r^n (1-r^n)^2 / ((1-r^(2n))(1-r^(2n+1))),
     # C_0 = 0, alpha_n = A_n + C_n and beta_n = A_(n-1) C_n
-    r_powers, one_minus = ratio_powers(pq, 2 * s + 8)
+    r_powers, one_minus = ratio_powers(pq, 2 * s + 8), ratio_complements(pq, 2 * s + 8)
     n, m = np.arange(s + 4), np.arange(1, s + 4)
     a = r_powers[n] * one_minus[n + 1] ** 2 / (one_minus[2 * n + 1] * one_minus[2 * n + 2])
     c = r_powers[m] * one_minus[m] ** 2 / (one_minus[2 * m] * one_minus[2 * m + 1])

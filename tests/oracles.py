@@ -5,8 +5,9 @@ Each evaluates one definition term by term in plain floats: the
 binomial, falling power and rising two-term product, a single basis value,
 one Kantorovich argument, a quadrature rule applied to a function, the
 moduli of continuity of a function, the modulus tables built in full over
-every lag, the CSV writer that formats cell by cell, and the JSON writer
-that builds each row as a dict and encodes it with ``json``.
+every lag, the Lipschitz check over the full pair table, the CSV writer
+that formats cell by cell, and the JSON writer that builds each row as a
+dict and encodes it with ``json``.
 ``exact_basis_rows`` is the exception: it evaluates the basis exactly in
 rational arithmetic.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from pqbernstein.error_bounds import JSON_ROW as BOUND_JSON_ROW
-from pqbernstein.error_bounds import MODULUS_GRID_DIV, ModulusGrid
+from pqbernstein.error_bounds import MODULUS_GRID_DIV, ModulusGrid, NotLipschitzError
 from pqbernstein.experiments import KOROVKIN_JSON_ROW
 from pqbernstein.functions import DOMAIN_EDGE_TOL, DomainError, RealFunction
 from pqbernstein.moments_closed import JSON_ROW as MOMENT_JSON_ROW
@@ -205,6 +206,30 @@ class FullModulusGrid:
 
     def omega2(self, delta):
         return self._lookup(self._w2, delta)
+
+
+def worst_pair_full(xs, vals, m_const: float, alpha: float):
+    """The worst excess |f_i - f_j| - M |x_i - x_j|^alpha over the full pair table, first (i, j).
+
+    One (m, m) table over every ordered pair, as verify_lipschitz formed it
+    before it scanned half of it in row blocks.
+    """
+    gaps = np.abs(vals[:, None] - vals[None, :])
+    dist = np.abs(xs[:, None] - xs[None, :])
+    excess = gaps - m_const * dist**alpha
+    i, j = np.unravel_index(int(excess.argmax()), excess.shape)
+    return float(excess.max()), int(i), int(j)
+
+
+def verify_lipschitz_full(f: RealFunction, m_const: float, alpha: float) -> None:
+    """verify_lipschitz on the full 201 x 201 table of finite samples: the same message."""
+    xs = np.linspace(f.lo, f.hi, 201)
+    worst, i, j = worst_pair_full(xs, f(xs), m_const, alpha)
+    if worst > 1e-9:
+        raise NotLipschitzError(
+            f"{f.name} is not Lipschitz(M={m_const:g}, alpha={alpha:g}) at sampled pairs: "
+            f"|f({xs[i]:.6g}) - f({xs[j]:.6g})| exceeds the bound by {worst:.3g}"
+        )
 
 
 def csv_text_per_cell(columns, rows) -> str:

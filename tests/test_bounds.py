@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pqbernstein import error_bounds
 from pqbernstein.error_bounds import (
@@ -21,7 +21,13 @@ from pqbernstein.moments_closed import closed_moments
 from pqbernstein.operator_eval import SchurerConfig, evaluate_on_grid, required_domain
 from pqbernstein.pq_core import PQPair
 
-from oracles import FullModulusGrid, modulus, modulus2
+from oracles import (
+    FullModulusGrid,
+    modulus,
+    modulus2,
+    verify_lipschitz_full,
+    worst_pair_full,
+)
 
 PQ = PQPair(0.95, 0.9)
 XS = np.linspace(0.0, 1.0, 51)
@@ -225,6 +231,47 @@ class TestLipschitzSampling:
         f = RealFunction(lambda t: 10.0 * t, 0.0, 1.0, name="steep")
         with pytest.raises(NotLipschitzError):
             verify_lipschitz(f, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_sample(self, bad):
+        # a NaN excess compares False with the threshold: without the sample
+        # check this function passed as Lipschitz(1, 1)
+        f = RealFunction(lambda t: np.where(t > 0.5, bad, t), 0.0, 1.0, name="holed")
+        message = r"holed is -?(nan|inf) at the sampled point 0.505, not finite"
+        with pytest.raises(NotLipschitzError, match=message):
+            verify_lipschitz(f, 1.0, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from((*FUNCTION_NAMES, "steps", "saw")),
+        lo=st.floats(min_value=-2.0, max_value=1.0),
+        width=st.floats(min_value=0.05, max_value=3.0),
+        log_m=st.floats(min_value=-1.0, max_value=1.0),
+        alpha=st.floats(min_value=0.05, max_value=1.0),
+    )
+    @example(name="e1", lo=0.0, width=1.3, log_m=0.0, alpha=1.0)        # passes
+    @example(name="holder_half", lo=0.0, width=1.3, log_m=0.0, alpha=0.5)
+    @example(name="e2", lo=0.0, width=1.3, log_m=0.0, alpha=1.0)        # fails
+    @example(name="steps", lo=0.0, width=1.0, log_m=0.0, alpha=1.0)     # ties
+    def test_the_blocked_scan_matches_the_full_table(self, name, lo, width, log_m, alpha):
+        # the rounded steps and the sawtooth make many pairs tie for the worst
+        fns = {"steps": lambda t: np.round(4.0 * t), "saw": lambda t: np.abs(t - np.round(t))}
+        hi = lo + width
+        f = RealFunction(fns[name], lo, hi, name) if name in fns else make_function(name, lo, hi)
+        m_const = 10.0**log_m
+        xs = np.linspace(lo, hi, 201)
+        vals = f(xs)
+        got = error_bounds._worst_pair(xs, vals, m_const, alpha)
+        assert got == worst_pair_full(xs, vals, m_const, alpha)
+
+        def message(check):
+            try:
+                check(f, m_const, alpha)
+            except NotLipschitzError as exc:
+                return str(exc)
+            return None
+
+        assert message(verify_lipschitz) == message(verify_lipschitz_full)
 
 
 class TestTheorem32:

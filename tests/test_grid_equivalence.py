@@ -293,24 +293,33 @@ def test_cached_means_are_read_only():
         means[0] = 0.0
 
 
-def test_apply_after_the_moment_report_reuses_its_e0_means(monkeypatch):
-    # the report takes the means of e0, e1 and e2 in one pass; apply on e0
-    # finds them kept with the operator
+def test_apply_after_the_moment_report_reuses_its_e1_means(monkeypatch):
+    # the report takes the means of e1 and e2 in one pass and none of e0,
+    # whose K(1; x) it reads from the node moments; apply on e1 finds the
+    # report's means kept with the operator
     config, pq = SchurerConfig(n=11, ell=2), PQPair(0.95, 0.9)
-    calls, e0 = [], functions._BUILTINS["e0"]
+    calls = {"e0": [], "e1": []}
 
-    def counting(t):
-        if np.ndim(t) == 2:  # arguments; grid samples are 1-D
-            calls.append(t.size)
-        return e0(t)
+    def counting(name):
+        original = functions._BUILTINS[name]
 
-    monkeypatch.setitem(functions._BUILTINS, "e0", counting)
+        def fn(t):
+            if np.ndim(t) == 2:  # arguments; grid samples are 1-D
+                calls[name].append(t.size)
+            return original(t)
+
+        return fn
+
+    for name in calls:
+        monkeypatch.setitem(functions._BUILTINS, name, counting(name))
+    _tables.cache_clear()
     build_moment_report(config, pq, XS)
-    assert calls
-    before = len(calls)
-    value = apply(config, pq, make_function("e0", *required_domain(config, pq)), 0.3)
-    assert len(calls) == before
-    assert value == pytest.approx(1.0, abs=config.truncation_budget)
+    assert calls["e0"] == [] and calls["e1"]
+    before = len(calls["e1"])
+    value = apply(config, pq, make_function("e1", *required_domain(config, pq)), 0.3)
+    assert len(calls["e1"]) == before
+    want = evaluate_on_grid(config, pq, (), 0.3).raw[1]
+    assert value == pytest.approx(want, abs=config.truncation_budget)
 
 
 def test_basis_alone_builds_no_rule(monkeypatch):
@@ -543,9 +552,10 @@ def test_f_fig_takes_the_gauss_path_above_the_crossover(monkeypatch):
     np.testing.assert_array_equal(apply_on_grid(config, pq, make_function("f_fig", lo, hi), XS), got)
 
 
-def test_only_f_fig_among_the_builtins_tries_the_gauss_rule(monkeypatch):
-    # above the crossover too, e0, e1 and e2 keep the K-node rule: the moment
-    # report's consistency fields compare their direct means with the node moments'
+def test_e1_e2_and_f_fig_are_the_builtins_that_try_the_gauss_rule(monkeypatch):
+    # above the crossover: the polynomials e1 and e2, which the rules sum
+    # exactly, and the entire f_fig; e0 keeps the K-node rule (see
+    # functions.ANALYTIC_BUILTINS), and holder_half has a kink
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
     tried, gauss_means = [], _Operator.gauss_means
 
@@ -559,7 +569,7 @@ def test_only_f_fig_among_the_builtins_tries_the_gauss_rule(monkeypatch):
         _tables(config, pq).integral_means(tuple(functions._BUILTINS.values()))
     finally:
         _tables.cache_clear()
-    assert tried == [functions._BUILTINS["f_fig"]]
+    assert tried == [functions._BUILTINS[name] for name in ("e1", "e2", "f_fig")]
 
 
 def test_gauss_rules_are_built_once_per_operator():

@@ -10,7 +10,12 @@ from pqbernstein import moments_closed
 from pqbernstein.error_bounds import check_t34
 from pqbernstein.functions import make_function
 from pqbernstein.moments_closed import CSV_COLUMNS, build_moment_report, closed_moments
-from pqbernstein.operator_eval import BasisVariant, SchurerConfig, required_domain
+from pqbernstein.operator_eval import (
+    BasisVariant,
+    SchurerConfig,
+    evaluate_on_grid,
+    required_domain,
+)
 from pqbernstein.pq_core import PQPair, pq_integers, pq_rising_two_term
 
 from oracles import pq_integer, rising_two_term_loop
@@ -169,6 +174,21 @@ class TestMomentReport:
         report = build_moment_report(config, PQ, [0.0])
         assert all(len(cells) == 1 for cells in report.columns.values())
         assert report.columns["oracle_m0"][0] == pytest.approx(1.0, abs=5 * config.quad_tol)
+
+    @pytest.mark.parametrize(
+        "config, pq",
+        [
+            (SchurerConfig(n=6, ell=2), PQ),
+            (SchurerConfig(n=5, basis_variant=BasisVariant.AS_PRINTED), PQ),
+            # above the Gauss crossover: e1 and e2 take the Gauss rules there
+            (SchurerConfig(n=64, ell=1), PQPair(1.0 - 1.0 / 65**2, 1.0 - 1.0 / 65)),
+        ],
+    )
+    def test_oracle_m0_is_the_node_moment_k1_bit_for_bit(self, config, pq):
+        xs = np.linspace(0.0, 1.0, 41)
+        report = build_moment_report(config, pq, xs)
+        raw0 = evaluate_on_grid(config, pq, (), xs).raw[0]
+        assert [v.hex() for v in report.columns["oracle_m0"]] == [v.hex() for v in raw0.tolist()]
 
     def test_oracle_consistency_identities(self):
         for (n, ell, p, q) in [(4, 1, 0.9, 0.8), (8, 0, 0.99, 0.98), (6, 2, 1.0, 0.9)]:

@@ -14,8 +14,8 @@ delta_n is the oracle second central moment clamped at 0; alpha_n is the
 transcribed closed-form first moment (the smoothness bound is stated with it),
 and its drift from the oracle first moment is logged alongside.
 
-Moduli are grid approximations: the domain is sampled at m points a fixed
-outer step apart and sups are taken over integer lags of that grid, through
+Moduli are grid approximations: f is sampled on bound_domain at m points a
+fixed outer step apart; sups are taken over integer lags of the grid, through
 prefix-max tables that are monotone in delta by construction.  Each table is
 grown on demand up to the largest lag queried so far, so one function costs
 O(m * that lag) in all, at most the O(m^2) of a table over every lag, and a
@@ -27,25 +27,20 @@ the modulus sits on the large side; the slack budget covers the error side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .functions import RealFunction
 from .moments_closed import closed_moments
-from .operator_eval import SchurerConfig, evaluate_on_grid, report_grid
-from .pq_core import PQPair
+from .operator_eval import SchurerConfig, evaluate_on_grid, report_grid, required_domain
+from .pq_core import BLOCK_VALUES, PQPair
 from .reportio import Report, config_block, json_rows
 
 # outer sampling: MODULUS_GRID_DIV + 1 points, domain_length / MODULUS_GRID_DIV apart
 MODULUS_GRID_DIV = 2000
 
 DEFAULT_RATIO_CAP = 50.0
-
-# rows per block of verify_lipschitz's pair table: at most 51 x 201 floats
-# (80 KB) per temporary, below glibc's 128 KB mmap threshold, so the blocks
-# reuse heap memory where one 201 x 201 table was mapped and faulted in anew
-LIPSCHITZ_ROWS = 51
 
 # denominators below this are float-cancellation artifacts (second differences
 # of smooth O(1) functions carry ~1e-16 noise), treated as exactly zero
@@ -123,12 +118,13 @@ def _worst_pair(xs: np.ndarray, vals: np.ndarray, m_const: float, alpha: float):
     """The largest |f_i - f_j| - M |x_i - x_j|^alpha over sample pairs, and its first (i, j).
 
     The excess is symmetric in the pair, so only pairs j >= i are formed,
-    LIPSCHITZ_ROWS rows of them at a time; the first worst pair in row-major
-    order is that of the full table.
+    BLOCK_VALUES // xs.size rows of them at a time; the first worst pair in
+    row-major order is that of the full table.
     """
     worst, i, j = -math.inf, 0, 0
-    for start in range(0, xs.size, LIPSCHITZ_ROWS):
-        rows = slice(start, start + LIPSCHITZ_ROWS)
+    step = max(1, BLOCK_VALUES // xs.size)
+    for start in range(0, xs.size, step):
+        rows = slice(start, start + step)
         # |f_i - f_j| - M |x_i - x_j|^alpha in place: two block temporaries
         excess = vals[rows, None] - vals[None, start:]
         dist = xs[rows, None] - xs[None, start:]
@@ -220,14 +216,25 @@ def _bound_report(
     )
 
 
+def bound_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
+    """Where the bound and convergence checks sample f: the operator's arguments and [0, 1]."""
+    lo, hi = required_domain(config, pq)
+    return min(lo, 0.0), max(hi, 1.0)
+
+
 def _errors_and_deltas(
     config: SchurerConfig, pq: PQPair, f: RealFunction, grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The grid, |K(f;x) - f(x)|, delta_n(x) and K(t;x) on it, from one basis matrix."""
+) -> tuple[RealFunction, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """f on bound_domain, and the grid, |K(f;x) - f(x)|, delta_n(x) and K(t;x) on it.
+
+    Once evaluated, f covers bound_domain, and the checks sample it there,
+    whatever wider domain it was declared on.
+    """
     xs = report_grid(grid)
     op = evaluate_on_grid(config, pq, (f,), xs)
     errors = np.abs(op.values[0] - f(xs))
-    return xs, errors, np.maximum(op.central[1], 0.0), op.raw[1]
+    lo, hi = bound_domain(config, pq)
+    return replace(f, lo=lo, hi=hi), xs, errors, np.maximum(op.central[1], 0.0), op.raw[1]
 
 
 def _modulus_slack(config: SchurerConfig, mg: ModulusGrid) -> float:
@@ -246,9 +253,9 @@ def check_t32(
     Violations are reported in the row flags, never raised; the inequality is
     a theorem, so a violation beyond slack indicates an implementation bug.
     """
+    f, xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
     mg = ModulusGrid(f)
     slack = _modulus_slack(config, mg)
-    xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
     bounds = 2.0 * mg.omega(np.sqrt(deltas))
     return _bound_report(
         "t32", config, pq, f, xs, slack, {"modulus_grid_step": mg.step},
@@ -269,11 +276,11 @@ def check_t33(
         raise ValueError(f"M must be finite and positive, got {m_const!r}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+    f, xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
     verify_lipschitz(f, m_const, alpha)
     budget = config.truncation_budget
     # delta_n enters through a concave power: (d - eps)^(a/2) >= d^(a/2) - eps^(a/2)
     slack = 10.0 * budget + m_const * budget ** (alpha / 2.0)
-    xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
     bounds = m_const * deltas ** (alpha / 2.0)
     return _bound_report(
         "t33", config, pq, f, xs, slack, {"lipschitz_m": m_const, "lipschitz_alpha": alpha},
@@ -297,9 +304,9 @@ def check_t34(
     """
     if not (ratio_cap > 0.0 and math.isfinite(ratio_cap)):
         raise ValueError(f"ratio_cap must be finite and positive, got {ratio_cap!r}")
+    f, xs, errors, deltas, oracle_m1 = _errors_and_deltas(config, pq, f, grid)
     mg = ModulusGrid(f)
     slack = _modulus_slack(config, mg)
-    xs, errors, deltas, oracle_m1 = _errors_and_deltas(config, pq, f, grid)
     alphas = closed_moments(config, pq, xs)[0]
     a_n = deltas + (alphas - xs) ** 2
     c_n = np.abs(alphas - xs)

@@ -14,7 +14,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .error_bounds import DEFAULT_RATIO_CAP, BoundReport, check_t32, check_t33, check_t34
+from .error_bounds import (
+    DEFAULT_RATIO_CAP,
+    BoundReport,
+    bound_domain,
+    check_t32,
+    check_t33,
+    check_t34,
+)
 from .functions import LIPSCHITZ_DATA, RealFunction, make_function
 from .moments_closed import MomentReport, build_moment_report
 from .operator_eval import (
@@ -144,13 +151,6 @@ def _validate_n_list(n_list: Sequence[int]) -> list[int]:
     return ns
 
 
-def _hull_function(name: str, config: SchurerConfig, pq: PQPair) -> RealFunction:
-    # bound and convergence checks compare K(f;x) to f(x) on [0,1], so the
-    # function must cover the operator's argument range and the unit interval
-    lo, hi = required_domain(config, pq)
-    return make_function(name, min(lo, 0.0), max(hi, 1.0))
-
-
 KOROVKIN_JSON_ROW = {
     "n": "n",
     "p": "p",
@@ -207,7 +207,7 @@ def run_korovkin(
     e0_ok = True
     for n, pq in zip(ns, pairs):
         config = SchurerConfig(n=n, ell=ell, basis_variant=basis_variant, quad_tol=quad_tol)
-        fig = _hull_function("f_fig", config, pq)
+        fig = make_function("f_fig", *bound_domain(config, pq))
         op = evaluate_on_grid(config, pq, (fig,), xs)
         # in KOROVKIN_FUNCTIONS order; e0, e1, e2 from the raw moment means,
         # which are the same truncated rule
@@ -296,7 +296,7 @@ def run_figure(
     columns = {"x": xs.tolist()}
     for pq, n in operators:
         config = SchurerConfig(n=n, ell=ell, basis_variant=basis_variant, quad_tol=quad_tol)
-        f = _hull_function("f_fig", config, pq)
+        f = make_function("f_fig", *bound_domain(config, pq))
         if "f" not in columns:
             columns["f"] = f(xs).tolist()
         columns[_figure_label(pq.p, pq.q, n)] = apply_on_grid(config, pq, f, xs).tolist()
@@ -348,7 +348,7 @@ def run_bounds(
                 f"{function_name!r} has no built-in Lipschitz data; pass M and alpha"
             )
     xs = _validate_run_grid(grid_size)
-    f = _hull_function(function_name, config, pq)
+    f = make_function(function_name, *bound_domain(config, pq))
     if theorem == "t32":
         return check_t32(config, pq, f, xs)
     if theorem == "t34":
@@ -422,7 +422,7 @@ def check_constant_reproduction(cases: Sequence[tuple]) -> SelftestCheck:
     """Each (config, pq, xs, budget) case keeps |K(1; x) - 1| within its budget."""
     worst = 0.0  # deviation over each case's own budget
     for config, pq, xs, budget in cases:
-        f = _hull_function("e0", config, pq)
+        f = make_function("e0", *bound_domain(config, pq))
         for x in xs:
             worst = max(worst, abs(apply(config, pq, f, x) - 1.0) / budget)
     name = f"constant-reproduction[{_variants(c for c, *_ in cases)}]"

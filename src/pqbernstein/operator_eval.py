@@ -34,10 +34,10 @@ evaluations instead of (N+1)(K+1) where that saving reaches GAUSS_BUILD,
 and keep the Gauss means only where the two rules agree within quad_tol.
 Every other function (e0 among them), and any that fails that check, takes
 the K-node rule, which stays the definition: the arguments c0_k + c1_k t
-are formed one row block of pq_core.BLOCK_VALUES values at a time, sized to
-stay in a core's L2 cache, and reduced against the weights at once, so the
-(N+1) x K argument table never exists.  The raw moments of t^0, t^1, t^2
-expand over the K-node rule's node moments and give the central moments.
+are formed in row blocks of at most pq_core.BLOCK_VALUES values, each
+reduced against the weights at once, so the (N+1) x K argument table never
+exists.  The raw moments of t^0, t^1, t^2 expand over the K-node rule's
+node moments and give the central moments.
 
 Where [N k]_r overflows (from N = 1234 along the classic and q-only
 schedules, never for q/p below about 0.997) or the means of t^2 or of a

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# float64 values per working block (256 KB).  The integral means
-# (operator_eval) form their arguments c0_k + c1_k t one block of rows at a
-# time, and the rising products take their table a block at a time.  A block
-# and the four or so temporaries of f_fig (1 + cos(5 t^2)) fit in a 2 MB
-# per-core L2 cache; at 2**17 (1 MB) they spill to L3.  Timed on a 2-vCPU
-# Xeon on sweep-shaped means (n = 8..128, K up to about 3,000), relative to
-# 2**17: 2**14 0.84, 2**15 0.82, 2**16 0.86, 2**18 1.26.
-BLOCK_VALUES = 2**15
+# float64 values per working block: 125 KB, below glibc's 128 KiB mmap
+# threshold, so blocks reuse heap memory instead of fresh mapped pages.  Every
+# blocked loop splits an independent axis into blocks of at most this many:
+# the integral means' argument rows (operator_eval), the Lipschitz check's
+# pair rows (error_bounds) and the rising products' points.
+BLOCK_VALUES = 16_000
 
 
 @dataclass(frozen=True)
@@ -113,32 +111,26 @@ def pq_rising_two_term(
     b = 1, y = 1 - x.  x and y are numbers (giving a float) or NumPy arrays
     that broadcast together (a whole x-grid).
 
-    The factors form a table, one row per s and one column per point, and
-    the product is taken down the rows, BLOCK_VALUES values of table at a
-    time.  Each block after the first starts with the running product as its
-    first row, so every element is multiplied in the order of the scalar
-    loop ``out = 1.0; for s in range(m): out *= p**s * a * x + q**s * b * y``
-    and equals its result bit for bit.
+    The factors form a table, one row per s and one column per point, taken
+    BLOCK_VALUES // m points at a time and multiplied down the rows, so each
+    point's factors are multiplied in the order of the scalar loop
+    ``out = 1.0; for s in range(m): out *= p**s * a * x + q**s * b * y``
+    and its value equals the loop's bit for bit.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    p, q = pq.p, pq.q
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(x.shape, y.shape)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape, x, y = x.shape, x.ravel(), y.ravel()
     # the coefficients by Python's float power, as in the loop: np.power
     # differs from it in the last bit for some exponents
-    x_coef = np.array([p**s * a for s in range(m)]).reshape((m,) + (1,) * len(shape))
-    y_coef = np.array([q**s * b for s in range(m)]).reshape((m,) + (1,) * len(shape))
-    out = np.ones(shape)
-    rows = max(1, BLOCK_VALUES // max(1, out.size))
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        carry = 1 if start else 0
-        table = np.empty((carry + stop - start,) + shape)
-        np.multiply(x_coef[start:stop], x, out=table[carry:])
-        table[carry:] += y_coef[start:stop] * y
-        if carry:
-            table[0] = out
-        out = np.multiply.reduce(table, axis=0)
+    x_coef = np.array([pq.p**s * a for s in range(m)]).reshape(m, 1)
+    y_coef = np.array([pq.q**s * b for s in range(m)]).reshape(m, 1)
+    out = np.empty(x.size)
+    points = max(1, BLOCK_VALUES // max(1, m))
+    for start in range(0, out.size, points):
+        block = slice(start, start + points)
+        table = x_coef * x[block]
+        table += y_coef * y[block]
+        np.multiply.reduce(table, axis=0, out=out[block])
+    out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out

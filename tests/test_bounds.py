@@ -16,7 +16,7 @@ from pqbernstein.error_bounds import (
     check_t34,
     verify_lipschitz,
 )
-from pqbernstein.functions import FUNCTION_NAMES, RealFunction, make_function
+from pqbernstein.functions import FUNCTION_NAMES, DomainError, RealFunction, make_function
 from pqbernstein.moments_closed import closed_moments
 from pqbernstein.operator_eval import SchurerConfig, evaluate_on_grid, required_domain
 from pqbernstein.pq_core import PQPair
@@ -261,8 +261,11 @@ class TestLipschitzSampling:
         m_const = 10.0**log_m
         xs = np.linspace(lo, hi, 201)
         vals = f(xs)
-        got = error_bounds._worst_pair(xs, vals, m_const, alpha)
-        assert got == worst_pair_full(xs, vals, m_const, alpha)
+        full = worst_pair_full(xs, vals, m_const, alpha)
+        # one row (the floor of max(1, ...)), one exact row, seven rows, the default
+        for block in (1, 201, 7 * 201, error_bounds.BLOCK_VALUES):
+            with mock.patch.object(error_bounds, "BLOCK_VALUES", block):
+                assert error_bounds._worst_pair(xs, vals, m_const, alpha) == full
 
         def message(check):
             try:
@@ -272,6 +275,35 @@ class TestLipschitzSampling:
             return None
 
         assert message(verify_lipschitz) == message(verify_lipschitz_full)
+
+
+class TestBoundDomain:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-1e300, 1e300), (0.0, math.inf), (-1.0, 5.0)],
+        ids=["huge", "half-line", "wide"],
+    )
+    @pytest.mark.parametrize(
+        "check, name, args",
+        [(check_t32, "f_fig", ()), (check_t33, "holder_half", (1.0, 0.5)), (check_t34, "f_fig", ())],
+        ids=["t32", "t33", "t34"],
+    )
+    def test_a_wider_declaration_gives_the_bound_domain_report(self, check, name, args, lo, hi):
+        # f is sampled where the operator and the grid use it: a huge domain
+        # gave a moduli grid step of 1e297 and zero bounds, an infinite one an
+        # IndexError (t32, t34) or NaN samples (t33)
+        config, pq = SchurerConfig(n=5), PQPair(0.9, 0.8)
+        on_domain = make_function(name, *error_bounds.bound_domain(config, pq))
+        want = check(config, pq, on_domain, *args, XS)
+        got = check(config, pq, make_function(name, lo, hi), *args, XS)
+        assert got.to_csv_text() == want.to_csv_text()
+        assert got.to_json_text() == want.to_json_text()
+
+    def test_a_narrower_declaration_is_refused(self):
+        config = SchurerConfig(n=5)
+        lo, hi = error_bounds.bound_domain(config, PQ)
+        with pytest.raises(DomainError):
+            check_t33(config, PQ, make_function("e1", lo, 0.9 * hi), 1.0, 1.0, XS)
 
 
 class TestTheorem32:

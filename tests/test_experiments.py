@@ -249,9 +249,9 @@ class TestRunBounds:
         self, theorem, function_name, message, monkeypatch
     ):
         def no_work(*args):
-            raise AssertionError("built the hull function for arguments it rejects")
+            raise AssertionError("built the operator's domain for arguments it rejects")
 
-        monkeypatch.setattr(experiments, "_hull_function", no_work)
+        monkeypatch.setattr(experiments, "bound_domain", no_work)
         with pytest.raises(ConfigError, match=message):
             run_bounds(theorem, SchurerConfig(n=4), PQPair(0.9, 0.8), function_name)
 

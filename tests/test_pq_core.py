@@ -326,9 +326,12 @@ class TestRisingBlockedProduct:
         assert np.shape(new) == np.broadcast_shapes(np.shape(x), np.shape(y))
         assert same_bits(new, old)
 
-    @pytest.mark.parametrize("block", [1, 101, 5 * 101, pq_core.BLOCK_VALUES])
+    @pytest.mark.parametrize(
+        "block", [1, 101, 5 * 101, pytest.param(pq_core.BLOCK_VALUES, id="BLOCK_VALUES")]
+    )
     def test_classic_grid_crossing_chunk_boundaries(self, block):
         # the shape of a theorems closed form: N = 131 factors over G = 101
+        # points, one or three points per block when patched, all at once else
         n = 130
         pq = PQPair(1.0 - 1.0 / (n + 2) ** 2, 1.0 - 1.0 / (n + 2))
         xs = np.linspace(0.0, 1.0, 101)

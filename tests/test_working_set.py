@@ -1,0 +1,56 @@
+"""One working-set rule for every blocked loop: blocks of pq_core.BLOCK_VALUES values.
+
+Each loop below would hold far more than a few blocks if it took its whole
+table at once: the Lipschitz check's 201 x 201 pair table, the 129 x 2,982
+K-node arguments of a theorems-shaped operator, and the 1,000 x 1,001 factor
+table of a rising product.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from pqbernstein import error_bounds, functions
+from pqbernstein.operator_eval import SchurerConfig, _Operator
+from pqbernstein.pq_core import BLOCK_VALUES, PQPair, pq_rising_two_term
+
+BLOCK_BYTES = 8 * BLOCK_VALUES
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def classic(n):
+    return SchurerConfig(n=n), PQPair(1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1))
+
+
+def test_a_block_is_below_the_mmap_threshold():
+    # glibc maps each allocation of 128 KiB or more anew, and faults it in on every call
+    assert BLOCK_BYTES < 128 * 1024
+
+
+def test_the_lipschitz_scan_holds_a_few_blocks():
+    xs = np.linspace(0.0, 1.3, 201)
+    vals = np.sqrt(np.abs(xs - 0.5))
+    assert peak_bytes(lambda: error_bounds._worst_pair(xs, vals, 1.0, 0.5)) < 4 * BLOCK_BYTES
+
+
+def test_a_k_node_means_pass_holds_a_few_blocks():
+    op = _Operator(*classic(128))
+    op.arguments  # the rule and the argument coefficients: a warm operator
+    assert op.arguments.c0.size * op.rule.nodes.size > 20 * BLOCK_VALUES
+    holder_half = functions._BUILTINS["holder_half"]  # no Gauss path: the K-node rule
+    assert peak_bytes(lambda: op.integral_means((holder_half,))) < 4 * BLOCK_BYTES
+
+
+def test_a_rising_product_holds_a_few_blocks():
+    xs = np.linspace(0.0, 1.0, 1001)
+    pq = classic(1000)[1]
+    peak = peak_bytes(lambda: pq_rising_two_term(pq.p * pq.p, 1.0, xs, 1.0 - xs, 1000, pq))
+    assert peak < 4 * BLOCK_BYTES

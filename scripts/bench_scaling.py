@@ -35,6 +35,13 @@ process pays.  Per n:
 - json: to_json_text of each report after its to_csv_text, the order in
   which the benchmark serializes.
 
+The pointwise case is one request of the benchmark's pointwise workload on a
+warm operator: classic n = 20 with its rule and its e0 and f_fig means kept,
+evaluated at 32 points in the workload's call order (apply on e0 at each
+point, then on f_fig, then the order-2 central moment).  Each repeat takes a
+fresh operator entry, warmed untimed, so no point has been evaluated before.
+It also runs before the large cases.
+
 Each stage reports the median and quartiles of --repeats timed calls, in
 seconds.  peak_rss_mb is the peak resident size of a fresh child process
 that imports the package and makes one cold f_fig apply_on_grid of the case;
@@ -72,8 +79,11 @@ from pqbernstein.functions import make_function
 from pqbernstein.operator_eval import (
     _Operator,
     _tables,
+    apply,
+    apply_central_moment,
     apply_on_grid,
     basis_matrix,
+    evaluate_on_grid,
     required_domain,
 )
 from pqbernstein.pq_quadrature import build_rule, gauss_rules
@@ -83,6 +93,8 @@ GRID_SIZES = (101, 1001)
 BUNDLE_DEGREES = (16, 64, 128)
 BUNDLE_GRID = 101
 BUNDLE = (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
+POINTWISE_DEGREE = 20
+POINTWISE_POINTS = 32
 LONG_RULES = (
     (0.9999983126586219, 0.999787914476763, 4.553867464572494e-16),
     (1.0, 1.0 - 1.0 / 28_000, 1e-15),
@@ -154,6 +166,29 @@ def theorems_bundle(n: int, repeats: int) -> dict:
     return {"case": "theorems_bundle", "n": n, "grid": BUNDLE_GRID, "stages": stages}
 
 
+def pointwise(repeats: int) -> dict:
+    """One pointwise-shaped request, e0, f_fig and (t-x)^2 at 32 points, on a warm operator."""
+    config, pq = classic(POINTWISE_DEGREE)
+    domain = required_domain(config, pq)
+    e0, fig = make_function("e0", *domain), make_function("f_fig", *domain)
+    xs = np.random.default_rng(0).random(POINTWISE_POINTS).tolist()
+
+    def warm() -> None:
+        _tables.cache_clear()
+        evaluate_on_grid(config, pq, (e0, fig), ())  # the rule and both means, no point
+
+    def request(_) -> None:
+        for x in xs:
+            apply(config, pq, e0, x)
+        for x in xs:
+            apply(config, pq, fig, x)
+        for x in xs:
+            apply_central_moment(config, pq, x, 2)
+
+    return {"case": "pointwise", "n": POINTWISE_DEGREE, "points": POINTWISE_POINTS,
+            "stages": {"request": timed(request, repeats, warm)}}
+
+
 LAUNCHER = """
 import resource, subprocess, sys
 subprocess.run(sys.argv[1:], check=True)
@@ -194,6 +229,8 @@ def main() -> int:
 
     cases = [theorems_bundle(n, args.repeats) for n in BUNDLE_DEGREES]
     print("theorems_bundle: done", file=sys.stderr)
+    cases.append(pointwise(args.repeats))
+    print("pointwise: done", file=sys.stderr)
     for n in DEGREES:
         config, pq = classic(n)
         f = make_function("f_fig", *required_domain(config, pq))

@@ -24,7 +24,10 @@ The point functions run the same code on one x, kept a float: the same
 ufuncs give a 1-D row, so a point costs its arithmetic and no broadcasting.
 One entry of _tables keeps all there is of an operator (config, pq): its
 O(N) basis coefficients, then from first use its K-node rule and argument
-coefficients, O(N + K), its Gauss rules and the means of each function.
+coefficients, O(N + K), its Gauss rules, the means of each function and the
+basis rows of the float points it evaluated, keyed on their bits, until
+those rows fill one working block (pq_core.BLOCK_VALUES float64 values); so
+e0, f_fig and (t - x)^2 at the same x build one row.
 Every argument is an affine image of the same nodes, so one set of Gauss
 rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
 s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
@@ -47,9 +50,9 @@ function do, NumericalRangeError is raised instead of returning NaN.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -57,7 +60,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
-from .pq_core import BLOCK_VALUES, PQPair, pq_integers, ratio_complements, ratio_powers
+from .pq_core import (
+    BLOCK_VALUES,
+    PQPair,
+    is_finite,
+    pq_integers,
+    ratio_complements,
+    ratio_powers,
+)
 from .pq_quadrature import GAUSS_NODES, GaussRules, QuadratureRule, build_rule, gauss_rules
 
 
@@ -92,7 +102,7 @@ class SchurerConfig:
                 f"basis_variant must be a BasisVariant, got {self.basis_variant!r}"
             )
         real = isinstance(self.quad_tol, numbers.Real) and not isinstance(self.quad_tol, bool)
-        if not (real and self.quad_tol >= QUAD_TOL_MIN and math.isfinite(self.quad_tol)):
+        if not (real and self.quad_tol >= QUAD_TOL_MIN and is_finite(self.quad_tol)):
             raise ValueError(f"quad_tol must be finite and >= 2**-52, got {self.quad_tol!r}")
         object.__setattr__(self, "quad_tol", float(self.quad_tol))
         # every cache lookup hashes the config: hash once, from numbers only,
@@ -140,7 +150,11 @@ class _Operator:
     the rule, the arguments and the Gauss rules, O(N + K), follow on first
     use (about 50 KB at classic N = 130, 400 KB at N = 1024).  The integral
     means add N+1 read-only floats per function object applied, held with
-    the function while the operator is among the 8 that _tables keeps.
+    the function while the operator is among the 8 that _tables keeps.  The
+    basis rows of the points evaluated one at a time add N+1 read-only floats
+    per point, keyed on float.hex (so 0.0 and -0.0 differ), and stop being
+    kept once they, with their array headers and keys, fill BLOCK_VALUES
+    float64 values (125 KB; 15 rows at N = 1024, 315 at N = 27).
     """
 
     def __init__(self, config: SchurerConfig, pq: PQPair) -> None:
@@ -164,6 +178,8 @@ class _Operator:
         self.powers = k.astype(float)       # exponents k = 0..N of x^k
         self.fall = r_powers[:-1]           # r^s, s < N, of prod_{s<N-k} (1 - r^s x)
         self.means: dict = {}               # fn -> its integral means, see integral_means
+        self.rows: dict[str, np.ndarray] = {}  # x.hex() -> basis row at x, see row
+        self.row_bytes = 0                  # the rows' and their keys' sizes
 
     @cached_property
     def rule(self) -> QuadratureRule:
@@ -213,6 +229,23 @@ class _Operator:
         out *= self.coef
         out[..., :-1] *= falling[..., ::-1]
         return out
+
+    def row(self, x: float) -> np.ndarray:
+        """basis(x) at a float x, read-only: built once per x while the rows fit one block.
+
+        A row is counted with its array header and its key, which outweigh
+        its N+1 values at small N (at N = 1 a row's 16 bytes take 197).
+        """
+        key = x.hex()
+        row = self.rows.get(key)
+        if row is None:
+            row = self.basis(x)
+            row.flags.writeable = False
+            size = sys.getsizeof(row) + sys.getsizeof(key)
+            if self.row_bytes + size <= BLOCK_VALUES * row.itemsize:
+                self.rows[key] = row
+                self.row_bytes += size
+        return row
 
     def check_covers(self, f: RealFunction) -> None:
         lo, hi = self.arguments.domain
@@ -275,9 +308,12 @@ def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     """Basis values at every x, shape xs.shape + (N+1,); nonnegative on [0, 1].
 
     Term k is coef_k x^k prod_{s<N-k} (1 - r^s x).  A scalar x gives one
-    row, which equals the matching row of any grid that contains x.
+    row, which equals the matching row of any grid that contains x; it is
+    a copy of the row the operator keeps, so the caller may write into it.
     """
-    return _tables(config, pq).basis(_check_points(xs))
+    x = _check_points(xs)
+    op = _tables(config, pq)
+    return op.row(x).copy() if type(x) is float else op.basis(x)
 
 
 def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
@@ -299,7 +335,10 @@ def _check_point(x) -> float:
                 f"x must be one real number, got {x!r}; "
                 "evaluate arrays of points with apply_on_grid or evaluate_on_grid"
             )
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:
+            pass  # a number beyond float range, such as 10**400: refused below
     # written so that a NaN fails too
     if not -DOMAIN_EDGE_TOL <= x <= 1.0 + DOMAIN_EDGE_TOL:
         raise ValueError(f"operator is evaluated on [0, 1], got x={x!r}")
@@ -336,7 +375,7 @@ def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float
     means = op.means.get(f.fn)
     if means is None:
         (means,) = op.integral_means((f.fn,))
-    return float(op.basis(x) @ means)
+    return float(op.row(x) @ means)
 
 
 class GridEvaluation(NamedTuple):
@@ -369,7 +408,7 @@ def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluatio
     # f.fn directly: check_covers has compared f's domain with the cached
     # hull of the arguments, so a second scan of them is redundant
     means = op.integral_means([f.fn for f in fs]) if fs else ()
-    b = op.basis(x)
+    b = op.row(x) if type(x) is float else op.basis(x)
     m0, m1, m2 = op.arguments.raw_means
     return GridEvaluation(x, (b @ m0, b @ m1, b @ m2), [b @ m for m in means])
 
@@ -385,8 +424,17 @@ def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int
     """Operator applied to (t - x)^order for order in {1, 2}.
 
     The power functions are total, so no domain declaration is involved; the
-    order-2 value is nonnegative up to quadrature truncation.
+    order-2 value is nonnegative up to quadrature truncation.  It is
+    GridEvaluation.central at one point, bit for bit: the same dot products
+    of the one basis row and the same expression, for the order asked only.
     """
     if type(order) is not int or order not in (1, 2):
         raise ValueError(f"order must be the int 1 or 2, got {order!r}")
-    return float(evaluate_on_grid(config, pq, (), _check_point(x)).central[order - 1])
+    x = _check_point(x)
+    op = _tables(config, pq)
+    b = op.row(x)
+    m0, m1, m2 = op.arguments.raw_means
+    k0, k1 = float(b @ m0), float(b @ m1)
+    if order == 1:
+        return k1 - x * k0
+    return float(b @ m2) - 2.0 * x * k1 + x * x * k0

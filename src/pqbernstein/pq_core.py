@@ -20,8 +20,17 @@ import numpy as np
 # threshold, so blocks reuse heap memory instead of fresh mapped pages.  Every
 # blocked loop splits an independent axis into blocks of at most this many:
 # the integral means' argument rows (operator_eval), the Lipschitz check's
-# pair rows (error_bounds) and the rising products' points.
+# pair rows (error_bounds) and the rising products' points.  It also bounds
+# the basis rows an operator keeps for the points it evaluated one at a time.
 BLOCK_VALUES = 16_000
+
+
+def is_finite(value: numbers.Real) -> bool:
+    """value is a finite float once converted: an int beyond float range, such as 10**400, is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -36,7 +45,7 @@ class PQPair:
         # operator_eval._check_point's rule: a bool or a string is not a parameter
         if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (p, q)):
             raise TypeError(f"p, q must be real numbers, got p={p!r}, q={q!r}")
-        if not (math.isfinite(p) and math.isfinite(q)):
+        if not (is_finite(p) and is_finite(q)):
             raise ValueError(f"p, q must be finite numbers, got p={p!r}, q={q!r}")
         if not 0.0 < q < p <= 1.0:
             raise ValueError(f"require 0 < q < p <= 1, got p={p!r}, q={q!r}")

@@ -441,6 +441,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must"):
             SchurerConfig(**kwargs)
 
+    def test_rejects_a_tolerance_beyond_float_range(self):
+        # math.isfinite(10**400) raised OverflowError
+        with pytest.raises(ValueError, match="quad_tol must be finite"):
+            SchurerConfig(n=3, quad_tol=10**400)
+
     def test_numpy_scalars_are_stored_as_python_numbers(self):
         config = SchurerConfig(n=np.int64(3), ell=np.int32(1), quad_tol=np.float64(1e-9))
         assert (type(config.n), type(config.ell), type(config.quad_tol)) == (int, int, float)

@@ -3,7 +3,10 @@
 ``apply`` and ``apply_central_moment`` take one point x, and ``basis_matrix``
 at one point gives the basis row there.  The FROZEN values below are exact:
 any change that moves a single bit of a point value fails here, so a faster
-point path must keep the arithmetic as it is.  The argument tests cover what
+point path must keep the arithmetic as it is.  The operator keeps the basis
+row of each float point it evaluated, so each FROZEN value is checked both
+from a cold entry and from the kept row, and the central moments against the
+grid's at one point.  The argument tests cover what
 one point may be (an int, a float, a NumPy real scalar or a 0-d array, all
 giving the same bits) and what is refused; ``basis_matrix`` takes an array of
 points as a grid, so only the two point functions refuse one.
@@ -13,14 +16,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pqbernstein.functions import make_function
+from pqbernstein.functions import DOMAIN_EDGE_TOL, make_function
 from pqbernstein.operator_eval import (
     BasisVariant,
     SchurerConfig,
+    _tables,
     apply,
     apply_central_moment,
     basis_matrix,
+    evaluate_on_grid,
     required_domain,
 )
 from pqbernstein.pq_core import PQPair
@@ -201,6 +207,90 @@ def test_point_values_are_frozen(variant, n):
     assert [float(b).hex() for b in row] == want_row.split()
 
 
+# each point call on its own, in FROZEN's order; the operator keeps the basis
+# row of every float x evaluated, so all but the first call at x reuse it
+POINT_CALLS = ("e0", "f_fig", "central_1", "central_2", "basis")
+
+
+def point_call(name, config, pq, x):
+    if name in ("e0", "f_fig"):
+        return apply(config, pq, make_function(name, *required_domain(config, pq)), x)
+    if name == "basis":
+        return basis_matrix(config, pq, x)
+    return apply_central_moment(config, pq, x, int(name[-1]))
+
+
+@pytest.mark.parametrize("name", POINT_CALLS)
+@pytest.mark.parametrize("variant, n", list(FROZEN), ids=[f"{v}-n{n}" for v, n in FROZEN])
+def test_frozen_values_do_not_depend_on_the_kept_rows(variant, n, name):
+    config, pq, x = operator(variant, n)
+    values, row = FROZEN[variant, n]
+    want = row.split() if name == "basis" else [values[POINT_CALLS.index(name)]]
+    _tables.cache_clear()
+    cold = point_call(name, config, pq, x)  # builds the row at x
+    for other in POINT_CALLS:
+        if other != name:
+            point_call(other, config, pq, x)
+    warm = point_call(name, config, pq, x)  # reads it
+    assert list(_tables(config, pq).rows) == [float(x).hex()]
+    assert [float(v).hex() for v in np.atleast_1d(cold)] == want
+    assert [float(v).hex() for v in np.atleast_1d(warm)] == want
+
+
+EDGE_POINTS = [0.0, -0.0, 1.0, -DOMAIN_EDGE_TOL, -0.5 * DOMAIN_EDGE_TOL,
+               1.0 + 0.5 * DOMAIN_EDGE_TOL, 1.0 + DOMAIN_EDGE_TOL]
+
+
+def with_examples(test):
+    for x in EDGE_POINTS:
+        for order in (1, 2):
+            test = example(x=x, order=order, variant="normalized", n=14)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.floats(-DOMAIN_EDGE_TOL, 1.0 + DOMAIN_EDGE_TOL),
+    order=st.sampled_from((1, 2)),
+    variant=st.sampled_from(("normalized", "printed")),
+    n=st.sampled_from(list(CASES)),
+)
+@with_examples
+def test_a_central_moment_is_the_grid_central_at_one_point(x, order, variant, n):
+    config, pq, _ = operator(variant, n)
+    _tables.cache_clear()
+    cold = apply_central_moment(config, pq, x, order)
+    warm = apply_central_moment(config, pq, x, order)
+    _tables.cache_clear()
+    grid = evaluate_on_grid(config, pq, (), x).central[order - 1]
+    assert type(cold) is float
+    assert cold.hex() == warm.hex() == float(grid).hex()
+
+
+def test_zero_and_minus_zero_keep_their_own_rows():
+    config, pq, _ = operator("normalized", 6)
+    _tables.cache_clear()
+    plus, minus = basis_matrix(config, pq, 0.0), basis_matrix(config, pq, -0.0)
+    assert plus.tobytes() == basis_matrix(config, pq, np.array([0.0]))[0].tobytes()
+    assert minus.tobytes() == basis_matrix(config, pq, np.array([-0.0]))[0].tobytes()
+    assert plus.tobytes() != minus.tobytes()  # x^k gives -0.0 from k = 1
+    assert list(_tables(config, pq).rows) == [(0.0).hex(), (-0.0).hex()]
+
+
+def test_basis_matrix_at_a_point_is_a_writable_copy_of_the_kept_row():
+    config, pq, x = operator("normalized", 14)
+    e0 = make_function("e0", *required_domain(config, pq))
+    _tables.cache_clear()
+    before = apply(config, pq, e0, x)
+    row = basis_matrix(config, pq, x)
+    kept = _tables(config, pq).rows
+    assert row.flags.writeable and not kept[x.hex()].flags.writeable
+    assert not any(np.shares_memory(row, other) for other in kept.values())
+    row[:] = 7.0
+    assert apply(config, pq, e0, x).hex() == before.hex()
+    assert basis_matrix(config, pq, x).tobytes() == kept[x.hex()].tobytes()
+
+
 @pytest.mark.parametrize("variant", ["normalized", "printed"])
 @pytest.mark.parametrize(
     "x, same", [(0, 0.0), (1, 1.0), (np.float64(0.37), 0.37), (np.array(0.37), 0.37),
@@ -236,7 +326,12 @@ def test_point_functions_refuse_what_is_not_one_real_number(x, name):
 
 
 @pytest.mark.parametrize("name", list(POINT_FUNCTIONS))
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan), -0.5, 1.5])
+@pytest.mark.parametrize(
+    "x",
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), -0.5, 1.5,
+     # beyond float range: float() raised OverflowError on these
+     pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+)
 def test_point_functions_refuse_points_outside_unit_interval(name, x):
     config, pq = SchurerConfig(n=5, ell=1), PQPair(0.9, 0.8)
     with pytest.raises(ValueError, match=r"evaluated on \[0, 1\]"):

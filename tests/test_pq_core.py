@@ -62,6 +62,14 @@ class TestPQPair:
             PQPair(float("nan"), 0.5)
 
     @pytest.mark.parametrize(
+        "p, q", [(10**400, 0.5), (1.0, -(10**400))], ids=["p=10**400", "q=-10**400"]
+    )
+    def test_rejects_an_int_beyond_float_range(self, p, q):
+        # math.isfinite raised OverflowError on these
+        with pytest.raises(ValueError, match="finite"):
+            PQPair(p, q)
+
+    @pytest.mark.parametrize(
         "p, q",
         [(True, 0.5), (np.True_, 0.5), (0.9, False), ("0.95", "0.9"), (0.9, None),
          (np.array(0.9), 0.5), (0.9, 0.5 + 0j)],

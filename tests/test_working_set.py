@@ -3,7 +3,8 @@
 Each loop below would hold far more than a few blocks if it took its whole
 table at once: the Lipschitz check's 201 x 201 pair table, the 129 x 2,982
 K-node arguments of a theorems-shaped operator, and the 1,000 x 1,001 factor
-table of a rising product.
+table of a rising product.  The same block bounds the basis rows an operator
+keeps for its point calls.
 """
 
 import tracemalloc
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 
 from pqbernstein import error_bounds, functions
-from pqbernstein.operator_eval import SchurerConfig, _Operator
+from pqbernstein.operator_eval import SchurerConfig, _Operator, _tables, apply, required_domain
 from pqbernstein.pq_core import BLOCK_VALUES, PQPair, pq_rising_two_term
 
 BLOCK_BYTES = 8 * BLOCK_VALUES
@@ -54,3 +55,33 @@ def test_a_rising_product_holds_a_few_blocks():
     pq = classic(1000)[1]
     peak = peak_bytes(lambda: pq_rising_two_term(pq.p * pq.p, 1.0, xs, 1.0 - xs, 1000, pq))
     assert peak < 4 * BLOCK_BYTES
+
+
+def kept_rows(n, points):
+    """The rows a fresh classic-n entry keeps after apply at that many points, and their bytes."""
+    config, pq = classic(n)
+    _tables.cache_clear()
+    f_fig = functions.make_function("f_fig", *required_domain(config, pq))
+    apply(config, pq, f_fig, 0.5)  # the rule and the means
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in np.linspace(0.0, 1.0, points).tolist():
+            apply(config, pq, f_fig, x)
+        return _tables(config, pq).rows, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_kept_basis_rows_stay_within_one_block():
+    rows, _ = kept_rows(1024, 1000)
+    assert 0 < len(rows) < 1000
+    assert sum(row.size for row in rows.values()) <= BLOCK_VALUES
+
+
+def test_small_kept_rows_count_their_headers_and_keys():
+    # at n = 1 a row's 2 values take 16 of its about 200 bytes: 8,000 rows
+    # of values would hold about 1.8 MB
+    rows, held = kept_rows(1, 5000)
+    assert 0 < len(rows) < 5000
+    assert held < 2 * BLOCK_BYTES

@@ -16,7 +16,8 @@ tol 1e-10), with G = 101 and 1001 points for the grid stages.  Per n:
 and per (n, G), with the operator's entry and means already kept:
 
 - basis: the (G, N+1) basis matrix;
-- apply_on_grid_warm: f_fig on the grid.
+- apply_on_grid_warm: f_fig on the grid, the kept grid basis cleared
+  before each call, so each call builds its basis.
 
 The build_rule_long cases time build_rule alone on two long rules: K+1 =
 167,880 (p = 0.9999983126586219, q = 0.999787914476763, tol 4.55e-16) and
@@ -24,16 +25,24 @@ K+1 = 967,069 (p = 1, q = 1 - 1/28,000, tol 1e-15).
 
 The theorems_bundle cases are one operator's check bundle, as the benchmark's
 theorems workload serves it: the moment report and t32 (f_fig), t33
-(holder_half) and t34 (f_fig) at G = 101, classic n = 16, 64 and 128.  They
-run first, before the large cases raise glibc's dynamic mmap threshold for
-the rest of the process, so they pay the page faults a fresh benchmark
-process pays.  Per n:
+(holder_half) and t34 (f_fig) at G = 101, classic n = 16, 64 and 128.  Each
+case runs in BUNDLE_PROCESSES fresh child processes, one after another,
+since one process's timings of these sub-millisecond stages sit in one of
+two levels that differ by up to 2x on a 2-vCPU host; a fresh process also
+pays the page faults a fresh benchmark process pays.  Before each timed
+repeat the operator cache and everything kept across reports (the grid
+basis, the ModulusGrid and the float-column texts) are cleared, so a repeat
+times one bundle, not a replay of the last one.  Per n:
 
 - moments, t32, t33 and t34: each report alone, in the bundle's order, after
-  a cold operator cache and the reports before it (untimed);
+  cold caches and the reports before it (untimed), so each reuses what the
+  reports before it kept, as in a bundle;
 - csv: to_csv_text of each report, fresh from compute;
 - json: to_json_text of each report after its to_csv_text, the order in
   which the benchmark serializes.
+
+A stage's median_s is the median of the child processes' medians,
+process_medians_s lists them and spread_s is their range.
 
 The pointwise case is one request of the benchmark's pointwise workload on a
 warm operator: classic n = 20 with its rule and its e0 and f_fig means kept,
@@ -42,8 +51,8 @@ point, then on f_fig, then the order-2 central moment).  Each repeat takes a
 fresh operator entry, warmed untimed, so no point has been evaluated before.
 It also runs before the large cases.
 
-Each stage reports the median and quartiles of --repeats timed calls, in
-seconds.  peak_rss_mb is the peak resident size of a fresh child process
+Every other stage reports the median and quartiles of --repeats timed calls,
+in seconds.  peak_rss_mb is the peak resident size of a fresh child process
 that imports the package and makes one cold f_fig apply_on_grid of the case;
 import_peak_rss_mb is that of a child that only imports it.  A small
 launcher process starts each child and reads its RUSAGE_CHILDREN: Linux
@@ -74,9 +83,10 @@ from pathlib import Path
 
 import numpy as np
 
-from pqbernstein import PQPair, SchurerConfig, run_bounds, run_moments
+from pqbernstein import PQPair, SchurerConfig, error_bounds, reportio, run_bounds, run_moments
 from pqbernstein.functions import make_function
 from pqbernstein.operator_eval import (
+    _grid_basis,
     _Operator,
     _tables,
     apply,
@@ -92,6 +102,7 @@ DEGREES = (128, 512, 1024)
 GRID_SIZES = (101, 1001)
 BUNDLE_DEGREES = (16, 64, 128)
 BUNDLE_GRID = 101
+BUNDLE_PROCESSES = 3
 BUNDLE = (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
 POINTWISE_DEGREE = 20
 POINTWISE_POINTS = 32
@@ -114,6 +125,15 @@ if n:
 """
 
 
+# one theorems_bundle case in a fresh process, its stages as JSON on stdout
+BUNDLE_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import bench_scaling
+print(json.dumps(bench_scaling.theorems_bundle(int(sys.argv[2]), int(sys.argv[3]))))
+"""
+
+
 def classic(n: int) -> tuple[SchurerConfig, PQPair]:
     return SchurerConfig(n=n), PQPair(1.0 - 1.0 / (n + 1) ** 2, 1.0 - 1.0 / (n + 1))
 
@@ -130,6 +150,14 @@ def timed(call, repeats: int, fresh=None) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "repeats": repeats}
 
 
+def cold() -> None:
+    """Forget the operator entries and everything kept across reports."""
+    _tables.cache_clear()
+    _grid_basis.clear()
+    error_bounds._kept_grid.clear()
+    reportio._float_texts.clear()
+
+
 def theorems_bundle(n: int, repeats: int) -> dict:
     """Per-report compute, CSV and JSON times of one operator's check bundle at classic n."""
     config, pq = classic(n)
@@ -138,14 +166,14 @@ def theorems_bundle(n: int, repeats: int) -> dict:
         steps[theorem] = partial(run_bounds, theorem, config, pq, name, grid_size=BUNDLE_GRID)
 
     def compute() -> list:
-        _tables.cache_clear()
+        cold()
         return [step() for step in steps.values()]
 
     def before(report: str):
-        """A cold operator cache, then the reports the bundle makes before this one."""
+        """Cold caches, then the reports the bundle makes before this one."""
 
         def fresh() -> None:
-            _tables.cache_clear()
+            cold()
             for name in list(steps)[: list(steps).index(report)]:
                 steps[name]()
 
@@ -164,6 +192,24 @@ def theorems_bundle(n: int, repeats: int) -> dict:
         "json": timed(lambda reports: [r.to_json_text() for r in reports], repeats, after_csv),
     }
     return {"case": "theorems_bundle", "n": n, "grid": BUNDLE_GRID, "stages": stages}
+
+
+def theorems_bundle_processes(n: int, repeats: int) -> dict:
+    """theorems_bundle(n) in BUNDLE_PROCESSES fresh processes: the median of their medians."""
+    child = [sys.executable, "-c", BUNDLE_CHILD, str(Path(__file__).resolve().parent)]
+    runs = [
+        json.loads(subprocess.run(
+            [*child, str(n), str(repeats)], check=True, capture_output=True, text=True
+        ).stdout)
+        for _ in range(BUNDLE_PROCESSES)
+    ]
+    stages = {}
+    for name in runs[0]["stages"]:
+        medians = [run["stages"][name]["median_s"] for run in runs]
+        stages[name] = {"median_s": statistics.median(medians), "process_medians_s": medians,
+                        "spread_s": max(medians) - min(medians), "repeats": repeats}
+    return {"case": "theorems_bundle", "n": n, "grid": BUNDLE_GRID,
+            "processes": BUNDLE_PROCESSES, "stages": stages}
 
 
 def pointwise(repeats: int) -> dict:
@@ -227,7 +273,7 @@ def main() -> int:
     if args.repeats < 4:
         parser.error("--repeats must be at least 4")
 
-    cases = [theorems_bundle(n, args.repeats) for n in BUNDLE_DEGREES]
+    cases = [theorems_bundle_processes(n, args.repeats) for n in BUNDLE_DEGREES]
     print("theorems_bundle: done", file=sys.stderr)
     cases.append(pointwise(args.repeats))
     print("pointwise: done", file=sys.stderr)
@@ -249,7 +295,7 @@ def main() -> int:
             stages = {
                 "basis": timed(lambda _: basis_matrix(config, pq, xs), args.repeats),
                 "apply_on_grid_warm": timed(
-                    lambda _: apply_on_grid(config, pq, f, xs), args.repeats
+                    lambda _: apply_on_grid(config, pq, f, xs), args.repeats, _grid_basis.clear
                 ),
             }
             cases.append({"n": n, "grid": g, "stages": stages, "peak_rss_mb": peak_rss_mb(n, g)})

@@ -19,7 +19,12 @@ fixed outer step apart; sups are taken over integer lags of the grid, through
 prefix-max tables that are monotone in delta by construction.  Each table is
 grown on demand up to the largest lag queried so far, so one function costs
 O(m * that lag) in all, at most the O(m^2) of a table over every lag, and a
-query within the lags already computed is a lookup.  Grid search
+query within the lags already computed is a lookup.  The lags' differences
+are formed in place in one buffer.  check_t32 and check_t34 share the last
+ModulusGrid either built (_kept_grid, one entry of about 20 KB at the
+default MODULUS_GRID_DIV), keyed on the function object, the bits of its
+domain and MODULUS_GRID_DIV, so t34 of a bundle continues t32's tables for
+f_fig on the same bound_domain.  Grid search
 underestimates the true sup, which only makes the bound checks stricter where
 the modulus sits on the large side; the slack budget covers the error side.
 """
@@ -79,15 +84,33 @@ class ModulusGrid:
         # table of order k covers lags 0..len-1 (lag 0 gives 0), up to (m-1)//k
         self._tables = {1: np.zeros(1), 2: np.zeros(1)}
 
-    def _lag_sup1(self, lag: int) -> float:
-        v = self._vals
-        return np.abs(v[lag:] - v[: len(v) - lag]).max()
+    def _lag_sups(self, order: int, lags: range) -> np.ndarray:
+        """Per lag h, the sup over the grid of |v[i+h] - v[i]| (order 1) or
+        |v[i+2h] - 2 v[i+h] + v[i]| (order 2).
 
-    def _lag_sup2(self, lag: int) -> float:
+        Each lag's differences are formed in place in one buffer, by the
+        ufuncs of the expressions as written, in their order, so the sups
+        are those of the expressions bit for bit.
+        """
         v = self._vals
-        return np.abs(v[2 * lag :] - 2.0 * v[lag : len(v) - lag] + v[: len(v) - 2 * lag]).max()
+        m = len(v)
+        buf, sups = np.empty(m), np.empty(len(lags))
+        subtract, add, absolute, sup = np.subtract, np.add, np.absolute, np.maximum.reduce
+        if order == 1:
+            for i, h in enumerate(lags):
+                diff = buf[: m - h]
+                subtract(v[h:], v[: m - h], out=diff)
+                sups[i] = sup(absolute(diff, out=diff))
+        else:
+            twice = 2.0 * v
+            for i, h in enumerate(lags):
+                diff = buf[: m - 2 * h]
+                subtract(v[2 * h :], twice[h : m - h], out=diff)
+                add(diff, v[: m - 2 * h], out=diff)
+                sups[i] = sup(absolute(diff, out=diff))
+        return sups
 
-    def _lookup(self, order: int, lag_sup, delta):
+    def _lookup(self, order: int, delta):
         d = np.asarray(delta, dtype=float)
         # written so that a NaN is rejected too
         if not (d >= 0.0).all():
@@ -97,7 +120,7 @@ class ModulusGrid:
         top = int(lag.max(initial=0))
         if top >= len(table):
             # continue the running max from the last lag computed
-            sups = np.array([lag_sup(h) for h in range(len(table), top + 1)])
+            sups = self._lag_sups(order, range(len(table), top + 1))
             table = np.concatenate([table, np.maximum.accumulate(np.maximum(sups, table[-1]))])
             self._tables[order] = table
         return float(table[lag]) if d.ndim == 0 else table[lag]
@@ -107,11 +130,27 @@ class ModulusGrid:
 
         delta is one value (giving a float) or an array of values.
         """
-        return self._lookup(1, self._lag_sup1, delta)
+        return self._lookup(1, delta)
 
     def omega2(self, delta: float | np.ndarray) -> float | np.ndarray:
         """sup over shifts 0 < h <= delta of the second difference |f(x+2h)-2f(x+h)+f(x)|."""
-        return self._lookup(2, self._lag_sup2, delta)
+        return self._lookup(2, delta)
+
+
+# The last ModulusGrid check_t32 or check_t34 built, under the bits it was
+# sampled from: t32 and t34 of one operator sample the same f on the same
+# bound_domain, and the second one reuses the first one's samples and tables.
+_kept_grid: dict[tuple, ModulusGrid] = {}
+
+
+def _modulus_grid(f: RealFunction) -> ModulusGrid:
+    """ModulusGrid(f), reused while the checks sample one function on one grid."""
+    key = (f.fn, float(f.lo).hex(), float(f.hi).hex(), MODULUS_GRID_DIV)
+    grid = _kept_grid.get(key)
+    if grid is None:
+        _kept_grid.clear()
+        grid = _kept_grid[key] = ModulusGrid(f)
+    return grid
 
 
 def _worst_pair(xs: np.ndarray, vals: np.ndarray, m_const: float, alpha: float):
@@ -254,7 +293,7 @@ def check_t32(
     a theorem, so a violation beyond slack indicates an implementation bug.
     """
     f, xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
-    mg = ModulusGrid(f)
+    mg = _modulus_grid(f)
     slack = _modulus_slack(config, mg)
     bounds = 2.0 * mg.omega(np.sqrt(deltas))
     return _bound_report(
@@ -305,7 +344,7 @@ def check_t34(
     if not (ratio_cap > 0.0 and math.isfinite(ratio_cap)):
         raise ValueError(f"ratio_cap must be finite and positive, got {ratio_cap!r}")
     f, xs, errors, deltas, oracle_m1 = _errors_and_deltas(config, pq, f, grid)
-    mg = ModulusGrid(f)
+    mg = _modulus_grid(f)
     slack = _modulus_slack(config, mg)
     alphas = closed_moments(config, pq, xs)[0]
     a_n = deltas + (alphas - xs) ** 2

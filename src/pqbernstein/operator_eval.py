@@ -28,6 +28,12 @@ coefficients, O(N + K), its Gauss rules, the means of each function and the
 basis rows of the float points it evaluated, keyed on their bits, until
 those rows fill one working block (pq_core.BLOCK_VALUES float64 values); so
 e0, f_fig and (t - x)^2 at the same x build one row.
+One grid basis outlives its call: evaluate_on_grid keeps the last (G, N+1)
+matrix it built, read-only, in one process-wide slot (_grid_basis) keyed on
+the operator entry and the grid's shape and float64 bytes, and only while
+its G(N+1) values fit one block.  So the moment report and the three bound
+checks of one operator on one grid build one basis, and a call with another
+operator costs one identity test.  basis_matrix always returns a fresh copy.
 Every argument is an affine image of the same nodes, so one set of Gauss
 rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
 s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
@@ -53,6 +59,7 @@ import enum
 import numbers
 import operator
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -304,6 +311,43 @@ class _Operator:
 _tables = lru_cache(maxsize=8)(_Operator)
 
 
+class _GridBasis:
+    """The last grid basis evaluate_on_grid built, read-only, while it fits one block.
+
+    It is keyed on its operator entry, then on the grid's shape and float64
+    bytes (so 0.0 and -0.0 differ), and kept only when its G(N+1) values
+    fit BLOCK_VALUES.  The entry is held by a weak reference, so an entry
+    _tables drops is not kept alive.  A call with another entry misses on
+    the identity test alone, and a miss drops the kept basis before the new
+    one is built.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.entry = self.shape = self.key = self.basis = None
+
+    def __call__(self, op: _Operator, x: np.ndarray) -> np.ndarray:
+        key = None
+        if self.entry is not None and self.entry() is op and self.shape == x.shape:
+            key = x.tobytes()
+            if key == self.key:
+                return self.basis
+        self.clear()
+        basis = op.basis(x)
+        if basis.size <= BLOCK_VALUES:
+            basis.setflags(write=False)
+            self.entry, self.shape, self.basis = weakref.ref(op), x.shape, basis
+            self.key = x.tobytes() if key is None else key
+        return basis
+
+
+# one process-wide slot: the reports of a theorems bundle evaluate one
+# operator on one grid, and the second and later ones reuse its basis
+_grid_basis = _GridBasis()
+
+
 def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     """Basis values at every x, shape xs.shape + (N+1,); nonnegative on [0, 1].
 
@@ -408,7 +452,7 @@ def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluatio
     # f.fn directly: check_covers has compared f's domain with the cached
     # hull of the arguments, so a second scan of them is redundant
     means = op.integral_means([f.fn for f in fs]) if fs else ()
-    b = op.row(x) if type(x) is float else op.basis(x)
+    b = op.row(x) if type(x) is float else _grid_basis(op, x)
     m0, m1, m2 = op.arguments.raw_means
     return GridEvaluation(x, (b @ m0, b @ m1, b @ m2), [b @ m for m in means])
 

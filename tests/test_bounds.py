@@ -160,28 +160,30 @@ class TestModulusTables:
                 assert (got == want).all()
 
     def test_tables_grow_only_to_the_largest_lag_queried(self, monkeypatch):
-        computed = {"_lag_sup1": [], "_lag_sup2": []}
-        for attr, lags in computed.items():
-            sup = getattr(ModulusGrid, attr)
-            monkeypatch.setattr(
-                ModulusGrid, attr, lambda self, lag, sup=sup, lags=lags: lags.append(lag) or sup(self, lag)
-            )
+        computed = {1: [], 2: []}
+        sups = ModulusGrid._lag_sups
+
+        def recording(self, order, lags):
+            computed[order].extend(lags)
+            return sups(self, order, lags)
+
+        monkeypatch.setattr(ModulusGrid, "_lag_sups", recording)
         mg = ModulusGrid(make_function("f_fig", 0.0, 1.0))
-        assert computed == {"_lag_sup1": [], "_lag_sup2": []}
+        assert computed == {1: [], 2: []}
         step = mg.step
-        for lookup, attr in ((mg.omega, "_lag_sup1"), (mg.omega2, "_lag_sup2")):
+        for lookup, order in ((mg.omega, 1), (mg.omega2, 2)):
             lookup(200 * step)
             lookup(50 * step)
             lookup(np.array([[10 * step, 200 * step]]))
-            assert computed[attr] == list(range(1, 201))
+            assert computed[order] == list(range(1, 201))
             lookup(np.array([300 * step, 120 * step]))
-            assert computed[attr] == list(range(1, 301))
+            assert computed[order] == list(range(1, 301))
         # a delta past the domain length completes each table once, as a full build does
         mg.omega(5.0)
         mg.omega2(5.0)
         mg.omega(5.0)
-        assert computed["_lag_sup1"] == list(range(1, 2001))
-        assert computed["_lag_sup2"] == list(range(1, 1001))
+        assert computed[1] == list(range(1, 2001))
+        assert computed[2] == list(range(1, 1001))
 
     def test_growth_continues_the_running_max(self):
         # both per-lag sups of a period-0.25 sine fall back to ~0 at a shift of

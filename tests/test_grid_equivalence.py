@@ -36,9 +36,10 @@ from pqbernstein.operator_eval import (
     evaluate_on_grid,
     required_domain,
 )
-from pqbernstein.pq_core import PQPair
+from pqbernstein.pq_core import BLOCK_VALUES, PQPair
 from pqbernstein.pq_quadrature import build_rule
 
+from conftest import cold_caches
 from oracles import pq_integer
 
 # (n, ell, p, q); the last two reach N = 130 along the classic schedule
@@ -481,15 +482,82 @@ def test_bound_checks_and_moment_report_build_one_basis_matrix_each(basis_builds
     config, pq = SchurerConfig(n=16, ell=1), classic(16)
     lo, hi = required_domain(config, pq)
     fig, half = make_function("f_fig", lo, hi), make_function("holder_half", lo, hi)
-    for check in (
+    checks = (
+        lambda: build_moment_report(config, pq, XS),
         lambda: check_t32(config, pq, fig, XS),
         lambda: check_t33(config, pq, half, 1.0, 0.5, XS),
         lambda: check_t34(config, pq, fig, XS),
-        lambda: build_moment_report(config, pq, XS),
-    ):
+    )
+    # each alone, on a fresh cache
+    for check in checks:
+        cold_caches()
         basis_builds.clear()
         check()
         assert basis_builds == [config.degree]
+    # the four in sequence, as a theorems bundle runs them: one in all
+    cold_caches()
+    basis_builds.clear()
+    for check in checks:
+        check()
+    assert basis_builds == [config.degree]
+    # another operator on the same grid, the same bytes in another shape, or
+    # another grid builds its own
+    other = SchurerConfig(n=17, ell=1)
+    evaluate_on_grid(other, classic(17), (), XS)
+    evaluate_on_grid(other, classic(17), (), XS.reshape(3, 7))
+    evaluate_on_grid(other, classic(17), (), XS[::-1])
+    check_t32(config, pq, fig, XS)
+    assert basis_builds == [config.degree, 18, 18, 18, config.degree]
+
+
+def test_a_grid_above_one_block_is_never_kept(basis_builds):
+    config, pq = SchurerConfig(n=16, ell=1), classic(16)
+    size = config.degree + 1
+    small, big = (np.linspace(0.0, 1.0, BLOCK_VALUES // size + extra) for extra in (0, 1))
+    cold_caches()
+    for _ in range(2):
+        evaluate_on_grid(config, pq, (), big)
+        assert operator_eval._grid_basis.basis is None
+    assert basis_builds == [config.degree] * 2
+    evaluate_on_grid(config, pq, (), small)
+    evaluate_on_grid(config, pq, (), small)
+    assert operator_eval._grid_basis.basis.size == small.size * size <= BLOCK_VALUES
+    assert basis_builds == [config.degree] * 3
+    # a miss drops the kept basis, and a grid too big for the slot keeps nothing
+    evaluate_on_grid(config, pq, (), big)
+    assert operator_eval._grid_basis.basis is None
+
+
+def test_the_kept_basis_is_read_only_and_basis_matrix_is_a_fresh_copy():
+    config, pq = SchurerConfig(n=12, ell=2), classic(12)
+    cold_caches()
+    want = evaluate_on_grid(config, pq, (), XS).raw
+    kept = operator_eval._grid_basis.basis
+    assert kept is not None and not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 2.0
+    matrix = basis_matrix(config, pq, XS)
+    assert matrix.flags.writeable and not np.shares_memory(matrix, kept)
+    np.testing.assert_array_equal(matrix, kept)
+    matrix[:] = 0.0  # the caller's copy, not the kept basis
+    got = evaluate_on_grid(config, pq, (), XS).raw
+    assert operator_eval._grid_basis.basis is kept
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_kept_basis_is_keyed_on_the_bits_of_the_grid():
+    # 0.0 == -0.0, but the basis row at -0.0 holds -0.0 where the row at 0.0 holds 0.0
+    config, pq = SchurerConfig(n=5), classic(5)
+    cold_caches()
+    signs = []
+    for first in (0.0, -0.0, 0.0):
+        xs = np.array([first, 0.5])
+        evaluate_on_grid(config, pq, (), xs)
+        kept = operator_eval._grid_basis.basis
+        assert kept.tobytes() == basis_matrix(config, pq, xs).tobytes()
+        signs.append(bool(np.signbit(kept[0, 1])))
+    assert signs == [False, True, False]
 
 
 def gauss_attempts(fn, seen):

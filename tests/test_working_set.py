@@ -4,16 +4,27 @@ Each loop below would hold far more than a few blocks if it took its whole
 table at once: the Lipschitz check's 201 x 201 pair table, the 129 x 2,982
 K-node arguments of a theorems-shaped operator, and the 1,000 x 1,001 factor
 table of a rising product.  The same block bounds the basis rows an operator
-keeps for its point calls.
+keeps for its point calls, and the one grid basis kept across reports.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 
-from pqbernstein import error_bounds, functions
-from pqbernstein.operator_eval import SchurerConfig, _Operator, _tables, apply, required_domain
+from pqbernstein import error_bounds, functions, operator_eval, reportio
+from pqbernstein.experiments import run_bounds, run_moments
+from pqbernstein.operator_eval import (
+    SchurerConfig,
+    _Operator,
+    _tables,
+    apply,
+    apply_on_grid,
+    required_domain,
+)
 from pqbernstein.pq_core import BLOCK_VALUES, PQPair, pq_rising_two_term
+
+from conftest import cold_caches
 
 BLOCK_BYTES = 8 * BLOCK_VALUES
 
@@ -85,3 +96,65 @@ def test_small_kept_rows_count_their_headers_and_keys():
     rows, held = kept_rows(1, 5000)
     assert 0 < len(rows) < 5000
     assert held < 2 * BLOCK_BYTES
+
+
+def kept_across_reports() -> int:
+    """Bytes the grid basis slot, the ModulusGrid slot and the text memo hold now."""
+    held = tracemalloc.get_traced_memory()[0]
+    operator_eval._grid_basis.clear()
+    error_bounds._kept_grid.clear()
+    reportio._float_texts.clear()
+    return held - tracemalloc.get_traced_memory()[0]
+
+
+def test_what_a_bundle_keeps_is_one_block_and_one_bundles_texts():
+    # the largest theorems operator: N + 1 = 131 at G = 101, 13,231 basis values
+    config, pq = SchurerConfig(n=128, ell=2), classic(128)[1]
+    bundle = [lambda: run_moments(config, pq)] + [
+        lambda theorem=theorem, name=name: run_bounds(theorem, config, pq, name)
+        for theorem, name in (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
+    ]
+    cold_caches()
+    for step in bundle:  # the operator entry and its means, kept by _tables
+        step()
+    kept_across_reports()
+    tracemalloc.start()
+    try:
+        reports = [step() for step in bundle]
+        for report in reports:
+            report.to_csv_text()
+        # what the bundle's float columns take as texts, one string per cell
+        texts = sum(
+            sys.getsizeof(text)
+            for report in reports
+            for name, cells in report.columns.items()
+            if {type(v) for v in cells} == {float}
+            for text in report.texts[name]
+        )
+        del reports
+        assert operator_eval._grid_basis.basis.size == 101 * 131 <= BLOCK_VALUES
+        held = kept_across_reports()
+    finally:
+        tracemalloc.stop()
+    assert 0 < held <= BLOCK_BYTES + texts
+
+
+def test_a_grid_basis_above_one_block_is_not_kept():
+    # G = 40,001 at N + 1 = 1,025: a 328 MB basis matrix, freed on return
+    config, pq = classic(1024)
+    f_fig = functions.make_function("f_fig", *required_domain(config, pq))
+    cold_caches()
+    apply_on_grid(config, pq, f_fig, np.linspace(0.0, 1.0, 11))  # the rule and the means
+    tracemalloc.start()
+    try:
+        apply_on_grid(config, pq, f_fig, np.linspace(0.0, 1.0, 12))
+        kept = operator_eval._grid_basis.basis  # 12 x 1,025 values fit one block
+        assert kept is not None and kept.nbytes == 12 * 1025 * 8
+        before = tracemalloc.get_traced_memory()[0]
+        apply_on_grid(config, pq, f_fig, np.linspace(0.0, 1.0, 40_001))
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the miss dropped the small basis, and the large one was not kept
+    assert operator_eval._grid_basis.basis is None
+    assert after - before < 1024

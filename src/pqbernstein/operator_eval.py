@@ -24,10 +24,13 @@ The point functions run the same code on one x, kept a float: the same
 ufuncs give a 1-D row, so a point costs its arithmetic and no broadcasting.
 One entry of _tables keeps all there is of an operator (config, pq): its
 O(N) basis coefficients, then from first use its K-node rule and argument
-coefficients, O(N + K), its Gauss rules, the means of each function and the
-basis rows of the float points it evaluated, keyed on their bits, until
-those rows fill one working block (pq_core.BLOCK_VALUES float64 values); so
-e0, f_fig and (t - x)^2 at the same x build one row.
+coefficients, O(N + K), its Gauss rules, the means of each function, the
+last function object apply found inside its hull, and the basis rows of the
+float points it evaluated (keyed on x) until they fill one working block
+(pq_core.BLOCK_VALUES float64 values); so e0, f_fig and (t - x)^2 at the same
+x build one row, and a warm point call is one row lookup and its ndarray.dot
+products, @'s ddot without its dispatch: about 1 us for apply and 2 us for
+an order-2 central moment at N = 16 (2-vCPU Xeon, NumPy 2.4).
 One grid basis outlives its call: evaluate_on_grid keeps the last (G, N+1)
 matrix it built, read-only, in one process-wide slot (_grid_basis) keyed on
 the operator entry and the grid's shape and float64 bytes, and only while
@@ -159,9 +162,9 @@ class _Operator:
     means add N+1 read-only floats per function object applied, held with
     the function while the operator is among the 8 that _tables keeps.  The
     basis rows of the points evaluated one at a time add N+1 read-only floats
-    per point, keyed on float.hex (so 0.0 and -0.0 differ), and stop being
-    kept once they, with their array headers and keys, fill BLOCK_VALUES
-    float64 values (125 KB; 15 rows at N = 1024, 315 at N = 27).
+    per point, keyed as row says, and stop being kept once they, with their
+    array headers and keys, fill BLOCK_VALUES float64 values (125 KB; 15 rows
+    at N = 1024, 355 at N = 27).
     """
 
     def __init__(self, config: SchurerConfig, pq: PQPair) -> None:
@@ -185,8 +188,9 @@ class _Operator:
         self.powers = k.astype(float)       # exponents k = 0..N of x^k
         self.fall = r_powers[:-1]           # r^s, s < N, of prod_{s<N-k} (1 - r^s x)
         self.means: dict = {}               # fn -> its integral means, see integral_means
-        self.rows: dict[str, np.ndarray] = {}  # x.hex() -> basis row at x, see row
+        self.rows: dict[float | str, np.ndarray] = {}  # x, or a zero's x.hex() -> basis row
         self.row_bytes = 0                  # the rows' and their keys' sizes
+        self.covered = None                 # the last (frozen) f apply found inside the hull
 
     @cached_property
     def rule(self) -> QuadratureRule:
@@ -240,10 +244,11 @@ class _Operator:
     def row(self, x: float) -> np.ndarray:
         """basis(x) at a float x, read-only: built once per x while the rows fit one block.
 
-        A row is counted with its array header and its key, which outweigh
-        its N+1 values at small N (at N = 1 a row's 16 bytes take 197).
+        Keyed on x, or on x.hex() for the zeros, equal floats whose rows differ
+        in sign ((-0.0)**1 is -0.0).  A row is counted with its array header and its key,
+        which outweigh its N+1 values at small N (at N = 1 a row's 16 bytes take 152).
         """
-        key = x.hex()
+        key = x or x.hex()
         row = self.rows.get(key)
         if row is None:
             row = self.basis(x)
@@ -415,11 +420,16 @@ def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float
     """Operator value at x; linear and positive in f up to quadrature truncation."""
     x = _check_point(x)
     op = _tables(config, pq)
-    op.check_covers(f)
+    if f is not op.covered:
+        op.check_covers(f)
+        op.covered = f
     means = op.means.get(f.fn)
     if means is None:
         (means,) = op.integral_means((f.fn,))
-    return float(op.row(x) @ means)
+    b = op.rows.get(x or x.hex())  # row's key; only a miss calls row
+    if b is None:
+        b = op.row(x)
+    return float(b.dot(means))
 
 
 class GridEvaluation(NamedTuple):
@@ -476,9 +486,11 @@ def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int
         raise ValueError(f"order must be the int 1 or 2, got {order!r}")
     x = _check_point(x)
     op = _tables(config, pq)
-    b = op.row(x)
+    b = op.rows.get(x or x.hex())  # as in apply
+    if b is None:
+        b = op.row(x)
     m0, m1, m2 = op.arguments.raw_means
-    k0, k1 = float(b @ m0), float(b @ m1)
+    k0, k1 = float(b.dot(m0)), float(b.dot(m1))
     if order == 1:
         return k1 - x * k0
-    return float(b @ m2) - 2.0 * x * k1 + x * x * k0
+    return float(b.dot(m2)) - 2.0 * x * k1 + x * x * k0

@@ -12,13 +12,14 @@ giving the same bits) and what is refused; ``basis_matrix`` takes an array of
 points as a grid, so only the two point functions refuse one.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pqbernstein.functions import DOMAIN_EDGE_TOL, make_function
+from pqbernstein.functions import DOMAIN_EDGE_TOL, DomainError, RealFunction, make_function
 from pqbernstein.operator_eval import (
     BasisVariant,
     SchurerConfig,
@@ -212,6 +213,11 @@ def test_point_values_are_frozen(variant, n):
 POINT_CALLS = ("e0", "f_fig", "central_1", "central_2", "basis")
 
 
+def row_key(x: float):
+    """The key of x's kept basis row: x itself, or its bits for the two zeros."""
+    return x or x.hex()
+
+
 def point_call(name, config, pq, x):
     if name in ("e0", "f_fig"):
         return apply(config, pq, make_function(name, *required_domain(config, pq)), x)
@@ -232,7 +238,7 @@ def test_frozen_values_do_not_depend_on_the_kept_rows(variant, n, name):
         if other != name:
             point_call(other, config, pq, x)
     warm = point_call(name, config, pq, x)  # reads it
-    assert list(_tables(config, pq).rows) == [float(x).hex()]
+    assert list(_tables(config, pq).rows) == [row_key(float(x))]
     assert [float(v).hex() for v in np.atleast_1d(cold)] == want
     assert [float(v).hex() for v in np.atleast_1d(warm)] == want
 
@@ -284,11 +290,34 @@ def test_basis_matrix_at_a_point_is_a_writable_copy_of_the_kept_row():
     before = apply(config, pq, e0, x)
     row = basis_matrix(config, pq, x)
     kept = _tables(config, pq).rows
-    assert row.flags.writeable and not kept[x.hex()].flags.writeable
+    assert row.flags.writeable and not kept[row_key(x)].flags.writeable
     assert not any(np.shares_memory(row, other) for other in kept.values())
     row[:] = 7.0
     assert apply(config, pq, e0, x).hex() == before.hex()
-    assert basis_matrix(config, pq, x).tobytes() == kept[x.hex()].tobytes()
+    assert basis_matrix(config, pq, x).tobytes() == kept[row_key(x)].tobytes()
+
+
+def test_apply_checks_the_domain_of_every_function_object_it_has_not_passed():
+    # the operator remembers the last function object found inside its hull;
+    # another object is checked again, even one with the same fn
+    config, pq, x = operator("normalized", 14)
+    lo, hi = required_domain(config, pq)
+    fig = make_function("f_fig", lo, hi)
+    narrow = RealFunction(fig.fn, lo, 0.5 * (lo + hi), name="f_fig")
+    _tables.cache_clear()
+    want = apply(config, pq, fig, x).hex()
+    for clear in (False, True, False, True):
+        if clear:
+            _tables.cache_clear()
+        with pytest.raises(DomainError):  # first on a fresh entry, or after the covering one
+            apply(config, pq, narrow, x)
+        for point in (x, x, 0.5):  # warm calls, on a kept row too
+            apply(config, pq, fig, point)
+        with pytest.raises(DomainError):
+            apply(config, pq, narrow, x)
+        assert apply(config, pq, fig, x).hex() == want
+    with pytest.raises(DomainError):
+        apply(config, pq, dataclasses.replace(fig, hi=0.5 * (lo + hi)), x)
 
 
 @pytest.mark.parametrize("variant", ["normalized", "printed"])

@@ -16,8 +16,8 @@ tol 1e-10), with G = 101 and 1001 points for the grid stages.  Per n:
 and per (n, G), with the operator's entry and means already kept:
 
 - basis: the (G, N+1) basis matrix;
-- apply_on_grid_warm: f_fig on the grid, the kept grid basis cleared
-  before each call, so each call builds its basis.
+- apply_on_grid_warm: f_fig on the grid, the entry's kept basis values
+  (kept.Kept) cleared before each call, so each call builds its basis.
 
 The build_rule_long cases time build_rule alone on two long rules: K+1 =
 167,880 (p = 0.9999983126586219, q = 0.999787914476763, tol 4.55e-16) and
@@ -30,9 +30,9 @@ case runs in BUNDLE_PROCESSES fresh child processes, one after another,
 since one process's timings of these sub-millisecond stages sit in one of
 two levels that differ by up to 2x on a 2-vCPU host; a fresh process also
 pays the page faults a fresh benchmark process pays.  Before each timed
-repeat the operator cache and everything kept across reports (the grid
-basis, the ModulusGrid and the float-column texts) are cleared, so a repeat
-times one bundle, not a replay of the last one.  Per n:
+repeat kept.clear_all() forgets the operator entries and everything kept
+across reports (the grid basis, the ModulusGrids and the float-column
+texts), so a repeat times one bundle, not a replay of the last one.  Per n:
 
 - moments, t32, t33 and t34: each report alone, in the bundle's order, after
   cold caches and the reports before it (untimed), so each reuses what the
@@ -86,10 +86,10 @@ from pathlib import Path
 
 import numpy as np
 
-from pqbernstein import PQPair, SchurerConfig, error_bounds, reportio, run_bounds, run_moments
+from pqbernstein import PQPair, SchurerConfig, run_bounds, run_moments
 from pqbernstein.functions import make_function
+from pqbernstein.kept import clear_all
 from pqbernstein.operator_eval import (
-    _grid_basis,
     _Operator,
     _tables,
     apply,
@@ -153,14 +153,6 @@ def timed(call, repeats: int, fresh=None) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "repeats": repeats}
 
 
-def cold() -> None:
-    """Forget the operator entries and everything kept across reports."""
-    _tables.cache_clear()
-    _grid_basis.clear()
-    error_bounds._kept_grid.clear()
-    reportio._float_texts.clear()
-
-
 def theorems_bundle(n: int, repeats: int) -> dict:
     """Per-report compute, CSV and JSON times of one operator's check bundle at classic n."""
     config, pq = classic(n)
@@ -169,14 +161,14 @@ def theorems_bundle(n: int, repeats: int) -> dict:
         steps[theorem] = partial(run_bounds, theorem, config, pq, name, grid_size=BUNDLE_GRID)
 
     def compute() -> list:
-        cold()
+        clear_all()
         return [step() for step in steps.values()]
 
     def before(report: str):
         """Cold caches, then the reports the bundle makes before this one."""
 
         def fresh() -> None:
-            cold()
+            clear_all()
             for name in list(steps)[: list(steps).index(report)]:
                 steps[name]()
 
@@ -223,7 +215,7 @@ def pointwise(repeats: int) -> dict:
     xs = np.random.default_rng(0).random(POINTWISE_POINTS).tolist()
 
     def warm() -> None:
-        _tables.cache_clear()
+        clear_all()
         evaluate_on_grid(config, pq, (e0, fig), ())  # the rule and both means, no point
 
     def request(_=None) -> None:
@@ -298,10 +290,11 @@ def main() -> int:
         for g in GRID_SIZES:
             xs = np.linspace(0.0, 1.0, g)
             apply_on_grid(config, pq, f, xs)  # keep the entry and its means
+            kept = _tables(config, pq).kept
             stages = {
                 "basis": timed(lambda _: basis_matrix(config, pq, xs), args.repeats),
                 "apply_on_grid_warm": timed(
-                    lambda _: apply_on_grid(config, pq, f, xs), args.repeats, _grid_basis.clear
+                    lambda _: apply_on_grid(config, pq, f, xs), args.repeats, kept.clear
                 ),
             }
             cases.append({"n": n, "grid": g, "stages": stages, "peak_rss_mb": peak_rss_mb(n, g)})

@@ -19,14 +19,14 @@ fixed outer step apart; sups are taken over integer lags of the grid, through
 prefix-max tables that are monotone in delta by construction.  Each table is
 grown on demand up to the largest lag queried so far, so one function costs
 O(m * that lag) in all, at most the O(m^2) of a table over every lag, and a
-query within the lags already computed is a lookup.  The lags' differences
-are formed in place in one buffer.  check_t32 and check_t34 share the last
-ModulusGrid either built (_kept_grid, one entry of about 20 KB at the
-default MODULUS_GRID_DIV), keyed on the function object, the bits of its
-domain and MODULUS_GRID_DIV, so t34 of a bundle continues t32's tables for
-f_fig on the same bound_domain.  Grid search
-underestimates the true sup, which only makes the bound checks stricter where
-the modulus sits on the large side; the slack budget covers the error side.
+query within the lags already computed is a lookup.  The lags' differences are
+formed in place in one buffer.  check_t32 and check_t34 share the ModulusGrids
+they build through one kept.Kept store of one block (_kept_grids), keyed on
+the function object, the bits of its domain and MODULUS_GRID_DIV; each counts
+at its full size, so three fit at the default division, and t34 of a bundle
+continues t32's tables for f_fig.  Grid search underestimates the true sup,
+which only makes the bound checks stricter where the modulus sits on the large
+side; the slack budget covers the error side.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functions import RealFunction
+from .kept import Kept, clears
 from .moments_closed import closed_moments
 from .operator_eval import SchurerConfig, evaluate_on_grid, report_grid, required_domain
-from .pq_core import BLOCK_VALUES, PQPair
+from .pq_core import BLOCK_BYTES, BLOCK_VALUES, PQPair
 from .reportio import Report, config_block, json_rows
 
 # outer sampling: MODULUS_GRID_DIV + 1 points, domain_length / MODULUS_GRID_DIV apart
@@ -137,19 +138,21 @@ class ModulusGrid:
         return self._lookup(2, delta)
 
 
-# The last ModulusGrid check_t32 or check_t34 built, under the bits it was
+# The ModulusGrids check_t32 and check_t34 built, under the bits they were
 # sampled from: t32 and t34 of one operator sample the same f on the same
 # bound_domain, and the second one reuses the first one's samples and tables.
-_kept_grid: dict[tuple, ModulusGrid] = {}
+_kept_grids = Kept(BLOCK_BYTES)
+clears.append(_kept_grids.clear)
 
 
 def _modulus_grid(f: RealFunction) -> ModulusGrid:
     """ModulusGrid(f), reused while the checks sample one function on one grid."""
     key = (f.fn, float(f.lo).hex(), float(f.hi).hex(), MODULUS_GRID_DIV)
-    grid = _kept_grid.get(key)
+    grid = _kept_grids.get(key)
     if grid is None:
-        _kept_grid.clear()
-        grid = _kept_grid[key] = ModulusGrid(f)
+        grid = ModulusGrid(f)
+        # its D + 1 samples and its tables grown to every lag, D + 1 and D//2 + 1 floats
+        _kept_grids.put(key, grid, 8 * (2 * MODULUS_GRID_DIV + MODULUS_GRID_DIV // 2 + 3))
     return grid
 
 

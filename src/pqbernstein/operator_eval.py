@@ -17,7 +17,7 @@ it is *not* a partition of unity when p < 1 (its sum at degree 2 is
 p + (1-p) x^2).
 
 The integral means do not depend on x, so a whole grid is evaluated at once:
-one (G, N+1) basis matrix times one mean vector.  evaluate_on_grid builds
+one (G, N+1) basis matrix times one mean vector.  evaluate_on_grid takes
 that matrix once per call and applies it to the raw moment means and to the
 means of every function asked for; the other grid functions are cases of it.
 The point functions run the same code on one x, kept a float: the same
@@ -25,18 +25,15 @@ ufuncs give a 1-D row, so a point costs its arithmetic and no broadcasting.
 One entry of _tables keeps all there is of an operator (config, pq): its
 O(N) basis coefficients, then from first use its K-node rule and argument
 coefficients, O(N + K), its Gauss rules, the means of each function, the
-last function object apply found inside its hull, and the basis rows of the
-float points it evaluated (keyed on x) until they fill one working block
-(pq_core.BLOCK_VALUES float64 values); so e0, f_fig and (t - x)^2 at the same
-x build one row, and a warm point call is one row lookup and its ndarray.dot
-products, @'s ddot without its dispatch: about 1 us for apply and 2 us for
-an order-2 central moment at N = 16 (2-vCPU Xeon, NumPy 2.4).
-One grid basis outlives its call: evaluate_on_grid keeps the last (G, N+1)
-matrix it built, read-only, in one process-wide slot (_grid_basis) keyed on
-the operator entry and the grid's shape and float64 bytes, and only while
-its G(N+1) values fit one block.  So the moment report and the three bound
-checks of one operator on one grid build one basis, and a call with another
-operator costs one identity test.  basis_matrix always returns a fresh copy.
+last function object apply found inside its hull, and its own kept.Kept
+store of one block (pq_core.BLOCK_VALUES float64 values) of read-only basis
+values: the row of each float point it evaluated, keyed on x, and the matrix
+of each grid, keyed on the grid's shape and float64 bytes, the oldest put
+going first.  So e0, f_fig and (t - x)^2 at the same x build one row, a warm
+point call is one lookup and its ndarray.dot products, @'s ddot without its
+dispatch (about 1 us for apply at N = 16), and the moment report and the
+three bound checks of one operator on one grid build one basis.  What an
+entry keeps goes with it.  basis_matrix always returns a fresh copy.
 Every argument is an affine image of the same nodes, so one set of Gauss
 rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
 s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
@@ -62,7 +59,6 @@ import enum
 import numbers
 import operator
 import sys
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -70,7 +66,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
+from .kept import Kept, clears
 from .pq_core import (
+    BLOCK_BYTES,
     BLOCK_VALUES,
     PQPair,
     is_finite,
@@ -161,10 +159,8 @@ class _Operator:
     use (about 50 KB at classic N = 130, 400 KB at N = 1024).  The integral
     means add N+1 read-only floats per function object applied, held with
     the function while the operator is among the 8 that _tables keeps.  The
-    basis rows of the points evaluated one at a time add N+1 read-only floats
-    per point, keyed as row says, and stop being kept once they, with their
-    array headers and keys, fill BLOCK_VALUES float64 values (125 KB; 15 rows
-    at N = 1024, 355 at N = 27).
+    basis values kept_basis keeps add at most BLOCK_BYTES (125 KB: 15 rows at
+    N = 1024, 355 at N = 27, or one 101-point grid at N = 130).
     """
 
     def __init__(self, config: SchurerConfig, pq: PQPair) -> None:
@@ -188,8 +184,7 @@ class _Operator:
         self.powers = k.astype(float)       # exponents k = 0..N of x^k
         self.fall = r_powers[:-1]           # r^s, s < N, of prod_{s<N-k} (1 - r^s x)
         self.means: dict = {}               # fn -> its integral means, see integral_means
-        self.rows: dict[float | str, np.ndarray] = {}  # x, or a zero's x.hex() -> basis row
-        self.row_bytes = 0                  # the rows' and their keys' sizes
+        self.kept = Kept(BLOCK_BYTES)       # basis values by point or grid, see kept_basis
         self.covered = None                 # the last (frozen) f apply found inside the hull
 
     @cached_property
@@ -241,23 +236,21 @@ class _Operator:
         out[..., :-1] *= falling[..., ::-1]
         return out
 
-    def row(self, x: float) -> np.ndarray:
-        """basis(x) at a float x, read-only: built once per x while the rows fit one block.
+    def kept_basis(self, x: float | np.ndarray) -> np.ndarray:
+        """basis(x), read-only, built once per point or grid while it fits self.kept.
 
-        Keyed on x, or on x.hex() for the zeros, equal floats whose rows differ
-        in sign ((-0.0)**1 is -0.0).  A row is counted with its array header and its key,
-        which outweigh its N+1 values at small N (at N = 1 a row's 16 bytes take 152).
+        A float x is keyed on x, or on x.hex() for the zeros, equal floats
+        whose rows differ in sign ((-0.0)**1 is -0.0); a grid on its shape and
+        float64 bytes.  Each counts its array header and its key's float, text or bytes.
         """
-        key = x or x.hex()
-        row = self.rows.get(key)
-        if row is None:
-            row = self.basis(x)
-            row.flags.writeable = False
-            size = sys.getsizeof(row) + sys.getsizeof(key)
-            if self.row_bytes + size <= BLOCK_VALUES * row.itemsize:
-                self.rows[key] = row
-                self.row_bytes += size
-        return row
+        point = type(x) is float
+        key = (x or x.hex()) if point else (x.shape, x.tobytes())
+        basis = self.kept.get(key)
+        if basis is None:
+            basis = self.basis(x)
+            basis.flags.writeable = False
+            self.kept.put(key, basis, sys.getsizeof(basis) + sys.getsizeof(key if point else key[1]))
+        return basis
 
     def check_covers(self, f: RealFunction) -> None:
         lo, hi = self.arguments.domain
@@ -314,43 +307,7 @@ class _Operator:
 # Callers finish with one (config, pq) before they move to the next; the
 # longest walk, a default Korovkin run, visits five.
 _tables = lru_cache(maxsize=8)(_Operator)
-
-
-class _GridBasis:
-    """The last grid basis evaluate_on_grid built, read-only, while it fits one block.
-
-    It is keyed on its operator entry, then on the grid's shape and float64
-    bytes (so 0.0 and -0.0 differ), and kept only when its G(N+1) values
-    fit BLOCK_VALUES.  The entry is held by a weak reference, so an entry
-    _tables drops is not kept alive.  A call with another entry misses on
-    the identity test alone, and a miss drops the kept basis before the new
-    one is built.
-    """
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.entry = self.shape = self.key = self.basis = None
-
-    def __call__(self, op: _Operator, x: np.ndarray) -> np.ndarray:
-        key = None
-        if self.entry is not None and self.entry() is op and self.shape == x.shape:
-            key = x.tobytes()
-            if key == self.key:
-                return self.basis
-        self.clear()
-        basis = op.basis(x)
-        if basis.size <= BLOCK_VALUES:
-            basis.setflags(write=False)
-            self.entry, self.shape, self.basis = weakref.ref(op), x.shape, basis
-            self.key = x.tobytes() if key is None else key
-        return basis
-
-
-# one process-wide slot: the reports of a theorems bundle evaluate one
-# operator on one grid, and the second and later ones reuse its basis
-_grid_basis = _GridBasis()
+clears.append(_tables.cache_clear)
 
 
 def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
@@ -362,7 +319,7 @@ def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     """
     x = _check_points(xs)
     op = _tables(config, pq)
-    return op.row(x).copy() if type(x) is float else op.basis(x)
+    return op.kept_basis(x).copy() if type(x) is float else op.basis(x)
 
 
 def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:
@@ -426,9 +383,9 @@ def apply(config: SchurerConfig, pq: PQPair, f: RealFunction, x: float) -> float
     means = op.means.get(f.fn)
     if means is None:
         (means,) = op.integral_means((f.fn,))
-    b = op.rows.get(x or x.hex())  # row's key; only a miss calls row
+    b = op.kept.get(x or x.hex())  # kept_basis's key; only a miss calls it
     if b is None:
-        b = op.row(x)
+        b = op.kept_basis(x)
     return float(b.dot(means))
 
 
@@ -462,7 +419,7 @@ def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluatio
     # f.fn directly: check_covers has compared f's domain with the cached
     # hull of the arguments, so a second scan of them is redundant
     means = op.integral_means([f.fn for f in fs]) if fs else ()
-    b = op.row(x) if type(x) is float else _grid_basis(op, x)
+    b = op.kept_basis(x)
     m0, m1, m2 = op.arguments.raw_means
     return GridEvaluation(x, (b @ m0, b @ m1, b @ m2), [b @ m for m in means])
 
@@ -486,9 +443,9 @@ def apply_central_moment(config: SchurerConfig, pq: PQPair, x: float, order: int
         raise ValueError(f"order must be the int 1 or 2, got {order!r}")
     x = _check_point(x)
     op = _tables(config, pq)
-    b = op.rows.get(x or x.hex())  # as in apply
+    b = op.kept.get(x or x.hex())  # as in apply
     if b is None:
-        b = op.row(x)
+        b = op.kept_basis(x)
     m0, m1, m2 = op.arguments.raw_means
     k0, k1 = float(b.dot(m0)), float(b.dot(m1))
     if order == 1:

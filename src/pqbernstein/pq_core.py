@@ -20,9 +20,10 @@ import numpy as np
 # threshold, so blocks reuse heap memory instead of fresh mapped pages.  Every
 # blocked loop splits an independent axis into blocks of at most this many:
 # the integral means' argument rows (operator_eval), the Lipschitz check's
-# pair rows (error_bounds) and the rising products' points.  It also bounds
-# the basis rows an operator keeps for the points it evaluated one at a time.
+# pair rows (error_bounds) and the rising products' points.  The stores of
+# kept values (kept.Kept) take their budgets in BLOCK_BYTES.
 BLOCK_VALUES = 16_000
+BLOCK_BYTES = 8 * BLOCK_VALUES
 
 
 def is_finite(value: numbers.Real) -> bool:

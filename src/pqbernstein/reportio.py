@@ -12,12 +12,14 @@ JSON documents start with ``schema_version`` and ``kind``, carry no
 timestamps, indent fields by two spaces and write a list of dicts, lists or
 rows one element per line.  Both formats reject NaN and infinity.
 
-The texts of an all-finite float column are also kept across reports in one
-process-wide memo (_float_texts), keyed on the column's float64 bytes, never
-on float equality (0.0 == -0.0 but their texts differ), and bounded at 3,000
-cells, least recently used first: about one theorems bundle at G = 101,
-whose reports share the x grid, delta_n and the error of f_fig.  Columns
-of fewer than 16 cells are formatted directly.
+The texts of an all-finite float column of at least SHORTEST_KEPT cells are
+also kept across reports in one kept.Kept store of two blocks (_float_texts),
+keyed on the column's float64 bytes, never on float equality (0.0 == -0.0
+but their texts differ).  A theorems bundle at G = 101 formats 23 distinct
+float columns of 2,323 cells (about 195 KB kept), and its reports share the
+x grid, delta_n and the error of f_fig.  Shorter columns come from
+per-degree tables (a Korovkin run's), which do not repeat, and keying a
+5-cell column costs 30-60% of formatting it (timeit, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -26,8 +28,12 @@ import json
 import math
 import os
 import struct
+import sys
 from functools import cached_property
 from typing import Mapping
+
+from .kept import Kept, clears
+from .pq_core import BLOCK_BYTES
 
 SCHEMA_VERSION = "1"
 
@@ -50,46 +56,25 @@ def _cell_text(v) -> str:
     return float.__repr__(v)
 
 
-class _FloatTexts:
-    """The texts of the last all-finite float columns made, up to a number of cells.
-
-    A column is keyed on its float64 bytes, never on float equality: 0.0 ==
-    -0.0, but their texts differ.  The least recently used column goes first,
-    and a column longer than the whole memo is not kept.  Nor is a column
-    shorter than `shortest` cells: those come from per-degree tables (a
-    Korovkin run's), which do not repeat, and keying a 5-cell column costs
-    30-60% of formatting it (timeit, 2-vCPU Xeon).
-    """
-
-    def __init__(self, cells: int, shortest: int) -> None:
-        self.size, self.shortest = cells, shortest
-        self.clear()
-
-    def clear(self) -> None:
-        self.texts: dict[bytes, tuple[str, ...]] = {}
-        self.cells = 0
-
-    def __call__(self, cells: list) -> list[str] | None:
-        """The texts of a column of floats, or None if one of them is not finite."""
-        if not self.shortest <= len(cells) <= self.size:
-            return list(map(float.__repr__, cells)) if all(map(math.isfinite, cells)) else None
-        key = struct.pack(f"{len(cells)}d", *cells)
-        texts = self.texts.pop(key, None)
-        if texts is None:
-            if not all(map(math.isfinite, cells)):
-                return None
-            texts = tuple(map(float.__repr__, cells))
-            self.cells += len(texts)
-            while self.cells > self.size:
-                self.cells -= len(self.texts.pop(next(iter(self.texts))))
-        self.texts[key] = texts
-        return list(texts)
+_float_texts = Kept(2 * BLOCK_BYTES)
+clears.append(_float_texts.clear)
+SHORTEST_KEPT = 16
 
 
-# one process-wide memo of about one theorems bundle at G = 101, whose 23
-# distinct float columns take 2,323 cells (about 200 KB); its reports share
-# columns (the x grid, delta_n, the error of f_fig), each formatted once
-_float_texts = _FloatTexts(3_000, shortest=16)
+def _float_column_texts(cells: list) -> list[str] | None:
+    """The texts of a column of floats, or None if one of them is not finite."""
+    if not SHORTEST_KEPT <= len(cells) <= _float_texts.budget // 8:  # its key alone would not fit
+        return list(map(float.__repr__, cells)) if all(map(math.isfinite, cells)) else None
+    key = struct.pack(f"{len(cells)}d", *cells)
+    texts = _float_texts.get(key)
+    if texts is None:
+        if not all(map(math.isfinite, cells)):
+            return None
+        texts = tuple(map(float.__repr__, cells))
+        # a float's text is ASCII: sys.getsizeof("") plus one byte a character
+        strings = len(texts) * sys.getsizeof("") + sum(map(len, texts))
+        _float_texts.put(key, texts, sys.getsizeof(key) + sys.getsizeof(texts) + strings)
+    return list(texts)
 
 
 def cell_texts(columns: Mapping[str, list]) -> dict[str, list[str]]:
@@ -100,7 +85,7 @@ def cell_texts(columns: Mapping[str, list]) -> dict[str, list[str]]:
         if kinds == {type(None)}:  # a column a report leaves out
             texts[name] = [""] * len(cells)
             continue
-        floats = _float_texts(cells) if kinds == {float} else None
+        floats = _float_column_texts(cells) if kinds == {float} else None
         texts[name] = floats if floats is not None else list(map(_cell_text, cells))
     return texts
 

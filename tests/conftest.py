@@ -8,12 +8,3 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
-
-def cold_caches() -> None:
-    """Forget every operator entry and everything kept across reports."""
-    from pqbernstein import error_bounds, operator_eval, reportio
-
-    operator_eval._tables.cache_clear()
-    operator_eval._grid_basis.clear()
-    error_bounds._kept_grid.clear()
-    reportio._float_texts.clear()

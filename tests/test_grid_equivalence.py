@@ -12,6 +12,7 @@ against the K-node rule's, where it runs, and the bit-identical K-node
 fallback.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from pqbernstein import functions, operator_eval
 from pqbernstein.error_bounds import check_t32, check_t33, check_t34
 from pqbernstein.experiments import KOROVKIN_FUNCTIONS, run_bounds, run_korovkin, schedule
 from pqbernstein.functions import RealFunction, make_function
+from pqbernstein.kept import clear_all
 from pqbernstein.moments_closed import build_moment_report
 from pqbernstein.operator_eval import (
     BasisVariant,
@@ -36,10 +38,9 @@ from pqbernstein.operator_eval import (
     evaluate_on_grid,
     required_domain,
 )
-from pqbernstein.pq_core import BLOCK_VALUES, PQPair
+from pqbernstein.pq_core import BLOCK_BYTES, BLOCK_VALUES, PQPair
 from pqbernstein.pq_quadrature import build_rule
 
-from conftest import cold_caches
 from oracles import pq_integer
 
 # (n, ell, p, q); the last two reach N = 130 along the classic schedule
@@ -313,7 +314,7 @@ def test_apply_after_the_moment_report_reuses_its_e1_means(monkeypatch):
 
     for name in calls:
         monkeypatch.setitem(functions._BUILTINS, name, counting(name))
-    _tables.cache_clear()
+    clear_all()
     build_moment_report(config, pq, XS)
     assert calls["e0"] == [] and calls["e1"]
     before = len(calls["e1"])
@@ -332,7 +333,7 @@ def test_basis_alone_builds_no_rule(monkeypatch):
         return build_rule(*args)
 
     monkeypatch.setattr(operator_eval, "build_rule", spy)
-    _tables.cache_clear()
+    clear_all()
     basis_matrix(config, pq, XS)
     basis_matrix(config, pq, 0.5)
     assert rules == []
@@ -400,7 +401,7 @@ def test_korovkin_power_columns_match_direct_quadrature():
 def test_fresh_classic_n1024_apply_stays_small():
     # the (N+1) x K argument table alone would be 194 MB here (K = 23,614)
     config, pq = SchurerConfig(n=1024), classic(1024)
-    _tables.cache_clear()
+    clear_all()
     tracemalloc.start()
     try:
         f = make_function("f_fig", *required_domain(config, pq))
@@ -416,21 +417,21 @@ def test_fresh_classic_n1024_apply_stays_small():
 @pytest.mark.parametrize("config, pq", OPERATORS[::3], ids=IDS[::3])
 def test_means_do_not_depend_on_the_block_size(config, pq, block, monkeypatch):
     fns = tuple(functions._BUILTINS[name] for name in ("e2", "f_fig", "holder_half"))
-    _tables.cache_clear()
+    clear_all()
     default = np.array(_tables(config, pq).integral_means(fns))
-    _tables.cache_clear()
+    clear_all()
     monkeypatch.setattr(operator_eval, "BLOCK_VALUES", block)
     try:
         patched = np.array(_tables(config, pq).integral_means(fns))
     finally:
-        _tables.cache_clear()
+        clear_all()
     assert np.abs(patched - default).max() <= 1e-14 * np.abs(default).max()
 
 
 def test_no_functions_build_no_argument_block():
     # one block at classic n = 128 (K about 3,000) holds BLOCK_VALUES floats
     config, pq = SchurerConfig(n=128), classic(128)
-    _tables.cache_clear()
+    clear_all()
     op = _tables(config, pq)
     op.arguments  # the rule and the arguments, built before tracing starts
     tracemalloc.start()
@@ -490,12 +491,12 @@ def test_bound_checks_and_moment_report_build_one_basis_matrix_each(basis_builds
     )
     # each alone, on a fresh cache
     for check in checks:
-        cold_caches()
+        clear_all()
         basis_builds.clear()
         check()
         assert basis_builds == [config.degree]
     # the four in sequence, as a theorems bundle runs them: one in all
-    cold_caches()
+    clear_all()
     basis_builds.clear()
     for check in checks:
         check()
@@ -506,33 +507,48 @@ def test_bound_checks_and_moment_report_build_one_basis_matrix_each(basis_builds
     evaluate_on_grid(other, classic(17), (), XS)
     evaluate_on_grid(other, classic(17), (), XS.reshape(3, 7))
     evaluate_on_grid(other, classic(17), (), XS[::-1])
+    # and each entry keeps its own
     check_t32(config, pq, fig, XS)
-    assert basis_builds == [config.degree, 18, 18, 18, config.degree]
+    assert basis_builds == [config.degree, 18, 18, 18]
+
+
+def kept_grid_basis(config, pq, xs):
+    """The basis an operator entry keeps for the grid xs, or None."""
+    return _tables(config, pq).kept.get((xs.shape, xs.tobytes()))
 
 
 def test_a_grid_above_one_block_is_never_kept(basis_builds):
     config, pq = SchurerConfig(n=16, ell=1), classic(16)
     size = config.degree + 1
-    small, big = (np.linspace(0.0, 1.0, BLOCK_VALUES // size + extra) for extra in (0, 1))
-    cold_caches()
+
+    def held(g):  # a g-point grid basis with its array header and its key
+        return sys.getsizeof(np.empty((g, size))) + sys.getsizeof(bytes(8 * g))
+
+    # the header and the key move the largest grid kept just below one block of values
+    largest = max(g for g in range(1, BLOCK_VALUES // size + 1) if held(g) <= BLOCK_BYTES)
+    assert largest < BLOCK_VALUES // size
+    small, big = (np.linspace(0.0, 1.0, largest + extra) for extra in (0, 1))
+    clear_all()
     for _ in range(2):
         evaluate_on_grid(config, pq, (), big)
-        assert operator_eval._grid_basis.basis is None
+        assert kept_grid_basis(config, pq, big) is None
     assert basis_builds == [config.degree] * 2
     evaluate_on_grid(config, pq, (), small)
     evaluate_on_grid(config, pq, (), small)
-    assert operator_eval._grid_basis.basis.size == small.size * size <= BLOCK_VALUES
+    kept = kept_grid_basis(config, pq, small)
+    assert kept.size == small.size * size
     assert basis_builds == [config.degree] * 3
-    # a miss drops the kept basis, and a grid too big for the slot keeps nothing
+    # a grid too big for the entry's store keeps nothing and drops nothing
     evaluate_on_grid(config, pq, (), big)
-    assert operator_eval._grid_basis.basis is None
+    assert kept_grid_basis(config, pq, big) is None
+    assert kept_grid_basis(config, pq, small) is kept
 
 
 def test_the_kept_basis_is_read_only_and_basis_matrix_is_a_fresh_copy():
     config, pq = SchurerConfig(n=12, ell=2), classic(12)
-    cold_caches()
+    clear_all()
     want = evaluate_on_grid(config, pq, (), XS).raw
-    kept = operator_eval._grid_basis.basis
+    kept = kept_grid_basis(config, pq, XS)
     assert kept is not None and not kept.flags.writeable
     with pytest.raises(ValueError):
         kept[0, 0] = 2.0
@@ -541,7 +557,7 @@ def test_the_kept_basis_is_read_only_and_basis_matrix_is_a_fresh_copy():
     np.testing.assert_array_equal(matrix, kept)
     matrix[:] = 0.0  # the caller's copy, not the kept basis
     got = evaluate_on_grid(config, pq, (), XS).raw
-    assert operator_eval._grid_basis.basis is kept
+    assert kept_grid_basis(config, pq, XS) is kept
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
 
@@ -549,12 +565,12 @@ def test_the_kept_basis_is_read_only_and_basis_matrix_is_a_fresh_copy():
 def test_a_kept_basis_is_keyed_on_the_bits_of_the_grid():
     # 0.0 == -0.0, but the basis row at -0.0 holds -0.0 where the row at 0.0 holds 0.0
     config, pq = SchurerConfig(n=5), classic(5)
-    cold_caches()
+    clear_all()
     signs = []
     for first in (0.0, -0.0, 0.0):
         xs = np.array([first, 0.5])
         evaluate_on_grid(config, pq, (), xs)
-        kept = operator_eval._grid_basis.basis
+        kept = kept_grid_basis(config, pq, xs)
         assert kept.tobytes() == basis_matrix(config, pq, xs).tobytes()
         signs.append(bool(np.signbit(kept[0, 1])))
     assert signs == [False, True, False]
@@ -632,11 +648,11 @@ def test_e1_e2_and_f_fig_are_the_builtins_that_try_the_gauss_rule(monkeypatch):
         return gauss_means(op, fn)
 
     monkeypatch.setattr(_Operator, "gauss_means", spy)
-    _tables.cache_clear()
+    clear_all()
     try:
         _tables(config, pq).integral_means(tuple(functions._BUILTINS.values()))
     finally:
-        _tables.cache_clear()
+        clear_all()
     assert tried == [functions._BUILTINS[name] for name in ("e1", "e2", "f_fig")]
 
 
@@ -722,7 +738,7 @@ def test_an_undeclared_closure_takes_the_k_node_path_bit_identically(monkeypatch
     assert set(seen) == {_tables(config, pq).rule.nodes.size}
     # the same values as f_fig's own K-node means, bit for bit
     monkeypatch.setattr(operator_eval, "ANALYTIC_BUILTINS", frozenset())
-    _tables.cache_clear()
+    clear_all()
     want = apply_on_grid(config, pq, make_function("f_fig", lo, hi), XS)
-    _tables.cache_clear()
+    clear_all()
     np.testing.assert_array_equal(got, want)

@@ -1,26 +1,76 @@
-"""What the reports of a bundle keep for the next one never changes a bit of output.
+"""What is kept between calls: the one store, kept.Kept, and kept.clear_all().
 
-Three things outlive a report: the last grid basis (operator_eval), the last
-ModulusGrid (error_bounds) and the texts of recent float columns (reportio).
-Each report of a theorems bundle must write the same CSV and JSON whether it
-is built alone on cold caches or after the others.
+Three Kept stores outlive a report: the grid bases of each operator entry
+(operator_eval), the ModulusGrids (error_bounds) and the texts of recent
+float columns (reportio).  Each report of a theorems bundle must write the
+same CSV and JSON whether it is built alone after clear_all() or after the
+others.  Every module-level store of the package must be one clear_all()
+clears.
 """
 
+import importlib
+import pkgutil
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqbernstein import error_bounds
+import pqbernstein
+from pqbernstein import error_bounds, operator_eval, reportio
 from pqbernstein.error_bounds import MODULUS_GRID_DIV, ModulusGrid, bound_domain, check_t32, check_t34
 from pqbernstein.experiments import run_bounds, run_moments
 from pqbernstein.functions import make_function
-from pqbernstein.operator_eval import SchurerConfig
+from pqbernstein.kept import Kept, clear_all
+from pqbernstein.operator_eval import SchurerConfig, apply_central_moment
 from pqbernstein.pq_core import PQPair
 
-from conftest import cold_caches
 
 BUNDLE = (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
+
+
+@pytest.mark.parametrize(
+    "steps, left",
+    [
+        # a hit ("a") does not make a put younger
+        pytest.param(["a40", "b40", "a", "c40"], ["b", "c"], id="the-oldest-put-goes-first"),
+        pytest.param(["a40", "b60", "c101"], ["a", "b"], id="an-oversize-value-evicts-nothing"),
+        pytest.param(["a40", "b60", "clear", "c100"], ["c"], id="clear-resets-the-byte-count"),
+    ],
+)
+def test_a_kept_store_holds_at_most_its_budget(steps, left):
+    # each step puts its key at its size, reads a kept key or clears the store
+    store, sizes = Kept(100), {}
+    for step in steps:
+        if step == "clear":
+            store.clear()
+        elif step[1:]:
+            sizes[step[0]] = int(step[1:])
+            store.put(step[0], step[0].upper(), sizes[step[0]])
+        else:
+            assert store.get(step) == step.upper()
+    assert store == {key: key.upper() for key in left}
+    assert store.held == sum(sizes[key] for key in left) <= 100
+
+
+def test_clear_all_clears_every_store_of_the_package():
+    # an operator entry, and one entry in every module-level Kept
+    apply_central_moment(SchurerConfig(n=3), PQPair(0.9, 0.8), 0.5, 2)
+    stores = {}
+    for info in pkgutil.iter_modules(pqbernstein.__path__):
+        module = importlib.import_module(f"pqbernstein.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, Kept) or hasattr(value, "cache_clear"):
+                stores.setdefault(id(value), (f"{info.name}.{name}", value))
+    for _, store in stores.values():
+        if isinstance(store, Kept):
+            store.put(object(), None, 0)
+    known = (operator_eval._tables, error_bounds._kept_grids, reportio._float_texts)
+    assert {id(store) for store in known} <= stores.keys()
+    clear_all()
+    for name, store in stores.values():
+        left = len(store) if isinstance(store, Kept) else store.cache_info().currsize
+        assert left == 0, f"clear_all() leaves {left} entries in {name}"
 
 
 def bundle_steps(config, pq, grid_size):
@@ -51,9 +101,9 @@ def test_each_bundle_report_writes_the_same_text_alone_or_after_the_others(n, el
     steps = bundle_steps(config, pq, grid_size)
     alone = []
     for step in steps:
-        cold_caches()
+        clear_all()
         alone.append(texts(step()))
-    cold_caches()
+    clear_all()
     in_order = [texts(step()) for step in steps]
     assert in_order == alone
     # again, warm, in the reverse order
@@ -72,11 +122,11 @@ def test_a_kept_modulus_grid_is_keyed_on_the_grid_division():
     want = {}
     for div in (MODULUS_GRID_DIV, 10_000):
         with mock.patch.object(error_bounds, "MODULUS_GRID_DIV", div):
-            cold_caches()
+            clear_all()
             want[div] = t32_grid(config, pq, f, xs)
     assert want[10_000][0] == (f.hi - f.lo) / 10_000 < want[MODULUS_GRID_DIV][0]
     assert want[10_000][1] != want[MODULUS_GRID_DIV][1]
-    cold_caches()
+    clear_all()
     for div in (MODULUS_GRID_DIV, 10_000, MODULUS_GRID_DIV):
         with mock.patch.object(error_bounds, "MODULUS_GRID_DIV", div):
             assert t32_grid(config, pq, f, xs) == want[div]
@@ -94,18 +144,19 @@ def test_t32_and_t34_of_one_operator_sample_f_once(monkeypatch):
         init(self, g)
 
     monkeypatch.setattr(ModulusGrid, "__init__", counting)
-    cold_caches()
+    clear_all()
     check_t32(config, pq, f, xs)
     check_t34(config, pq, f, xs)
     assert built == [(f.lo, f.hi)]
     # a wider declaration is sampled on the same bound_domain: nothing new
     check_t32(config, pq, make_function("f_fig", f.lo, f.hi + 0.5), xs)
     assert built == [(f.lo, f.hi)]
-    # another function, or another operator's domain, samples anew
+    # another function, or another operator's domain, samples anew, and
+    # f_fig's grid is still kept after holder_half's
     check_t32(config, pq, make_function("holder_half", f.lo, f.hi), xs)
     check_t32(config, pq, f, xs)
     other = SchurerConfig(n=21, ell=2)
     wider = bound_domain(other, pq)
     check_t32(other, pq, make_function("f_fig", *wider), xs)
     assert wider != (f.lo, f.hi)
-    assert built == [(f.lo, f.hi)] * 3 + [wider]
+    assert built == [(f.lo, f.hi)] * 2 + [wider]

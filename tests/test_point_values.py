@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqbernstein.functions import DOMAIN_EDGE_TOL, DomainError, RealFunction, make_function
+from pqbernstein.kept import clear_all
 from pqbernstein.operator_eval import (
     BasisVariant,
     SchurerConfig,
@@ -232,13 +233,13 @@ def test_frozen_values_do_not_depend_on_the_kept_rows(variant, n, name):
     config, pq, x = operator(variant, n)
     values, row = FROZEN[variant, n]
     want = row.split() if name == "basis" else [values[POINT_CALLS.index(name)]]
-    _tables.cache_clear()
+    clear_all()
     cold = point_call(name, config, pq, x)  # builds the row at x
     for other in POINT_CALLS:
         if other != name:
             point_call(other, config, pq, x)
     warm = point_call(name, config, pq, x)  # reads it
-    assert list(_tables(config, pq).rows) == [row_key(float(x))]
+    assert list(_tables(config, pq).kept) == [row_key(float(x))]
     assert [float(v).hex() for v in np.atleast_1d(cold)] == want
     assert [float(v).hex() for v in np.atleast_1d(warm)] == want
 
@@ -264,10 +265,10 @@ def with_examples(test):
 @with_examples
 def test_a_central_moment_is_the_grid_central_at_one_point(x, order, variant, n):
     config, pq, _ = operator(variant, n)
-    _tables.cache_clear()
+    clear_all()
     cold = apply_central_moment(config, pq, x, order)
     warm = apply_central_moment(config, pq, x, order)
-    _tables.cache_clear()
+    clear_all()
     grid = evaluate_on_grid(config, pq, (), x).central[order - 1]
     assert type(cold) is float
     assert cold.hex() == warm.hex() == float(grid).hex()
@@ -275,21 +276,21 @@ def test_a_central_moment_is_the_grid_central_at_one_point(x, order, variant, n)
 
 def test_zero_and_minus_zero_keep_their_own_rows():
     config, pq, _ = operator("normalized", 6)
-    _tables.cache_clear()
+    clear_all()
     plus, minus = basis_matrix(config, pq, 0.0), basis_matrix(config, pq, -0.0)
     assert plus.tobytes() == basis_matrix(config, pq, np.array([0.0]))[0].tobytes()
     assert minus.tobytes() == basis_matrix(config, pq, np.array([-0.0]))[0].tobytes()
     assert plus.tobytes() != minus.tobytes()  # x^k gives -0.0 from k = 1
-    assert list(_tables(config, pq).rows) == [(0.0).hex(), (-0.0).hex()]
+    assert list(_tables(config, pq).kept) == [(0.0).hex(), (-0.0).hex()]
 
 
 def test_basis_matrix_at_a_point_is_a_writable_copy_of_the_kept_row():
     config, pq, x = operator("normalized", 14)
     e0 = make_function("e0", *required_domain(config, pq))
-    _tables.cache_clear()
+    clear_all()
     before = apply(config, pq, e0, x)
     row = basis_matrix(config, pq, x)
-    kept = _tables(config, pq).rows
+    kept = _tables(config, pq).kept
     assert row.flags.writeable and not kept[row_key(x)].flags.writeable
     assert not any(np.shares_memory(row, other) for other in kept.values())
     row[:] = 7.0
@@ -304,11 +305,11 @@ def test_apply_checks_the_domain_of_every_function_object_it_has_not_passed():
     lo, hi = required_domain(config, pq)
     fig = make_function("f_fig", lo, hi)
     narrow = RealFunction(fig.fn, lo, 0.5 * (lo + hi), name="f_fig")
-    _tables.cache_clear()
+    clear_all()
     want = apply(config, pq, fig, x).hex()
     for clear in (False, True, False, True):
         if clear:
-            _tables.cache_clear()
+            clear_all()
         with pytest.raises(DomainError):  # first on a fresh entry, or after the covering one
             apply(config, pq, narrow, x)
         for point in (x, x, 0.5):  # warm calls, on a kept row too

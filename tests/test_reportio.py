@@ -4,6 +4,7 @@ import functools
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from pqbernstein.experiments import (
     run_moments,
     schedule,
 )
+from pqbernstein.kept import Kept, clear_all
 from pqbernstein.operator_eval import SchurerConfig
 from pqbernstein.pq_core import PQPair
 from pqbernstein.reportio import (
@@ -390,60 +392,47 @@ class TestFloatTextMemo:
 
     def test_a_negative_zero_column_after_a_zero_column_keeps_its_sign(self):
         # (0.0,) == (-0.0,): a key on float equality would write 0.0 twice
-        reportio._float_texts.clear()
+        clear_all()
         tail = [1.5] * 15
         for name, zero, text in (("a", 0.0, "0.0"), ("a", -0.0, "-0.0"), ("b", 0.0, "0.0")):
             assert cell_texts({name: [zero, *tail]}) == {name: [text] + ["1.5"] * 15}
 
     def test_a_repeated_column_is_formatted_once_into_fresh_lists(self):
-        reportio._float_texts.clear()
+        clear_all()
         column = [0.1, 2.0, -3e-7] * 6
         first = cell_texts({"a": column})["a"]
-        (kept,) = reportio._float_texts.texts.values()
+        (kept,) = reportio._float_texts.values()
         first.append("changed")  # the caller's list, not the kept texts
         again = cell_texts({"b": list(column), "c": list(column)})
         assert again == {"b": ["0.1", "2.0", "-3e-07"] * 6, "c": ["0.1", "2.0", "-3e-07"] * 6}
         # a hit formats nothing: the texts are the kept ones
         assert all(a is b for a, b in zip(again["c"], kept))
         assert again["b"] is not again["c"]
-        assert reportio._float_texts.cells == 18
+        assert list(reportio._float_texts.values()) == [kept]
 
     def test_a_short_column_is_formatted_and_not_kept(self):
-        reportio._float_texts.clear()
-        short = [0.25 * i for i in range(reportio._float_texts.shortest - 1)]
+        clear_all()
+        short = [0.25 * i for i in range(reportio.SHORTEST_KEPT - 1)]
         assert cell_texts({"a": short}) == {"a": list(map(repr, short))}
-        assert reportio._float_texts.texts == {}
+        assert reportio._float_texts == {}
         with pytest.raises(ValueError, match="non-finite"):
             cell_texts({"a": [1.0, math.nan]})
 
     def test_a_non_finite_column_is_refused_and_not_kept(self):
-        reportio._float_texts.clear()
+        clear_all()
         with pytest.raises(ValueError, match="non-finite"):
             cell_texts({"a": [1.0] * 20 + [math.inf]})
-        assert reportio._float_texts.texts == {}
-
-    def test_the_memo_keeps_at_most_its_cells_least_recent_first(self):
-        memo = reportio._FloatTexts(10, shortest=1)
-        for start in range(5):
-            memo([float(start + i) for i in range(3)])
-        assert memo.cells == 9 and len(memo.texts) == 3  # the last three columns
-        memo([2.0, 3.0, 4.0])  # a hit: now the most recent
-        memo([9.0, 9.5])
-        assert memo.cells == 8
-        assert list(memo.texts.values()) == [
-            ("4.0", "5.0", "6.0"), ("2.0", "3.0", "4.0"), ("9.0", "9.5")
-        ]
-        # a column longer than the whole memo is written but not kept
-        assert memo([0.5] * 11) == ["0.5"] * 11
-        assert memo.cells == 8 and len(memo.texts) == 3
-        assert sum(map(len, memo.texts.values())) == memo.cells
+        assert reportio._float_texts == {}
 
     @given(
-        st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6), max_size=12),
+        st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20), max_size=12),
         st.integers(0, 4),
+        st.integers(0, 2_000),
     )
-    def test_texts_do_not_depend_on_what_was_kept(self, columns, shortest):
-        memo = reportio._FloatTexts(16, shortest)
-        for cells in columns:
-            assert memo(cells) == [float.__repr__(v) for v in cells]
-            assert memo.cells <= 16
+    def test_texts_do_not_depend_on_what_was_kept(self, columns, shortest, budget):
+        store = Kept(budget)
+        with mock.patch.object(reportio, "_float_texts", store), \
+                mock.patch.object(reportio, "SHORTEST_KEPT", shortest):
+            for cells in columns:
+                assert cell_texts({"a": cells}) == {"a": [float.__repr__(v) for v in cells]}
+                assert store.held <= budget

@@ -4,7 +4,7 @@ Each loop below would hold far more than a few blocks if it took its whole
 table at once: the Lipschitz check's 201 x 201 pair table, the 129 x 2,982
 K-node arguments of a theorems-shaped operator, and the 1,000 x 1,001 factor
 table of a rising product.  The same block bounds the basis rows an operator
-keeps for its point calls, and the one grid basis kept across reports.
+keeps for its point calls and grids, and what a bundle keeps across reports.
 """
 
 import sys
@@ -12,8 +12,9 @@ import tracemalloc
 
 import numpy as np
 
-from pqbernstein import error_bounds, functions, operator_eval, reportio
+from pqbernstein import error_bounds, functions
 from pqbernstein.experiments import run_bounds, run_moments
+from pqbernstein.kept import clear_all
 from pqbernstein.operator_eval import (
     SchurerConfig,
     _Operator,
@@ -22,11 +23,8 @@ from pqbernstein.operator_eval import (
     apply_on_grid,
     required_domain,
 )
-from pqbernstein.pq_core import BLOCK_VALUES, PQPair, pq_rising_two_term
+from pqbernstein.pq_core import BLOCK_BYTES, BLOCK_VALUES, PQPair, pq_rising_two_term
 
-from conftest import cold_caches
-
-BLOCK_BYTES = 8 * BLOCK_VALUES
 
 
 def peak_bytes(call):
@@ -71,7 +69,7 @@ def test_a_rising_product_holds_a_few_blocks():
 def kept_rows(n, points):
     """The rows a fresh classic-n entry keeps after apply at that many points, and their bytes."""
     config, pq = classic(n)
-    _tables.cache_clear()
+    clear_all()
     f_fig = functions.make_function("f_fig", *required_domain(config, pq))
     apply(config, pq, f_fig, 0.5)  # the rule and the means
     tracemalloc.start()
@@ -79,7 +77,7 @@ def kept_rows(n, points):
         before = tracemalloc.get_traced_memory()[0]
         for x in np.linspace(0.0, 1.0, points).tolist():
             apply(config, pq, f_fig, x)
-        return _tables(config, pq).rows, tracemalloc.get_traced_memory()[0] - before
+        return _tables(config, pq).kept, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
 
@@ -91,20 +89,16 @@ def test_the_kept_basis_rows_stay_within_one_block():
 
 
 def test_small_kept_rows_count_their_headers_and_keys():
-    # at n = 1 a row's 2 values take 16 of its about 200 bytes: 8,000 rows
+    # at n = 1 a row's 2 values take 16 of its 152 bytes: 8,000 rows
     # of values would hold about 1.8 MB
     rows, held = kept_rows(1, 5000)
     assert 0 < len(rows) < 5000
     assert held < 2 * BLOCK_BYTES
 
 
-def kept_across_reports() -> int:
-    """Bytes the grid basis slot, the ModulusGrid slot and the text memo hold now."""
-    held = tracemalloc.get_traced_memory()[0]
-    operator_eval._grid_basis.clear()
-    error_bounds._kept_grid.clear()
-    reportio._float_texts.clear()
-    return held - tracemalloc.get_traced_memory()[0]
+def kept_grid_basis(config, pq, xs):
+    """The basis an operator entry keeps for the grid xs, or None."""
+    return _tables(config, pq).kept.get((xs.shape, xs.tobytes()))
 
 
 def test_what_a_bundle_keeps_is_one_block_and_one_bundles_texts():
@@ -114,10 +108,12 @@ def test_what_a_bundle_keeps_is_one_block_and_one_bundles_texts():
         lambda theorem=theorem, name=name: run_bounds(theorem, config, pq, name)
         for theorem, name in (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
     ]
-    cold_caches()
-    for step in bundle:  # the operator entry and its means, kept by _tables
-        step()
-    kept_across_reports()
+    clear_all()
+    # the operator entry, its Gauss rules and its means, kept by _tables and
+    # left out of what follows
+    fns = [functions._BUILTINS[name] for name in ("f_fig", "holder_half")]
+    _tables(config, pq).integral_means(fns)
+    _tables(config, pq).gauss
     tracemalloc.start()
     try:
         reports = [step() for step in bundle]
@@ -131,9 +127,11 @@ def test_what_a_bundle_keeps_is_one_block_and_one_bundles_texts():
             if {type(v) for v in cells} == {float}
             for text in report.texts[name]
         )
-        del reports
-        assert operator_eval._grid_basis.basis.size == 101 * 131 <= BLOCK_VALUES
-        held = kept_across_reports()
+        del reports, report
+        xs = np.linspace(0.0, 1.0, 101)
+        assert kept_grid_basis(config, pq, xs).size == 101 * 131 <= BLOCK_VALUES
+        # the grid basis, the ModulusGrid of f_fig and the texts
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert 0 < held <= BLOCK_BYTES + texts
@@ -143,18 +141,20 @@ def test_a_grid_basis_above_one_block_is_not_kept():
     # G = 40,001 at N + 1 = 1,025: a 328 MB basis matrix, freed on return
     config, pq = classic(1024)
     f_fig = functions.make_function("f_fig", *required_domain(config, pq))
-    cold_caches()
+    clear_all()
     apply_on_grid(config, pq, f_fig, np.linspace(0.0, 1.0, 11))  # the rule and the means
+    small, big = np.linspace(0.0, 1.0, 12), np.linspace(0.0, 1.0, 40_001)
     tracemalloc.start()
     try:
-        apply_on_grid(config, pq, f_fig, np.linspace(0.0, 1.0, 12))
-        kept = operator_eval._grid_basis.basis  # 12 x 1,025 values fit one block
+        apply_on_grid(config, pq, f_fig, small)
+        kept = kept_grid_basis(config, pq, small)  # 12 x 1,025 values fit one block
         assert kept is not None and kept.nbytes == 12 * 1025 * 8
         before = tracemalloc.get_traced_memory()[0]
-        apply_on_grid(config, pq, f_fig, np.linspace(0.0, 1.0, 40_001))
+        apply_on_grid(config, pq, f_fig, big)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # the miss dropped the small basis, and the large one was not kept
-    assert operator_eval._grid_basis.basis is None
+    # the large basis was not kept, and the small one still is
+    assert kept_grid_basis(config, pq, big) is None
+    assert kept_grid_basis(config, pq, small) is kept
     assert after - before < 1024

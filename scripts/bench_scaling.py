@@ -30,9 +30,9 @@ case runs in BUNDLE_PROCESSES fresh child processes, one after another,
 since one process's timings of these sub-millisecond stages sit in one of
 two levels that differ by up to 2x on a 2-vCPU host; a fresh process also
 pays the page faults a fresh benchmark process pays.  Before each timed
-repeat kept.clear_all() forgets the operator entries and everything kept
-across reports (the grid basis, the ModulusGrids and the float-column
-texts), so a repeat times one bundle, not a replay of the last one.  Per n:
+repeat kept.clear_all() forgets the operator entry, with the grid basis and
+the ModulusGrids it keeps, and the float-column texts, so a repeat times one
+bundle, not a replay of the last one.  Per n:
 
 - moments, t32, t33 and t34: each report alone, in the bundle's order, after
   cold caches and the reports before it (untimed), so each reuses what the

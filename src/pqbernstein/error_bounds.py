@@ -20,13 +20,13 @@ prefix-max tables that are monotone in delta by construction.  Each table is
 grown on demand up to the largest lag queried so far, so one function costs
 O(m * that lag) in all, at most the O(m^2) of a table over every lag, and a
 query within the lags already computed is a lookup.  The lags' differences are
-formed in place in one buffer.  check_t32 and check_t34 share the ModulusGrids
-they build through one kept.Kept store of one block (_kept_grids), keyed on
-the function object, the bits of its domain and MODULUS_GRID_DIV; each counts
-at its full size, so three fit at the default division, and t34 of a bundle
-continues t32's tables for f_fig.  Grid search underestimates the true sup,
-which only makes the bound checks stricter where the modulus sits on the large
-side; the slack budget covers the error side.
+formed in place in one buffer.  The checks sample f on bound_domain, which
+the operator fixes, so the operator's entry in operator_eval._tables keeps
+the ModulusGrids they build, keyed on the function object and
+MODULUS_GRID_DIV, and t34 of a bundle continues t32's tables for f_fig.  Grid
+search underestimates the true sup, which only makes the bound checks
+stricter where the modulus sits on the large side; the slack budget covers
+the error side.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functions import RealFunction
-from .kept import Kept, clears
 from .moments_closed import closed_moments
-from .operator_eval import SchurerConfig, evaluate_on_grid, report_grid, required_domain
-from .pq_core import BLOCK_BYTES, BLOCK_VALUES, PQPair
+from .operator_eval import SchurerConfig, _tables, evaluate_on_grid, report_grid, required_domain
+from .pq_core import BLOCK_VALUES, PQPair
 from .reportio import Report, config_block, json_rows
 
 # outer sampling: MODULUS_GRID_DIV + 1 points, domain_length / MODULUS_GRID_DIV apart
@@ -138,21 +137,13 @@ class ModulusGrid:
         return self._lookup(2, delta)
 
 
-# The ModulusGrids check_t32 and check_t34 built, under the bits they were
-# sampled from: t32 and t34 of one operator sample the same f on the same
-# bound_domain, and the second one reuses the first one's samples and tables.
-_kept_grids = Kept(BLOCK_BYTES)
-clears.append(_kept_grids.clear)
-
-
-def _modulus_grid(f: RealFunction) -> ModulusGrid:
-    """ModulusGrid(f), reused while the checks sample one function on one grid."""
-    key = (f.fn, float(f.lo).hex(), float(f.hi).hex(), MODULUS_GRID_DIV)
-    grid = _kept_grids.get(key)
+def _modulus_grid(config: SchurerConfig, pq: PQPair, f: RealFunction) -> ModulusGrid:
+    """ModulusGrid(f) of f on bound_domain(config, pq), kept with the operator's entry."""
+    moduli = _tables(config, pq).moduli
+    key = (f.fn, MODULUS_GRID_DIV)
+    grid = moduli.get(key)
     if grid is None:
-        grid = ModulusGrid(f)
-        # its D + 1 samples and its tables grown to every lag, D + 1 and D//2 + 1 floats
-        _kept_grids.put(key, grid, 8 * (2 * MODULUS_GRID_DIV + MODULUS_GRID_DIV // 2 + 3))
+        grid = moduli[key] = ModulusGrid(f)
     return grid
 
 
@@ -296,7 +287,7 @@ def check_t32(
     a theorem, so a violation beyond slack indicates an implementation bug.
     """
     f, xs, errors, deltas, _ = _errors_and_deltas(config, pq, f, grid)
-    mg = _modulus_grid(f)
+    mg = _modulus_grid(config, pq, f)
     slack = _modulus_slack(config, mg)
     bounds = 2.0 * mg.omega(np.sqrt(deltas))
     return _bound_report(
@@ -347,7 +338,7 @@ def check_t34(
     if not (ratio_cap > 0.0 and math.isfinite(ratio_cap)):
         raise ValueError(f"ratio_cap must be finite and positive, got {ratio_cap!r}")
     f, xs, errors, deltas, oracle_m1 = _errors_and_deltas(config, pq, f, grid)
-    mg = _modulus_grid(f)
+    mg = _modulus_grid(config, pq, f)
     slack = _modulus_slack(config, mg)
     alphas = closed_moments(config, pq, xs)[0]
     a_n = deltas + (alphas - xs) ** 2

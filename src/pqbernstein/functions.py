@@ -23,8 +23,8 @@ class RealFunction:
     ``fn`` must accept numpy arrays (all built-ins do); scalar input returns a
     float, array input an array of the same shape.  Each operator it is
     applied to keeps N+1 integral means per ``fn`` object, and the ``fn``
-    itself, while the operator is among the 8 most recent (operator_eval's
-    _tables), so ``fn`` must be hashable and a pure function of its argument.
+    itself, while the operator is the one in use (operator_eval's _tables),
+    so ``fn`` must be hashable and a pure function of its argument.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)

@@ -22,18 +22,20 @@ that matrix once per call and applies it to the raw moment means and to the
 means of every function asked for; the other grid functions are cases of it.
 The point functions run the same code on one x, kept a float: the same
 ufuncs give a 1-D row, so a point costs its arithmetic and no broadcasting.
-One entry of _tables keeps all there is of an operator (config, pq): its
-O(N) basis coefficients, then from first use its K-node rule and argument
-coefficients, O(N + K), its Gauss rules, the means of each function, the
-last function object apply found inside its hull, and its own kept.Kept
-store of one block (pq_core.BLOCK_VALUES float64 values) of read-only basis
+_tables keeps one entry, the operator (config, pq) in use: every caller
+finishes with one operator before it moves to the next.  The entry holds all
+there is of it: its O(N) basis coefficients, then from first use its K-node
+rule and argument coefficients, O(N + K), its Gauss rules, the means of each
+function, the last function object apply found inside its hull, the
+ModulusGrids error_bounds samples on its bound domain, and a kept.Kept store
+of one block (pq_core.BLOCK_VALUES float64 values) of read-only basis
 values: the row of each float point it evaluated, keyed on x, and the matrix
 of each grid, keyed on the grid's shape and float64 bytes, the oldest put
 going first.  So e0, f_fig and (t - x)^2 at the same x build one row, a warm
 point call is one lookup and its ndarray.dot products, @'s ddot without its
 dispatch (about 1 us for apply at N = 16), and the moment report and the
-three bound checks of one operator on one grid build one basis.  What an
-entry keeps goes with it.  basis_matrix always returns a fresh copy.
+three bound checks of one operator on one grid build one basis.  Moving to
+another operator releases all of it.  basis_matrix always returns a fresh copy.
 Every argument is an affine image of the same nodes, so one set of Gauss
 rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
 s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
@@ -157,10 +159,11 @@ class _Operator:
     Construction builds the O(N) basis coefficients and no quadrature rule;
     the rule, the arguments and the Gauss rules, O(N + K), follow on first
     use (about 50 KB at classic N = 130, 400 KB at N = 1024).  The integral
-    means add N+1 read-only floats per function object applied, held with
-    the function while the operator is among the 8 that _tables keeps.  The
-    basis values kept_basis keeps add at most BLOCK_BYTES (125 KB: 15 rows at
-    N = 1024, 355 at N = 27, or one 101-point grid at N = 130).
+    means add N+1 read-only floats per function object applied, and moduli
+    one ModulusGrid (40 KB at the default division) per function object
+    checked; both hold the function while the operator is the one in use.
+    The basis values kept_basis keeps add at most BLOCK_BYTES (125 KB: 15 rows
+    at N = 1024, 355 at N = 27, or one 101-point grid at N = 130).
     """
 
     def __init__(self, config: SchurerConfig, pq: PQPair) -> None:
@@ -184,6 +187,7 @@ class _Operator:
         self.powers = k.astype(float)       # exponents k = 0..N of x^k
         self.fall = r_powers[:-1]           # r^s, s < N, of prod_{s<N-k} (1 - r^s x)
         self.means: dict = {}               # fn -> its integral means, see integral_means
+        self.moduli: dict = {}              # (fn, division) -> error_bounds.ModulusGrid
         self.kept = Kept(BLOCK_BYTES)       # basis values by point or grid, see kept_basis
         self.covered = None                 # the last (frozen) f apply found inside the hull
 
@@ -304,9 +308,9 @@ class _Operator:
         return [self.means[fn] for fn in fns]
 
 
-# Callers finish with one (config, pq) before they move to the next; the
-# longest walk, a default Korovkin run, visits five.
-_tables = lru_cache(maxsize=8)(_Operator)
+# Callers finish with one (config, pq) before they move to the next, so the
+# operator in use is the only one worth keeping.
+_tables = lru_cache(maxsize=1)(_Operator)
 clears.append(_tables.cache_clear)
 
 

@@ -12,14 +12,15 @@ JSON documents start with ``schema_version`` and ``kind``, carry no
 timestamps, indent fields by two spaces and write a list of dicts, lists or
 rows one element per line.  Both formats reject NaN and infinity.
 
-The texts of an all-finite float column of at least SHORTEST_KEPT cells are
-also kept across reports in one kept.Kept store of two blocks (_float_texts),
-keyed on the column's float64 bytes, never on float equality (0.0 == -0.0
-but their texts differ).  A theorems bundle at G = 101 formats 23 distinct
-float columns of 2,323 cells (about 195 KB kept), and its reports share the
-x grid, delta_n and the error of f_fig.  Shorter columns come from
-per-degree tables (a Korovkin run's), which do not repeat, and keying a
-5-cell column costs 30-60% of formatting it (timeit, 2-vCPU Xeon).
+The texts of an all-finite float column of at least SHORTEST_KEPT cells, and
+of no more than the store could hold, are also kept across reports in one
+kept.Kept store of two blocks (_float_texts), keyed on the column's float64
+bytes, never on float equality (0.0 == -0.0 but their texts differ).  A
+theorems bundle at G = 101 formats 23 distinct float columns of 2,323 cells
+(about 195 KB kept), and its reports share the x grid, delta_n and the error
+of f_fig.  Shorter columns come from per-degree tables (a Korovkin run's),
+which do not repeat, and keying a 5-cell column costs 30-60% of formatting it
+(timeit, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -59,11 +60,14 @@ def _cell_text(v) -> str:
 _float_texts = Kept(2 * BLOCK_BYTES)
 clears.append(_float_texts.clear)
 SHORTEST_KEPT = 16
+# a kept cell takes at least 8 bytes of key, an 8-byte tuple slot and the text
+# "0.0", so a column of more than budget // KEPT_CELL_BYTES cells never fits
+KEPT_CELL_BYTES = 8 + 8 + sys.getsizeof("0.0")
 
 
 def _float_column_texts(cells: list) -> list[str] | None:
     """The texts of a column of floats, or None if one of them is not finite."""
-    if not SHORTEST_KEPT <= len(cells) <= _float_texts.budget // 8:  # its key alone would not fit
+    if not SHORTEST_KEPT <= len(cells) <= _float_texts.budget // KEPT_CELL_BYTES:
         return list(map(float.__repr__, cells)) if all(map(math.isfinite, cells)) else None
     key = struct.pack(f"{len(cells)}d", *cells)
     texts = _float_texts.get(key)

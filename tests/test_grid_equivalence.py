@@ -490,10 +490,11 @@ def test_bound_checks_and_moment_report_build_one_basis_matrix_each(basis_builds
         lambda: check_t34(config, pq, fig, XS),
     )
     # each alone, on a fresh cache
+    cold = []
     for check in checks:
         clear_all()
         basis_builds.clear()
-        check()
+        cold.append(check())
         assert basis_builds == [config.degree]
     # the four in sequence, as a theorems bundle runs them: one in all
     clear_all()
@@ -507,9 +508,12 @@ def test_bound_checks_and_moment_report_build_one_basis_matrix_each(basis_builds
     evaluate_on_grid(other, classic(17), (), XS)
     evaluate_on_grid(other, classic(17), (), XS.reshape(3, 7))
     evaluate_on_grid(other, classic(17), (), XS[::-1])
-    # and each entry keeps its own
-    check_t32(config, pq, fig, XS)
-    assert basis_builds == [config.degree, 18, 18, 18]
+    # only the operator in use is kept: going back builds the first basis
+    # again, and the report is the cold one, byte for byte
+    t32 = check_t32(config, pq, fig, XS)
+    assert basis_builds == [config.degree, 18, 18, 18, config.degree]
+    assert t32.to_csv_text() == cold[1].to_csv_text()
+    assert t32.to_json_text() == cold[1].to_json_text()
 
 
 def kept_grid_basis(config, pq, xs):

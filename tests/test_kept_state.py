@@ -1,11 +1,11 @@
 """What is kept between calls: the one store, kept.Kept, and kept.clear_all().
 
-Three Kept stores outlive a report: the grid bases of each operator entry
-(operator_eval), the ModulusGrids (error_bounds) and the texts of recent
-float columns (reportio).  Each report of a theorems bundle must write the
-same CSV and JSON whether it is built alone after clear_all() or after the
-others.  Every module-level store of the package must be one clear_all()
-clears.
+Two stores outlive a report: operator_eval._tables, whose one entry, the
+operator in use, holds its grid basis and the ModulusGrids error_bounds
+builds on it, and the texts of recent float columns (reportio).  Each report
+of a theorems bundle must write the same CSV and JSON whether it is built
+alone after clear_all() or after the others.  Every module-level store of the
+package must be one clear_all() clears.
 """
 
 import importlib
@@ -65,8 +65,8 @@ def test_clear_all_clears_every_store_of_the_package():
     for _, store in stores.values():
         if isinstance(store, Kept):
             store.put(object(), None, 0)
-    known = (operator_eval._tables, error_bounds._kept_grids, reportio._float_texts)
-    assert {id(store) for store in known} <= stores.keys()
+    known = (operator_eval._tables, reportio._float_texts)
+    assert {id(store) for store in known} == stores.keys()
     clear_all()
     for name, store in stores.values():
         left = len(store) if isinstance(store, Kept) else store.cache_info().currsize

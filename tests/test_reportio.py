@@ -418,6 +418,14 @@ class TestFloatTextMemo:
         with pytest.raises(ValueError, match="non-finite"):
             cell_texts({"a": [1.0, math.nan]})
 
+    def test_a_column_too_long_to_keep_packs_no_key(self, monkeypatch):
+        clear_all()
+        longest = reportio._float_texts.budget // reportio.KEPT_CELL_BYTES
+        column = [0.5 * i for i in range(longest + 1)]
+        monkeypatch.setattr(reportio.struct, "pack", lambda *_: pytest.fail("packed a key"))
+        assert cell_texts({"a": column}) == {"a": list(map(repr, column))}
+        assert reportio._float_texts == {}
+
     def test_a_non_finite_column_is_refused_and_not_kept(self):
         clear_all()
         with pytest.raises(ValueError, match="non-finite"):

@@ -5,14 +5,16 @@ table at once: the Lipschitz check's 201 x 201 pair table, the 129 x 2,982
 K-node arguments of a theorems-shaped operator, and the 1,000 x 1,001 factor
 table of a rising product.  The same block bounds the basis rows an operator
 keeps for its point calls and grids, and what a bundle keeps across reports.
+Only the operator in use is kept: moving to another releases the last one.
 """
 
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 
-from pqbernstein import error_bounds, functions
+from pqbernstein import error_bounds, functions, reportio
 from pqbernstein.experiments import run_bounds, run_moments
 from pqbernstein.kept import clear_all
 from pqbernstein.operator_eval import (
@@ -101,13 +103,17 @@ def kept_grid_basis(config, pq, xs):
     return _tables(config, pq).kept.get((xs.shape, xs.tobytes()))
 
 
+def theorems_bundle(config, pq):
+    """The moment report and the three bound checks of one operator, in a bundle's order."""
+    return [run_moments(config, pq)] + [
+        run_bounds(theorem, config, pq, name)
+        for theorem, name in (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
+    ]
+
+
 def test_what_a_bundle_keeps_is_one_block_and_one_bundles_texts():
     # the largest theorems operator: N + 1 = 131 at G = 101, 13,231 basis values
     config, pq = SchurerConfig(n=128, ell=2), classic(128)[1]
-    bundle = [lambda: run_moments(config, pq)] + [
-        lambda theorem=theorem, name=name: run_bounds(theorem, config, pq, name)
-        for theorem, name in (("t32", "f_fig"), ("t33", "holder_half"), ("t34", "f_fig"))
-    ]
     clear_all()
     # the operator entry, its Gauss rules and its means, kept by _tables and
     # left out of what follows
@@ -116,7 +122,7 @@ def test_what_a_bundle_keeps_is_one_block_and_one_bundles_texts():
     _tables(config, pq).gauss
     tracemalloc.start()
     try:
-        reports = [step() for step in bundle]
+        reports = theorems_bundle(config, pq)
         for report in reports:
             report.to_csv_text()
         # what the bundle's float columns take as texts, one string per cell
@@ -158,3 +164,41 @@ def test_a_grid_basis_above_one_block_is_not_kept():
     assert kept_grid_basis(config, pq, big) is None
     assert kept_grid_basis(config, pq, small) is kept
     assert after - before < 1024
+
+
+def test_another_operator_releases_everything_the_last_one_kept(monkeypatch):
+    # a theorems bundle on the largest theorems operator, then one point on another
+    config, pq = SchurerConfig(n=128, ell=2), classic(128)[1]
+    other, other_pq = classic(4)
+    e0 = functions.make_function("e0", *required_domain(other, other_pq))
+    grids = []
+    init = error_bounds.ModulusGrid.__init__
+
+    def recording(grid, f):
+        grids.append(weakref.ref(grid))
+        init(grid, f)
+
+    monkeypatch.setattr(error_bounds.ModulusGrid, "__init__", recording)
+    clear_all()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for report in theorems_bundle(config, pq):
+            report.to_csv_text()
+        del report
+        means = _tables(config, pq).means.values()
+        assert len(grids) == 1 and len(means) == 4  # f_fig's grid; e1, e2, f_fig, holder_half
+        released = [weakref.ref(kept_grid_basis(config, pq, np.linspace(0.0, 1.0, 101)))]
+        released += [*grids, *map(weakref.ref, means)]
+        del means
+        apply(other, other_pq, e0, 0.5)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # the grid basis, the ModulusGrid, then the means
+    assert [i for i, ref in enumerate(released) if ref() is not None] == []
+    # all that is left, but for the float texts reportio keeps, is the small entry
+    rest = [tracemalloc.Filter(False, reportio.__file__)]
+    diffs = after.filter_traces(rest).compare_to(before.filter_traces(rest), "filename")
+    held = sum(diff.size_diff for diff in diffs)
+    assert held < 101 * 131 * 8 // 4  # a quarter of the first entry's basis alone

@@ -16,8 +16,8 @@ tol 1e-10), with G = 101 and 1001 points for the grid stages.  Per n:
 and per (n, G), with the operator's entry and means already kept:
 
 - basis: the (G, N+1) basis matrix;
-- apply_on_grid_warm: f_fig on the grid, the entry's kept basis values
-  (kept.Kept) cleared before each call, so each call builds its basis.
+- apply_on_grid_warm: f_fig on the grid from a fresh entry whose rule and
+  means are built untimed, so each call builds its basis.
 
 The build_rule_long cases time build_rule alone on two long rules: K+1 =
 167,880 (p = 0.9999983126586219, q = 0.999787914476763, tol 4.55e-16) and
@@ -30,8 +30,8 @@ case runs in BUNDLE_PROCESSES fresh child processes, one after another,
 since one process's timings of these sub-millisecond stages sit in one of
 two levels that differ by up to 2x on a 2-vCPU host; a fresh process also
 pays the page faults a fresh benchmark process pays.  Before each timed
-repeat kept.clear_all() forgets the operator entry, with the grid basis and
-the ModulusGrids it keeps, and the float-column texts, so a repeat times one
+repeat clear_all() forgets the operator entry, with the grid basis and the
+ModulusGrids it keeps, and the float-column texts, so a repeat times one
 bundle, not a replay of the last one.  Per n:
 
 - moments, t32, t33 and t34: each report alone, in the bundle's order, after
@@ -86,12 +86,10 @@ from pathlib import Path
 
 import numpy as np
 
-from pqbernstein import PQPair, SchurerConfig, run_bounds, run_moments
+from pqbernstein import PQPair, SchurerConfig, clear_all, run_bounds, run_moments
 from pqbernstein.functions import make_function
-from pqbernstein.kept import clear_all
 from pqbernstein.operator_eval import (
     _Operator,
-    _tables,
     apply,
     apply_central_moment,
     apply_on_grid,
@@ -290,11 +288,15 @@ def main() -> int:
         for g in GRID_SIZES:
             xs = np.linspace(0.0, 1.0, g)
             apply_on_grid(config, pq, f, xs)  # keep the entry and its means
-            kept = _tables(config, pq).kept
+
+            def warm() -> None:
+                clear_all()
+                evaluate_on_grid(config, pq, (f,), ())  # the rule and the means, no point
+
             stages = {
                 "basis": timed(lambda _: basis_matrix(config, pq, xs), args.repeats),
                 "apply_on_grid_warm": timed(
-                    lambda _: apply_on_grid(config, pq, f, xs), args.repeats, kept.clear
+                    lambda _: apply_on_grid(config, pq, f, xs), args.repeats, warm
                 ),
             }
             cases.append({"n": n, "grid": g, "stages": stages, "peak_rss_mb": peak_rss_mb(n, g)})

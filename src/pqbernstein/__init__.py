@@ -6,6 +6,7 @@ continuity error bounds empirically, and drives Korovkin-type convergence
 experiments from a small CLI.
 """
 
+from . import operator_eval, reportio
 from .error_bounds import (
     BoundReport,
     ModulusGrid,
@@ -53,6 +54,13 @@ from .pq_quadrature import QuadratureRule, TruncationError, build_rule
 
 __version__ = "0.1.0"
 
+
+def clear_all() -> None:
+    """Forget everything kept between calls: the operator entry in use and the float-column texts."""
+    operator_eval._tables.cache_clear()
+    reportio._float_texts.cache_clear()
+
+
 __all__ = [
     "BasisVariant",
     "BoundReport",
@@ -79,6 +87,7 @@ __all__ = [
     "check_t32",
     "check_t33",
     "check_t34",
+    "clear_all",
     "closed_moments",
     "custom_schedule",
     "evaluate_on_grid",

@@ -27,15 +27,17 @@ finishes with one operator before it moves to the next.  The entry holds all
 there is of it: its O(N) basis coefficients, then from first use its K-node
 rule and argument coefficients, O(N + K), its Gauss rules, the means of each
 function, the last function object apply found inside its hull, the
-ModulusGrids error_bounds samples on its bound domain, and a kept.Kept store
-of one block (pq_core.BLOCK_VALUES float64 values) of read-only basis
-values: the row of each float point it evaluated, keyed on x, and the matrix
-of each grid, keyed on the grid's shape and float64 bytes, the oldest put
-going first.  So e0, f_fig and (t - x)^2 at the same x build one row, a warm
-point call is one lookup and its ndarray.dot products, @'s ddot without its
-dispatch (about 1 us for apply at N = 16), and the moment report and the
-three bound checks of one operator on one grid build one basis.  Moving to
-another operator releases all of it.  basis_matrix always returns a fresh copy.
+ModulusGrids error_bounds samples on its bound domain, and a plain dict of
+at most one block (pq_core.BLOCK_BYTES, headers and keys counted) of
+read-only basis values: the row of each float point it evaluated, keyed on
+x, and the matrix of each grid, keyed on the grid's shape and float64 bytes.
+A basis that would overflow the block empties the dict and starts it over;
+one larger than a block is not kept.  So e0, f_fig and (t - x)^2 at the
+same x build one row, a warm point call is one lookup and its ndarray.dot
+products, @'s ddot without its dispatch (about 1 us for apply at N = 16),
+and the moment report and the three bound checks of one operator on one
+grid build one basis.  Moving to another operator releases all of it.
+basis_matrix always returns a fresh copy.
 Every argument is an affine image of the same nodes, so one set of Gauss
 rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
 s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
@@ -68,7 +70,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
-from .kept import Kept, clears
 from .pq_core import (
     BLOCK_BYTES,
     BLOCK_VALUES,
@@ -163,7 +164,8 @@ class _Operator:
     one ModulusGrid (40 KB at the default division) per function object
     checked; both hold the function while the operator is the one in use.
     The basis values kept_basis keeps add at most BLOCK_BYTES (125 KB: 15 rows
-    at N = 1024, 355 at N = 27, or one 101-point grid at N = 130).
+    at N = 1024, 355 at N = 27, or one 101-point grid at N = 130), counted in
+    held; the next basis that would overflow them starts kept over.
     """
 
     def __init__(self, config: SchurerConfig, pq: PQPair) -> None:
@@ -188,7 +190,8 @@ class _Operator:
         self.fall = r_powers[:-1]           # r^s, s < N, of prod_{s<N-k} (1 - r^s x)
         self.means: dict = {}               # fn -> its integral means, see integral_means
         self.moduli: dict = {}              # (fn, division) -> error_bounds.ModulusGrid
-        self.kept = Kept(BLOCK_BYTES)       # basis values by point or grid, see kept_basis
+        self.kept: dict = {}                # basis values by point or grid, see kept_basis
+        self.held = 0                       # the bytes of kept, as kept_basis counts them
         self.covered = None                 # the last (frozen) f apply found inside the hull
 
     @cached_property
@@ -241,7 +244,7 @@ class _Operator:
         return out
 
     def kept_basis(self, x: float | np.ndarray) -> np.ndarray:
-        """basis(x), read-only, built once per point or grid while it fits self.kept.
+        """basis(x), read-only, built once per point or grid while self.kept holds it.
 
         A float x is keyed on x, or on x.hex() for the zeros, equal floats
         whose rows differ in sign ((-0.0)**1 is -0.0); a grid on its shape and
@@ -253,7 +256,13 @@ class _Operator:
         if basis is None:
             basis = self.basis(x)
             basis.flags.writeable = False
-            self.kept.put(key, basis, sys.getsizeof(basis) + sys.getsizeof(key if point else key[1]))
+            size = sys.getsizeof(basis) + sys.getsizeof(key if point else key[1])
+            if size <= BLOCK_BYTES:
+                if self.held + size > BLOCK_BYTES:
+                    self.kept.clear()  # frees the dict's table too
+                    self.held = 0
+                self.kept[key] = basis
+                self.held += size
         return basis
 
     def check_covers(self, f: RealFunction) -> None:
@@ -311,7 +320,6 @@ class _Operator:
 # Callers finish with one (config, pq) before they move to the next, so the
 # operator in use is the only one worth keeping.
 _tables = lru_cache(maxsize=1)(_Operator)
-clears.append(_tables.cache_clear)
 
 
 def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
@@ -416,6 +424,7 @@ def evaluate_on_grid(config: SchurerConfig, pq: PQPair, fs, xs) -> GridEvaluatio
     functions are never evaluated on the arguments; the fs share one pass
     over the argument blocks.
     """
+    fs = tuple(fs)  # an iterator would be used up by the domain checks
     x = _check_points(xs)  # a float for one point: 1-D rows and scalar arithmetic
     op = _tables(config, pq)
     for f in fs:

@@ -20,8 +20,8 @@ import numpy as np
 # threshold, so blocks reuse heap memory instead of fresh mapped pages.  Every
 # blocked loop splits an independent axis into blocks of at most this many:
 # the integral means' argument rows (operator_eval), the Lipschitz check's
-# pair rows (error_bounds) and the rising products' points.  The stores of
-# kept values (kept.Kept) take their budgets in BLOCK_BYTES.
+# pair rows (error_bounds) and the rising products' points.  An operator
+# entry keeps at most BLOCK_BYTES of basis values (operator_eval.kept_basis).
 BLOCK_VALUES = 16_000
 BLOCK_BYTES = 8 * BLOCK_VALUES
 

@@ -12,15 +12,15 @@ JSON documents start with ``schema_version`` and ``kind``, carry no
 timestamps, indent fields by two spaces and write a list of dicts, lists or
 rows one element per line.  Both formats reject NaN and infinity.
 
-The texts of an all-finite float column of at least SHORTEST_KEPT cells, and
-of no more than the store could hold, are also kept across reports in one
-kept.Kept store of two blocks (_float_texts), keyed on the column's float64
+The texts of an all-finite float column of SHORTEST_KEPT to LONGEST_KEPT
+cells are also kept across reports, in one functools.lru_cache of 16
+columns (_float_texts, at most about 185 KB), keyed on the column's float64
 bytes, never on float equality (0.0 == -0.0 but their texts differ).  A
-theorems bundle at G = 101 formats 23 distinct float columns of 2,323 cells
-(about 195 KB kept), and its reports share the x grid, delta_n and the error
-of f_fig.  Shorter columns come from per-degree tables (a Korovkin run's),
-which do not repeat, and keying a 5-cell column costs 30-60% of formatting it
-(timeit, 2-vCPU Xeon).
+theorems bundle at G = 101 formats 22 distinct float columns of 101 cells,
+and its reports share the x grid, delta_n and the error of f_fig.  Shorter
+columns come from per-degree tables (a Korovkin run's), which do not repeat,
+and keying a 5-cell column costs 30-60% of formatting it (timeit, 2-vCPU
+Xeon).
 """
 
 from __future__ import annotations
@@ -29,12 +29,8 @@ import json
 import math
 import os
 import struct
-import sys
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
-
-from .kept import Kept, clears
-from .pq_core import BLOCK_BYTES
 
 SCHEMA_VERSION = "1"
 
@@ -57,28 +53,22 @@ def _cell_text(v) -> str:
     return float.__repr__(v)
 
 
-_float_texts = Kept(2 * BLOCK_BYTES)
-clears.append(_float_texts.clear)
-SHORTEST_KEPT = 16
-# a kept cell takes at least 8 bytes of key, an 8-byte tuple slot and the text
-# "0.0", so a column of more than budget // KEPT_CELL_BYTES cells never fits
-KEPT_CELL_BYTES = 8 + 8 + sys.getsizeof("0.0")
+# a kept cell is 8 bytes of key, an 8-byte tuple slot and a text of at most
+# 24 characters (73 bytes): 16 columns of LONGEST_KEPT cells hold about 185 KB
+SHORTEST_KEPT, LONGEST_KEPT = 16, 128
 
 
-def _float_column_texts(cells: list) -> list[str] | None:
-    """The texts of a column of floats, or None if one of them is not finite."""
-    if not SHORTEST_KEPT <= len(cells) <= _float_texts.budget // KEPT_CELL_BYTES:
-        return list(map(float.__repr__, cells)) if all(map(math.isfinite, cells)) else None
-    key = struct.pack(f"{len(cells)}d", *cells)
-    texts = _float_texts.get(key)
-    if texts is None:
-        if not all(map(math.isfinite, cells)):
-            return None
-        texts = tuple(map(float.__repr__, cells))
-        # a float's text is ASCII: sys.getsizeof("") plus one byte a character
-        strings = len(texts) * sys.getsizeof("") + sum(map(len, texts))
-        _float_texts.put(key, texts, sys.getsizeof(key) + sys.getsizeof(texts) + strings)
-    return list(texts)
+def _float_column(cells) -> list[str]:
+    """The texts of a column of floats; a non-finite one raises ValueError."""
+    if all(map(math.isfinite, cells)):
+        return list(map(float.__repr__, cells))
+    return list(map(_cell_text, cells))  # raises at the first non-finite cell
+
+
+@lru_cache(maxsize=16)
+def _float_texts(key: bytes) -> tuple[str, ...]:
+    """_float_column of the floats packed in key; a column that raises is not kept."""
+    return tuple(_float_column(struct.unpack(f"{len(key) // 8}d", key)))
 
 
 def cell_texts(columns: Mapping[str, list]) -> dict[str, list[str]]:
@@ -88,9 +78,12 @@ def cell_texts(columns: Mapping[str, list]) -> dict[str, list[str]]:
         kinds = set(map(type, cells))
         if kinds == {type(None)}:  # a column a report leaves out
             texts[name] = [""] * len(cells)
-            continue
-        floats = _float_column_texts(cells) if kinds == {float} else None
-        texts[name] = floats if floats is not None else list(map(_cell_text, cells))
+        elif kinds != {float}:
+            texts[name] = list(map(_cell_text, cells))
+        elif SHORTEST_KEPT <= len(cells) <= LONGEST_KEPT:
+            texts[name] = list(_float_texts(struct.pack(f"{len(cells)}d", *cells)))
+        else:
+            texts[name] = _float_column(cells)
     return texts
 
 

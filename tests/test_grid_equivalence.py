@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pqbernstein import functions, operator_eval
+from pqbernstein import clear_all, functions, operator_eval
 from pqbernstein.error_bounds import check_t32, check_t33, check_t34
 from pqbernstein.experiments import KOROVKIN_FUNCTIONS, run_bounds, run_korovkin, schedule
 from pqbernstein.functions import RealFunction, make_function
-from pqbernstein.kept import clear_all
 from pqbernstein.moments_closed import build_moment_report
 from pqbernstein.operator_eval import (
     BasisVariant,
@@ -285,6 +284,17 @@ def test_many_functions_match_single_calls():
     fs = [make_function(name, lo, hi) for name in ("e0", "e2", "f_fig")]
     for f, got in zip(fs, evaluate_on_grid(config, pq, fs, XS).values):
         np.testing.assert_array_equal(got, apply_on_grid(config, pq, f, XS))
+
+
+def test_functions_from_a_generator_give_the_values_of_a_list():
+    config, pq = SchurerConfig(n=12, ell=1), PQPair(0.95, 0.9)
+    lo, hi = required_domain(config, pq)
+    fs = [make_function(name, lo, hi) for name in ("e0", "f_fig")]
+    for some in (fs[1:], fs):
+        want = evaluate_on_grid(config, pq, some, XS).values
+        got = evaluate_on_grid(config, pq, (f for f in some), XS).values
+        assert len(got) == len(some)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_cached_means_are_read_only():

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pqbernstein import clear_all
 from pqbernstein.functions import DOMAIN_EDGE_TOL, DomainError, RealFunction, make_function
-from pqbernstein.kept import clear_all
 from pqbernstein.operator_eval import (
     BasisVariant,
     SchurerConfig,

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import csv_text_per_cell, json_rows_per_row, json_text_by_encoder, report_json_doc
-from pqbernstein import cli, reportio
+from pqbernstein import clear_all, cli, reportio
 from pqbernstein.experiments import (
     run_bounds,
     run_figure,
@@ -19,7 +19,6 @@ from pqbernstein.experiments import (
     run_moments,
     schedule,
 )
-from pqbernstein.kept import Kept, clear_all
 from pqbernstein.operator_eval import SchurerConfig
 from pqbernstein.pq_core import PQPair
 from pqbernstein.reportio import (
@@ -401,46 +400,50 @@ class TestFloatTextMemo:
         clear_all()
         column = [0.1, 2.0, -3e-7] * 6
         first = cell_texts({"a": column})["a"]
-        (kept,) = reportio._float_texts.values()
         first.append("changed")  # the caller's list, not the kept texts
         again = cell_texts({"b": list(column), "c": list(column)})
         assert again == {"b": ["0.1", "2.0", "-3e-07"] * 6, "c": ["0.1", "2.0", "-3e-07"] * 6}
-        # a hit formats nothing: the texts are the kept ones
-        assert all(a is b for a, b in zip(again["c"], kept))
+        # one miss formats; the two hits format nothing: the texts are the same strings
+        info = reportio._float_texts.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert all(a is b for a, b in zip(again["b"], again["c"]))
         assert again["b"] is not again["c"]
-        assert list(reportio._float_texts.values()) == [kept]
 
     def test_a_short_column_is_formatted_and_not_kept(self):
         clear_all()
         short = [0.25 * i for i in range(reportio.SHORTEST_KEPT - 1)]
         assert cell_texts({"a": short}) == {"a": list(map(repr, short))}
-        assert reportio._float_texts == {}
+        assert reportio._float_texts.cache_info().currsize == 0
         with pytest.raises(ValueError, match="non-finite"):
             cell_texts({"a": [1.0, math.nan]})
 
     def test_a_column_too_long_to_keep_packs_no_key(self, monkeypatch):
         clear_all()
-        longest = reportio._float_texts.budget // reportio.KEPT_CELL_BYTES
-        column = [0.5 * i for i in range(longest + 1)]
+        column = [0.5 * i for i in range(reportio.LONGEST_KEPT + 1)]
         monkeypatch.setattr(reportio.struct, "pack", lambda *_: pytest.fail("packed a key"))
         assert cell_texts({"a": column}) == {"a": list(map(repr, column))}
-        assert reportio._float_texts == {}
+        assert reportio._float_texts.cache_info().currsize == 0
 
     def test_a_non_finite_column_is_refused_and_not_kept(self):
         clear_all()
-        with pytest.raises(ValueError, match="non-finite"):
-            cell_texts({"a": [1.0] * 20 + [math.inf]})
-        assert reportio._float_texts == {}
+        for size in (20, reportio.LONGEST_KEPT + 1):  # a column the cache takes, and a longer one
+            with pytest.raises(ValueError, match="non-finite value inf"):
+                cell_texts({"a": [1.0] * (size - 1) + [math.inf]})
+        assert reportio._float_texts.cache_info().currsize == 0
 
     @given(
         st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20), max_size=12),
         st.integers(0, 4),
-        st.integers(0, 2_000),
+        st.sampled_from(["cleared", 0, 1, 16]),
     )
-    def test_texts_do_not_depend_on_what_was_kept(self, columns, shortest, budget):
-        store = Kept(budget)
-        with mock.patch.object(reportio, "_float_texts", store), \
+    def test_texts_do_not_depend_on_what_was_kept(self, columns, shortest, kept):
+        # a cache of no, one or sixteen columns, or one cleared before every call
+        size = 16 if kept == "cleared" else kept
+        cache = functools.lru_cache(maxsize=size)(reportio._float_texts.__wrapped__)
+        with mock.patch.object(reportio, "_float_texts", cache), \
                 mock.patch.object(reportio, "SHORTEST_KEPT", shortest):
             for cells in columns:
+                if kept == "cleared":
+                    cache.cache_clear()
                 assert cell_texts({"a": cells}) == {"a": [float.__repr__(v) for v in cells]}
-                assert store.held <= budget
+                assert cache.cache_info().currsize <= size

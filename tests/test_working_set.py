@@ -14,9 +14,8 @@ import weakref
 
 import numpy as np
 
-from pqbernstein import error_bounds, functions, reportio
+from pqbernstein import clear_all, error_bounds, functions, reportio
 from pqbernstein.experiments import run_bounds, run_moments
-from pqbernstein.kept import clear_all
 from pqbernstein.operator_eval import (
     SchurerConfig,
     _Operator,
@@ -202,3 +201,20 @@ def test_another_operator_releases_everything_the_last_one_kept(monkeypatch):
     diffs = after.filter_traces(rest).compare_to(before.filter_traces(rest), "filename")
     held = sum(diff.size_diff for diff in diffs)
     assert held < 101 * 131 * 8 // 4  # a quarter of the first entry's basis alone
+
+
+def test_the_float_text_cache_holds_at_most_two_blocks():
+    # more columns than the cache keeps, each of its longest length, with texts
+    # of 21 to 23 characters: 86 to 88 bytes a cell with its key and tuple slot
+    clear_all()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(24):
+            column = [-3.141592653589793e-300 * (1 + i + j / 512) for j in range(reportio.LONGEST_KEPT)]
+            reportio.cell_texts({"a": column})
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert reportio._float_texts.cache_info().currsize == 16
+    assert 16 * reportio.LONGEST_KEPT * 86 < held < 2 * BLOCK_BYTES

@@ -26,7 +26,7 @@ from .experiments import (
     run_selftest,
     schedule,
 )
-from .functions import FUNCTION_NAMES, DomainError
+from .functions import FUNCTION_NAMES
 from .operator_eval import BasisVariant, NumericalRangeError, SchurerConfig
 from .pq_core import PQPair
 from .pq_quadrature import TruncationError
@@ -248,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, DomainError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, DomainError and NotLipschitzError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,7 +26,7 @@ from .experiments import (
     run_selftest,
     schedule,
 )
-from .functions import FUNCTION_NAMES
+from .functions import BUILTINS
 from .operator_eval import BasisVariant, NumericalRangeError, SchurerConfig
 from .pq_core import PQPair
 from .pq_quadrature import TruncationError
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--n", type=int, required=True)
     p_bnd.add_argument("--p", type=float, default=None)
     p_bnd.add_argument("--q", type=float, default=None)
-    p_bnd.add_argument("--function", choices=FUNCTION_NAMES, default="f_fig")
+    p_bnd.add_argument("--function", choices=tuple(BUILTINS), default="f_fig")
     p_bnd.add_argument("--lip-m", type=float, default=None, help="Lipschitz constant M (t33)")
     p_bnd.add_argument("--lip-alpha", type=float, default=None, help="Lipschitz exponent (t33)")
     p_bnd.add_argument(

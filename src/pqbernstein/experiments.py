@@ -22,7 +22,7 @@ from .error_bounds import (
     check_t33,
     check_t34,
 )
-from .functions import LIPSCHITZ_DATA, RealFunction, make_function
+from .functions import BUILTINS, RealFunction, make_function
 from .moments_closed import MomentReport, build_moment_report
 from .operator_eval import (
     BasisVariant,
@@ -342,7 +342,7 @@ def run_bounds(
     if ratio_cap is not None and theorem != "t34":
         raise ConfigError(f"a ratio cap applies to t34 only, not {theorem}")
     if theorem == "t33" and lipschitz is None:
-        lipschitz = LIPSCHITZ_DATA.get(function_name)
+        lipschitz = BUILTINS[function_name].lipschitz if function_name in BUILTINS else None
         if lipschitz is None:
             raise ConfigError(
                 f"{function_name!r} has no built-in Lipschitz data; pass M and alpha"

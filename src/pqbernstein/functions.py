@@ -51,39 +51,40 @@ class RealFunction:
         return np.asarray(out, dtype=float)
 
 
-# Built-in test functions, keyed by their CLI selector names.
-_BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "e0": lambda t: np.ones_like(t),
-    "e1": lambda t: t,
-    "e2": lambda t: t**2,
-    "f_fig": lambda t: 1.0 + np.cos(5.0 * t**2),
-    "holder_half": lambda t: np.sqrt(np.abs(t - 0.5)),
+@dataclass(frozen=True)
+class Builtin:
+    """What the package knows about one built-in test function."""
+
+    fn: Callable[[np.ndarray], np.ndarray]  # a named def, so an error about its values names it
+    gauss: bool  # its integral means may take the Gauss rules (see operator_eval)
+    lipschitz: tuple[float, float] | None  # (M, alpha): |f(s) - f(t)| <= M |s - t|^alpha on R
+
+
+def e0(t): return np.ones_like(t)
+def e1(t): return t
+def e2(t): return t**2
+def f_fig(t): return 1.0 + np.cos(5.0 * t**2)
+def holder_half(t): return np.sqrt(np.abs(t - 0.5))
+
+
+# The built-ins by CLI selector name.  e1 and e2 are polynomials the Gauss
+# rules sum exactly and f_fig is entire; holder_half has a kink at 1/2.
+BUILTINS: dict[str, Builtin] = {
+    # e0 keeps the K-node rule: its Gauss means sum to 1 less accurately than
+    # the weights do, and at classic n = 60 they would move the FROZEN K(e0)
+    # of tests/test_point_values.py from 4.5 to 10.5 ulp of its 50-digit
+    # reference (printed basis: 2.5 to 6.5 ulp).
+    "e0": Builtin(e0, gauss=False, lipschitz=(1.0, 1.0)),
+    "e1": Builtin(e1, gauss=True, lipschitz=(1.0, 1.0)),
+    "e2": Builtin(e2, gauss=True, lipschitz=None),
+    "f_fig": Builtin(f_fig, gauss=True, lipschitz=None),
+    "holder_half": Builtin(holder_half, gauss=False, lipschitz=(1.0, 0.5)),
 }
-for _name, _fn in _BUILTINS.items():
-    _fn.__name__ = _name  # so an error about a built-in's values can name it
-
-# (M, alpha) witnesses for the Lipschitz-class bound checks.
-LIPSCHITZ_DATA: dict[str, tuple[float, float]] = {
-    "e0": (1.0, 1.0),
-    "e1": (1.0, 1.0),
-    "holder_half": (1.0, 0.5),
-}
-
-# Built-ins whose integral means the operator may take with a Gauss rule (see
-# operator_eval): e1 and e2 are polynomials the rules sum exactly, f_fig is
-# entire.  holder_half has a kink at 1/2.  e0 keeps the K-node rule: its
-# Gauss means sum to 1 less accurately than the weights do, and at classic
-# n = 60 they would move the FROZEN K(e0) of tests/test_point_values.py from
-# 4.5 to 10.5 ulp of its 50-digit reference (printed basis: 2.5 to 6.5 ulp).
-ANALYTIC_BUILTINS = frozenset(_BUILTINS[name] for name in ("e1", "e2", "f_fig"))
-
-FUNCTION_NAMES = tuple(_BUILTINS)
+GAUSS_FNS = frozenset(b.fn for b in BUILTINS.values() if b.gauss)  # for operator_eval
 
 
 def make_function(name: str, lo: float, hi: float) -> RealFunction:
     """Instantiate a built-in test function on the given domain."""
-    try:
-        fn = _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown function {name!r}; choose from {FUNCTION_NAMES}") from None
-    return RealFunction(fn, lo, hi, name=name)
+    if name not in BUILTINS:
+        raise ValueError(f"unknown function {name!r}; choose from {tuple(BUILTINS)}")
+    return RealFunction(BUILTINS[name].fn, lo, hi, name=name)

@@ -37,12 +37,12 @@ same x build one row, a warm point call is one lookup and its ndarray.dot
 products, @'s ddot without its dispatch (about 1 us for apply at N = 16),
 and the moment report and the three bound checks of one operator on one
 grid build one basis.  Moving to another operator releases all of it.
-basis_matrix always returns a fresh copy.
+basis_matrix builds its values afresh and keeps none.
 Every argument is an affine image of the same nodes, so one set of Gauss
 rules of the rule's discrete measure (pq_quadrature.gauss_rules: s = 16 and
 s + 4 = 20 points, built in closed form, plus 20 tail nodes for the
-truncation) serves every k: the analytic built-ins
-(functions.ANALYTIC_BUILTINS: e1, e2 and f_fig) cost (N+1)(3s + 8)
+truncation) serves every k: the built-ins whose record allows it
+(functions.BUILTINS: e1, e2 and f_fig) cost (N+1)(3s + 8)
 evaluations instead of (N+1)(K+1) where that saving reaches GAUSS_BUILD,
 and keep the Gauss means only where the two rules agree within quad_tol.
 Every other function (e0 among them), and any that fails that check, takes
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functions import ANALYTIC_BUILTINS, DOMAIN_EDGE_TOL, DomainError, RealFunction
+from .functions import DOMAIN_EDGE_TOL, GAUSS_FNS, DomainError, RealFunction
 from .pq_core import (
     BLOCK_BYTES,
     BLOCK_VALUES,
@@ -284,10 +284,10 @@ class _Operator:
     def integral_means(self, fns) -> list[np.ndarray]:
         """sum_t w_t fn(c0_k + c1_k t), k = 0..N, per fn; kept in self.means, read-only.
 
-        The fns not kept yet share one pass: the Gauss path for an analytic
-        built-in where it pays, else one block of the K-node arguments at a
-        time (see the module docstring).  The means are keyed on the callables:
-        two closures never share them, and a fn must be a pure function.
+        The fns not kept yet share one pass: the Gauss path for those in
+        functions.GAUSS_FNS where it pays, else one block of the K-node
+        arguments at a time (see the module docstring).  The means are keyed on
+        the callables: two closures never share them, and a fn must be a pure function.
         """
         missing = [fn for fn in fns if fn not in self.means]
         if missing:
@@ -297,7 +297,7 @@ class _Operator:
             gauss_pays = c0.size * (nodes.size - GAUSS_NODES) >= GAUSS_BUILD
             rest = []
             for i, fn in enumerate(missing):
-                means = self.gauss_means(fn) if gauss_pays and fn in ANALYTIC_BUILTINS else None
+                means = self.gauss_means(fn) if gauss_pays and fn in GAUSS_FNS else None
                 if means is None:
                     rest.append(i)
                 else:
@@ -326,12 +326,10 @@ def basis_matrix(config: SchurerConfig, pq: PQPair, xs) -> np.ndarray:
     """Basis values at every x, shape xs.shape + (N+1,); nonnegative on [0, 1].
 
     Term k is coef_k x^k prod_{s<N-k} (1 - r^s x).  A scalar x gives one
-    row, which equals the matching row of any grid that contains x; it is
-    a copy of the row the operator keeps, so the caller may write into it.
+    row, which equals the matching row of any grid that contains x.  The
+    values are built afresh and kept nowhere, so the caller may write into them.
     """
-    x = _check_points(xs)
-    op = _tables(config, pq)
-    return op.kept_basis(x).copy() if type(x) is float else op.basis(x)
+    return _tables(config, pq).basis(_check_points(xs))
 
 
 def required_domain(config: SchurerConfig, pq: PQPair) -> tuple[float, float]:

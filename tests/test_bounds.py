@@ -16,7 +16,7 @@ from pqbernstein.error_bounds import (
     check_t34,
     verify_lipschitz,
 )
-from pqbernstein.functions import FUNCTION_NAMES, DomainError, RealFunction, make_function
+from pqbernstein.functions import BUILTINS, DomainError, RealFunction, make_function
 from pqbernstein.moments_closed import closed_moments
 from pqbernstein.operator_eval import SchurerConfig, evaluate_on_grid, required_domain
 from pqbernstein.pq_core import PQPair
@@ -121,7 +121,7 @@ def modulus_cases(draw):
     """A function on a random domain, a grid division, and a random query sequence."""
     lo = draw(st.floats(-1.0, 0.5))
     hi = lo + draw(st.floats(0.05, 2.5))
-    name = draw(st.sampled_from((*FUNCTION_NAMES, "jagged")))
+    name = draw(st.sampled_from((*BUILTINS, "jagged")))
     if name == "jagged":
         knots = np.linspace(lo, hi, draw(st.integers(2, 40)))
         heights = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(knots), max_size=len(knots)))
@@ -229,6 +229,29 @@ class TestLipschitzSampling:
     def test_accepts_half_holder_witness(self):
         verify_lipschitz(make_function("holder_half", 0.0, 1.3), 1.0, 0.5)
 
+    @given(
+        lo=st.floats(min_value=-1e6, max_value=1e6),
+        log_width=st.floats(min_value=-6.0, max_value=6.0),
+    )
+    @example(lo=0.0, log_width=math.log10(1.3))
+    @example(lo=-1e6, log_width=6.0)
+    def test_the_builtin_witnesses_hold_on_any_interval(self, lo, log_width):
+        hi = lo + 10.0**log_width
+        for name, builtin in BUILTINS.items():
+            if builtin.lipschitz is not None:
+                verify_lipschitz(make_function(name, lo, hi), *builtin.lipschitz)
+
+    @given(
+        a=st.floats(allow_nan=False, allow_infinity=False),
+        b=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @example(a=0.5, b=1e300)
+    @example(a=0.5, b=np.nextafter(0.5, 1.0))
+    def test_holder_half_is_holder_half_on_the_whole_line(self, a, b):
+        # |sqrt|a - 1/2| - sqrt|b - 1/2|| <= sqrt|a - b|, up to a few roundings
+        lhs = abs(math.sqrt(abs(a - 0.5)) - math.sqrt(abs(b - 0.5)))
+        assert lhs <= math.sqrt(abs(a - b)) * (1.0 + 1e-12)
+
     def test_rejects_wrong_class(self):
         f = RealFunction(lambda t: 10.0 * t, 0.0, 1.0, name="steep")
         with pytest.raises(NotLipschitzError):
@@ -245,7 +268,7 @@ class TestLipschitzSampling:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        name=st.sampled_from((*FUNCTION_NAMES, "steps", "saw")),
+        name=st.sampled_from((*BUILTINS, "steps", "saw")),
         lo=st.floats(min_value=-2.0, max_value=1.0),
         width=st.floats(min_value=0.05, max_value=3.0),
         log_m=st.floats(min_value=-1.0, max_value=1.0),

@@ -1,18 +1,7 @@
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
-
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
-
-
-@pytest.fixture(scope="module")
-def compare():
-    spec = importlib.util.spec_from_file_location("compare_reports", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def write_reports(root: Path, value: float, passed: bool, verdict: str = "PASS") -> Path:

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -16,6 +17,7 @@ except ImportError:  # not on every platform
 from pqbernstein import experiments
 from pqbernstein.cli import build_parser, main
 from pqbernstein.error_bounds import DEFAULT_RATIO_CAP
+from pqbernstein.functions import BUILTINS
 from pqbernstein.experiments import (
     CONVERGENCE_FLAGGED,
     ConfigError,
@@ -317,6 +319,11 @@ class TestCLI:
             got = (args.ell, args.grid, args.tol, BasisVariant(args.basis))
             assert got == tuple(want.values())
         assert BasisVariant(parser.parse_args(["selftest"]).basis) is want["basis_variant"]
+
+    def test_function_choices_are_the_builtins(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (function,) = [a for a in sub.choices["bounds"]._actions if a.dest == "function"]
+        assert tuple(function.choices) == tuple(BUILTINS)
 
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0

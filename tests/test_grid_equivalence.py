@@ -12,6 +12,7 @@ against the K-node rule's, where it runs, and the bit-identical K-node
 fallback.
 """
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -299,7 +300,7 @@ def test_functions_from_a_generator_give_the_values_of_a_list():
 
 def test_cached_means_are_read_only():
     config, pq = SchurerConfig(n=7), PQPair(0.9, 0.8)
-    (means,) = _tables(config, pq).integral_means((functions._BUILTINS["f_fig"],))
+    (means,) = _tables(config, pq).integral_means((functions.BUILTINS["f_fig"].fn,))
     assert not means.flags.writeable
     with pytest.raises(ValueError):
         means[0] = 0.0
@@ -313,7 +314,7 @@ def test_apply_after_the_moment_report_reuses_its_e1_means(monkeypatch):
     calls = {"e0": [], "e1": []}
 
     def counting(name):
-        original = functions._BUILTINS[name]
+        original = functions.BUILTINS[name].fn
 
         def fn(t):
             if np.ndim(t) == 2:  # arguments; grid samples are 1-D
@@ -323,7 +324,8 @@ def test_apply_after_the_moment_report_reuses_its_e1_means(monkeypatch):
         return fn
 
     for name in calls:
-        monkeypatch.setitem(functions._BUILTINS, name, counting(name))
+        builtin = dataclasses.replace(functions.BUILTINS[name], fn=counting(name))
+        monkeypatch.setitem(functions.BUILTINS, name, builtin)
     clear_all()
     build_moment_report(config, pq, XS)
     assert calls["e0"] == [] and calls["e1"]
@@ -371,7 +373,7 @@ def test_t32_and_t34_evaluate_f_fig_over_the_arguments_once(monkeypatch):
     sizes = {"f_fig": [], "holder_half": []}
 
     def counting(name):
-        original = functions._BUILTINS[name]
+        original = functions.BUILTINS[name].fn
 
         def fn(t):
             if np.ndim(t) == 2:  # arguments; modulus and error samples are 1-D
@@ -381,11 +383,10 @@ def test_t32_and_t34_evaluate_f_fig_over_the_arguments_once(monkeypatch):
         return fn
 
     for name in sizes:
-        monkeypatch.setitem(functions._BUILTINS, name, counting(name))
-    # the counting f_fig stands in for f_fig among the analytic built-ins
-    monkeypatch.setattr(
-        operator_eval, "ANALYTIC_BUILTINS", frozenset({functions._BUILTINS["f_fig"]})
-    )
+        builtin = dataclasses.replace(functions.BUILTINS[name], fn=counting(name))
+        monkeypatch.setitem(functions.BUILTINS, name, builtin)
+    # the counting f_fig stands in for f_fig among the Gauss callables
+    monkeypatch.setattr(operator_eval, "GAUSS_FNS", frozenset({functions.BUILTINS["f_fig"].fn}))
     for theorem in ("t32", "t34"):
         for name in sizes:
             run_bounds(theorem, config, pq, name)
@@ -426,7 +427,7 @@ def test_fresh_classic_n1024_apply_stays_small():
 @pytest.mark.parametrize("block", [2**8, 2**20])
 @pytest.mark.parametrize("config, pq", OPERATORS[::3], ids=IDS[::3])
 def test_means_do_not_depend_on_the_block_size(config, pq, block, monkeypatch):
-    fns = tuple(functions._BUILTINS[name] for name in ("e2", "f_fig", "holder_half"))
+    fns = tuple(functions.BUILTINS[name].fn for name in ("e2", "f_fig", "holder_half"))
     clear_all()
     default = np.array(_tables(config, pq).integral_means(fns))
     clear_all()
@@ -602,10 +603,8 @@ def gauss_attempts(fn, seen):
 
 
 def declare_analytic(monkeypatch, fn):
-    """Let the operator treat fn as an analytic built-in."""
-    monkeypatch.setattr(
-        operator_eval, "ANALYTIC_BUILTINS", operator_eval.ANALYTIC_BUILTINS | {fn}
-    )
+    """Let the operator treat fn as a built-in whose record allows the Gauss rules."""
+    monkeypatch.setattr(operator_eval, "GAUSS_FNS", operator_eval.GAUSS_FNS | {fn})
 
 
 def k_node_means(config, pq, fn):
@@ -627,7 +626,7 @@ def test_gauss_and_k_node_means_of_the_smooth_builtins_agree(n, ell, u, ratio):
     config, pq = SchurerConfig(n=n, ell=ell), PQPair(p, p * ratio)
     tb = _tables(config, pq)
     for name in ("e0", "e1", "e2", "f_fig"):
-        fn = functions._BUILTINS[name]
+        fn = functions.BUILTINS[name].fn
         want = k_node_means(config, pq, fn)
         gauss = tb.gauss_means(fn)
         assert gauss is not None
@@ -639,7 +638,7 @@ def test_gauss_and_k_node_means_of_the_smooth_builtins_agree(n, ell, u, ratio):
 def test_f_fig_takes_the_gauss_path_above_the_crossover(monkeypatch):
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
     lo, hi = required_domain(config, pq)
-    fig, seen = functions._BUILTINS["f_fig"], []
+    fig, seen = functions.BUILTINS["f_fig"].fn, []
     spied = gauss_attempts(fig, seen)
     declare_analytic(monkeypatch, spied)
     got = apply_on_grid(config, pq, RealFunction(spied, lo, hi), XS)
@@ -653,7 +652,7 @@ def test_f_fig_takes_the_gauss_path_above_the_crossover(monkeypatch):
 def test_e1_e2_and_f_fig_are_the_builtins_that_try_the_gauss_rule(monkeypatch):
     # above the crossover: the polynomials e1 and e2, which the rules sum
     # exactly, and the entire f_fig; e0 keeps the K-node rule (see
-    # functions.ANALYTIC_BUILTINS), and holder_half has a kink
+    # functions.BUILTINS), and holder_half has a kink
     config, pq = SchurerConfig(n=64, ell=1), classic(64)
     tried, gauss_means = [], _Operator.gauss_means
 
@@ -664,10 +663,10 @@ def test_e1_e2_and_f_fig_are_the_builtins_that_try_the_gauss_rule(monkeypatch):
     monkeypatch.setattr(_Operator, "gauss_means", spy)
     clear_all()
     try:
-        _tables(config, pq).integral_means(tuple(functions._BUILTINS.values()))
+        _tables(config, pq).integral_means(tuple(b.fn for b in functions.BUILTINS.values()))
     finally:
         clear_all()
-    assert tried == [functions._BUILTINS[name] for name in ("e1", "e2", "f_fig")]
+    assert tried == [functions.BUILTINS[name].fn for name in ("e1", "e2", "f_fig")]
 
 
 def test_gauss_rules_are_built_once_per_operator():
@@ -682,7 +681,7 @@ def f_fig_attempts(config, pq, nodes, monkeypatch):
     assert _tables(config, pq).rule.nodes.size == nodes
     lo, hi = required_domain(config, pq)
     seen = []
-    spied = gauss_attempts(functions._BUILTINS["f_fig"], seen)
+    spied = gauss_attempts(functions.BUILTINS["f_fig"].fn, seen)
     declare_analytic(monkeypatch, spied)
     apply_on_grid(config, pq, RealFunction(spied, lo, hi), XS)
     return seen, _tables(config, pq).means[spied]
@@ -721,7 +720,7 @@ def test_operators_from_the_crossover_take_the_gauss_path(n, ell, p, q, nodes, m
     seen, means = f_fig_attempts(config, pq, nodes, monkeypatch)
     # one Gauss pass that passed the s / s+4 check, and no K-node pass
     assert seen == [_tables(config, pq).gauss.nodes.size]
-    want = k_node_means(config, pq, functions._BUILTINS["f_fig"])
+    want = k_node_means(config, pq, functions.BUILTINS["f_fig"].fn)
     assert np.abs(means - want).max() <= 1e-13
 
 
@@ -751,7 +750,7 @@ def test_an_undeclared_closure_takes_the_k_node_path_bit_identically(monkeypatch
     got = apply_on_grid(config, pq, closure, XS)
     assert set(seen) == {_tables(config, pq).rule.nodes.size}
     # the same values as f_fig's own K-node means, bit for bit
-    monkeypatch.setattr(operator_eval, "ANALYTIC_BUILTINS", frozenset())
+    monkeypatch.setattr(operator_eval, "GAUSS_FNS", frozenset())
     clear_all()
     want = apply_on_grid(config, pq, make_function("f_fig", lo, hi), XS)
     clear_all()

@@ -277,11 +277,24 @@ def test_a_central_moment_is_the_grid_central_at_one_point(x, order, variant, n)
 def test_zero_and_minus_zero_keep_their_own_rows():
     config, pq, _ = operator("normalized", 6)
     clear_all()
-    plus, minus = basis_matrix(config, pq, 0.0), basis_matrix(config, pq, -0.0)
+    for x in (0.0, -0.0):
+        apply_central_moment(config, pq, x, 1)
+    kept = _tables(config, pq).kept
+    assert list(kept) == [(0.0).hex(), (-0.0).hex()]
+    plus, minus = kept[(0.0).hex()], kept[(-0.0).hex()]
     assert plus.tobytes() == basis_matrix(config, pq, np.array([0.0]))[0].tobytes()
     assert minus.tobytes() == basis_matrix(config, pq, np.array([-0.0]))[0].tobytes()
     assert plus.tobytes() != minus.tobytes()  # x^k gives -0.0 from k = 1
-    assert list(_tables(config, pq).kept) == [(0.0).hex(), (-0.0).hex()]
+    assert basis_matrix(config, pq, 0.0).tobytes() == plus.tobytes()
+    assert basis_matrix(config, pq, -0.0).tobytes() == minus.tobytes()
+
+
+def test_basis_matrix_at_a_point_keeps_nothing():
+    config, pq, x = operator("normalized", 14)
+    clear_all()
+    row = basis_matrix(config, pq, x)
+    assert _tables(config, pq).kept == {}
+    assert row.tobytes() == basis_matrix(config, pq, np.array([x]))[0].tobytes()
 
 
 def test_basis_matrix_at_a_point_is_a_writable_copy_of_the_kept_row():

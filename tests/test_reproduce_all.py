@@ -1,4 +1,11 @@
-"""scripts/reproduce_all.py end to end: every report present, strictly valid and rerun-stable."""
+"""scripts/reproduce_all.py end to end: every report present, strictly valid, rerun-stable,
+and equal to the committed reference in tests/golden.
+
+The reference is compared through scripts/compare_reports.py at its default
+--max-abs 1e-12, which absorbs last-bit BLAS differences between hosts; any
+flipped verdict or other mismatch fails.  A change that moves the outputs on
+purpose regenerates tests/golden with reproduce_all.py in the same commit.
+"""
 
 import json
 import math
@@ -9,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "reproduce_all.py"
+GOLDEN = ROOT / "tests" / "golden"
 
 EXPECTED = {"selftest.txt"} | {
     f"{base}.{ext}"
@@ -45,8 +53,10 @@ def reject_constant(token):
     raise ValueError(f"non-finite {token} in JSON")
 
 
-def test_reports_complete_strict_and_byte_stable(tmp_path):
+def test_reports_complete_strict_and_byte_stable(tmp_path, compare):
     first = reproduce(tmp_path / "a")
+    # the drift table is printed, so a failure shows what moved
+    assert compare.main([str(GOLDEN), str(tmp_path / "a")]) == 0
     assert set(first) == EXPECTED
     for name, data in first.items():
         text = data.decode("utf-8")

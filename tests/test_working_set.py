@@ -56,7 +56,7 @@ def test_a_k_node_means_pass_holds_a_few_blocks():
     op = _Operator(*classic(128))
     op.arguments  # the rule and the argument coefficients: a warm operator
     assert op.arguments.c0.size * op.rule.nodes.size > 20 * BLOCK_VALUES
-    holder_half = functions._BUILTINS["holder_half"]  # no Gauss path: the K-node rule
+    holder_half = functions.BUILTINS["holder_half"].fn  # no Gauss path: the K-node rule
     assert peak_bytes(lambda: op.integral_means((holder_half,))) < 4 * BLOCK_BYTES
 
 
@@ -116,7 +116,7 @@ def test_what_a_bundle_keeps_is_one_block_and_one_bundles_texts():
     clear_all()
     # the operator entry, its Gauss rules and its means, kept by _tables and
     # left out of what follows
-    fns = [functions._BUILTINS[name] for name in ("f_fig", "holder_half")]
+    fns = [functions.BUILTINS[name].fn for name in ("f_fig", "holder_half")]
     _tables(config, pq).integral_means(fns)
     _tables(config, pq).gauss
     tracemalloc.start()
